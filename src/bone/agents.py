@@ -101,14 +101,9 @@ class MethodConfig:
 
 @dataclass(frozen=True)
 class AgentState:
-    """Hypothesis bank plus timestep; a value threaded through the stream."""
+    """Hypothesis bank (which carries the timestep); a value threaded through the stream."""
 
     bank: HypothesisBank
-    timestep: int = 0
-
-    def __post_init__(self):
-        if self.timestep != self.bank.timestep:
-            raise ValueError("state and bank timesteps disagree")
 
 
 def _needs_anchor(cfg: MethodConfig) -> bool:
@@ -120,7 +115,7 @@ def init_agent(cfg: MethodConfig, anchor_x: float | None = None) -> AgentState:
     if _needs_anchor(cfg) and anchor_x is None:
         anchor_x = 0.0
     bank = HypothesisBank.root(cfg.policy.base_prior, cfg.capacity, anchor_x)
-    return AgentState(bank=bank, timestep=0)
+    return AgentState(bank=bank)
 
 
 def predict_weighted(state: AgentState, cfg: MethodConfig, x):
@@ -131,13 +126,8 @@ def predict_weighted(state: AgentState, cfg: MethodConfig, x):
     """
     bank = state.bank
     w = bank.weights
-    per_hyp = []
-    total = None
-    for i in range(bank.size):
-        yhat = link_mean(cfg.spec, bank.means[i], x, bank.anchor(i))
-        per_hyp.append((float(w[i]), yhat))
-        total = w[i] * yhat if total is None else total + w[i] * yhat
-    return total, per_hyp
+    yhats = link_mean(cfg.spec, bank.means, x, bank.anchors)
+    return w @ yhats, list(zip(w.tolist(), yhats))
 
 
 def _singleton_state(belief, runlength, t, anchor_x=None):
@@ -151,7 +141,7 @@ def _singleton_state(belief, runlength, t, anchor_x=None):
         capacity=None,
         timestep=t,
     )
-    return AgentState(bank=bank, timestep=t)
+    return AgentState(bank=bank)
 
 
 def _step_single(state: AgentState, cfg: MethodConfig, x, y) -> AgentState:
@@ -159,7 +149,7 @@ def _step_single(state: AgentState, cfg: MethodConfig, x, y) -> AgentState:
     belief = bank.belief(0)
     anchor = bank.anchor(0)
     anchor_x = None if bank.anchors is None else float(bank.anchors[0])
-    t = state.timestep + 1
+    t = bank.timestep + 1
     kind = cfg.policy.kind
     runlength = int(bank.runlengths[0]) + 1
 
@@ -203,7 +193,7 @@ def bone_step(state: AgentState, cfg: MethodConfig, x, y, x_next=None):
         bank = rl_step(
             state.bank, cfg.hazard, cfg.spec, cfg.policy, x, y, wolf_c=cfg.wolf_c
         )
-        new_state = AgentState(bank=bank, timestep=state.timestep + 1)
+        new_state = AgentState(bank=bank)
     else:
         new_state = _step_single(state, cfg, x, y)
     if x_next is None:
@@ -238,18 +228,18 @@ def thompson_action(
     """Sample a parameter draw per arm from its modal-hypothesis belief and
     act greedily on the sampled expected rewards.  Ties break to the lowest
     arm index."""
-    rewards = np.empty(len(states))
-    for a, st in enumerate(states):
-        i = st.bank.map_index
-        belief = st.bank.belief(i)
-        z = rng.standard_normal(belief.dim)
-        if belief.dim == 1:
-            theta = belief.mean + np.sqrt(max(belief.cov[0, 0], 0.0)) * z
+    thetas, anchors = [], []
+    for st in states:
+        bank = st.bank
+        i = bank.map_index
+        mean, cov = bank.means[i], bank.covs[i]
+        z = rng.standard_normal(mean.size)
+        if mean.size == 1:
+            thetas.append(mean + np.sqrt(max(cov[0, 0], 0.0)) * z)
         else:
-            chol = np.linalg.cholesky(
-                belief.cov + 1e-12 * np.eye(belief.dim)
-            )
-            theta = belief.mean + chol @ z
-        yhat = link_mean(cfg.spec, theta, x, st.bank.anchor(i))
-        rewards[a] = float(np.asarray(yhat).ravel()[0])
-    return int(np.argmax(rewards))
+            chol = np.linalg.cholesky(cov + 1e-12 * np.eye(mean.size))
+            thetas.append(mean + chol @ z)
+        if bank.anchors is not None:
+            anchors.append(bank.anchors[i])
+    rewards = link_mean(cfg.spec, np.stack(thetas), x, np.array(anchors) if anchors else None)
+    return int(np.argmax(rewards[:, 0]))

@@ -17,9 +17,6 @@ import scipy.linalg
 # the ``tol`` keyword accepted by the numeric routines below.
 PSD_TOL = 1e-9
 
-# Log-space mass (natural log).  -inf encodes zero mass; NaN is never valid.
-LogWeight = float
-
 
 class NumericDomainError(ValueError):
     """A matrix left the PSD domain beyond the repair tolerance."""

@@ -14,6 +14,7 @@ import csv
 import itertools
 import json
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -219,6 +220,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("horizon must be nonnegative")
     if experiment == "csv-stream" and not raw.get("data_path"):
         raise ConfigError("csv-stream requires data_path")
+    trials = int(raw.get("trials", 1))
+    if trials < 1:
+        raise ConfigError("trials must be at least 1")
+    rolling_window = int(raw.get("rolling_window", 12))
+    if rolling_window < 1:
+        raise ConfigError("rolling_window must be at least 1")
     sweep = raw.get("sweep")
     if sweep is not None:
         if not isinstance(sweep, dict) or not sweep:
@@ -228,12 +235,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(
         experiment=experiment,
         method=parse_method(raw["method"]),
-        trials=int(raw.get("trials", 1)),
+        trials=trials,
         horizon=horizon,
         seed=int(raw.get("seed", 0)),
         output_path=raw.get("output_path"),
         warmup=raw.get("warmup"),
-        rolling_window=int(raw.get("rolling_window", 12)),
+        rolling_window=rolling_window,
         runlength_output_path=raw.get("runlength_output_path"),
         data_path=raw.get("data_path"),
         ewma_target_half_life=raw.get("ewma_target_half_life"),
@@ -375,6 +382,21 @@ def ewma_scale(series, half_life: float) -> np.ndarray:
     return out
 
 
+def _csv_row(path: str, line: int, header: list[str], row: list[str]) -> list[float]:
+    if len(row) != len(header):
+        raise ConfigError(f"{path}: row {line} has {len(row)} cells, header has {len(header)}")
+    values = []
+    for name, cell in zip(header, row):
+        try:
+            v = float(cell)
+        except ValueError:
+            v = math.nan
+        if not math.isfinite(v):
+            raise ConfigError(f"{path}: row {line}, column {name!r}: {cell!r} is not a finite number")
+        values.append(v)
+    return values
+
+
 def load_csv_stream(
     path: str,
     ewma_target_half_life: float | None = None,
@@ -386,7 +408,7 @@ def load_csv_stream(
         header = next(reader, None)
         if header is None:
             raise ConfigError(f"{path}: empty CSV, header row required")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = [_csv_row(path, reader.line_num, header, row) for row in reader if row]
     data = np.asarray(rows, dtype=float)
     if data.ndim != 2 or data.shape[1] < 2:
         raise ConfigError(f"{path}: need at least one feature column and a target")

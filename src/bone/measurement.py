@@ -12,6 +12,11 @@ For the Gaussian families ``apply_h`` returns the predictive mean; for the
 exponential families it returns the natural-parameter vector (logits) whose
 moments come from ``expfam_moments``.  MLP parameters are flattened in layer
 order: weights row-major, then biases, per layer.
+
+Each family is written once over a leading batch axis: ``apply_h``,
+``expfam_moments``, ``moments_for_update`` and ``link_mean`` take one
+parameter vector (m,) or a stack of hypothesis means (k, m), and
+``linearize_bank`` is ``moments_for_update`` applied to a stack.
 """
 
 from __future__ import annotations
@@ -139,40 +144,47 @@ class MeasurementSpec:
         return q
 
 
+def _per_row(a: np.ndarray, batch: tuple) -> np.ndarray:
+    """a repeated over the leading batch shape (a read-only view), or a itself."""
+    return np.broadcast_to(a, batch + a.shape) if batch else a
+
+
 def _mlp_forward_jac(spec: MeasurementSpec, theta: np.ndarray, x: np.ndarray):
     """Forward pass plus reverse-accumulated Jacobian d out / d theta.
 
-    ReLU subgradient at exactly 0 is taken as 0.
+    theta is (..., m); out is (..., d) and the Jacobian (..., d, m).  ReLU
+    subgradient at exactly 0 is taken as 0.
     """
+    batch = theta.shape[:-1]
     shapes = spec.layer_shapes()
     Ws, bs, pos = [], [], 0
     for o, i in shapes:
-        Ws.append(theta[pos : pos + o * i].reshape(o, i))
+        Ws.append(theta[..., pos : pos + o * i].reshape(batch + (o, i)))
         pos += o * i
-        bs.append(theta[pos : pos + o])
+        bs.append(theta[..., pos : pos + o])
         pos += o
-    if pos != theta.size:
-        raise ValueError(f"theta has {theta.size} entries, expected {pos}")
+    if pos != theta.shape[-1]:
+        raise ValueError(f"theta has {theta.shape[-1]} entries, expected {pos}")
     acts = [np.atleast_1d(np.asarray(x, dtype=float))]
     pre = []
     for li, (W, b) in enumerate(zip(Ws, bs)):
-        z = W @ acts[-1] + b
+        z = (W @ acts[-1][..., None])[..., 0] + b
         pre.append(z)
         acts.append(np.maximum(z, 0.0) if li < len(Ws) - 1 else z)
     out = acts[-1]
-    d = out.size
-    jac = np.empty((d, theta.size))
+    d = out.shape[-1]
+    jac = np.empty(batch + (d, pos))
     # delta = d out / d z_l, propagated backwards
     delta = np.eye(d)
-    pos = theta.size
     for li in range(len(Ws) - 1, -1, -1):
         o, i = shapes[li]
         pos -= o
-        jac[:, pos : pos + o] = delta
+        jac[..., pos : pos + o] = delta
         pos -= o * i
-        jac[:, pos : pos + o * i] = np.einsum("do,i->doi", delta, acts[li]).reshape(d, o * i)
+        outer = delta[..., :, :, None] * acts[li][..., None, None, :]
+        jac[..., pos : pos + o * i] = outer.reshape(batch + (d, o * i))
         if li > 0:
-            delta = (delta @ Ws[li]) * (pre[li - 1] > 0.0)
+            delta = (delta @ Ws[li]) * (pre[li - 1] > 0.0)[..., None, :]
     return out, jac
 
 
@@ -180,68 +192,76 @@ def apply_h(
     spec: MeasurementSpec,
     theta,
     x,
-    anchor: SegmentAnchor | None = None,
+    anchor: SegmentAnchor | np.ndarray | None = None,
 ):
     """Evaluate the measurement link and its parameter Jacobian at theta.
 
-    Returns (out, jac) with out = h(theta; x) (natural parameters for the
-    exponential families) and jac = d h / d theta, shape (d, m).
+    theta is one parameter vector (m,) or a stack of them (k, m).  Returns
+    (out, jac) with out = h(theta; x), shape (d,) or (k, d) (natural
+    parameters for the exponential families), and jac = d h / d theta,
+    shape (d, m) or (k, d, m).  Segment anchors are a SegmentAnchor for one
+    theta or a (k,) array of anchor x values for a stack.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim == 0:
+        theta = theta[None]
+    batch, m = theta.shape[:-1], theta.shape[-1]
     if spec.family == "segment-poly-gaussian":
         if anchor is None:
-            raise ValueError("segment-poly-gaussian requires a SegmentAnchor")
+            raise ValueError("segment-poly-gaussian requires a SegmentAnchor or (k,) anchors")
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if xs.size != 1 or theta.size != 3:
+        if xs.size != 1 or m != 3:
             raise ValueError("segment-poly expects scalar x and 3 parameters")
-        dx = xs[0] - anchor.anchor_x
-        basis = np.array([1.0, dx, dx * dx])
-        return np.array([theta @ basis]), basis[None, :]
+        if isinstance(anchor, SegmentAnchor):
+            anchor = anchor.anchor_x
+        dx = xs[0] - np.asarray(anchor, dtype=float)
+        if dx.shape != batch:
+            raise ValueError(f"anchors of shape {dx.shape} for parameters of shape {theta.shape}")
+        basis = np.stack([np.ones_like(dx), dx, dx * dx], axis=-1)
+        return np.einsum("...m,...m->...", theta, basis)[..., None], basis[..., None, :]
     if anchor is not None:
         raise ValueError(f"{spec.family} does not take an anchor")
-    if spec.family in ("linear-gaussian", "bernoulli-logit"):
-        phi = spec.phi(x)
-        if theta.size != phi.size:
-            raise ValueError(
-                f"theta length {theta.size} does not match basis length {phi.size}"
-            )
-        return np.array([theta @ phi]), phi[None, :]
+    if spec.family == "mlp-gaussian":
+        return _mlp_forward_jac(spec, theta, x)
+    phi = spec.phi(x)
     if spec.family == "categorical-softmax":
-        phi = spec.phi(x)
         free = spec.out_dim - 1
-        if theta.size != free * phi.size:
-            raise ValueError(
-                f"theta length {theta.size}, expected {(free, phi.size)} flattened"
-            )
-        W = theta.reshape(free, phi.size)
-        return W @ phi, np.kron(np.eye(free), phi)
-    return _mlp_forward_jac(spec, theta, x)
+        if m != free * phi.size:
+            raise ValueError(f"theta length {m}, expected {(free, phi.size)} flattened")
+        W = theta.reshape(batch + (free, phi.size))
+        return W @ phi, _per_row(np.kron(np.eye(free), phi), batch)
+    if m != phi.size:
+        raise ValueError(f"theta length {m} does not match basis length {phi.size}")
+    return (theta @ phi)[..., None], _per_row(phi[None, :], batch)
 
 
 def expfam_moments(spec: MeasurementSpec, eta):
     """First two log-partition derivatives at natural parameters eta.
 
-    Bernoulli: mean sigma(eta), variance sigma(1 - sigma).  Categorical with
-    C classes and C-1 free logits: mean is the full softmax probability
-    vector, covariance is diag(p) - p p^T restricted to the free coordinates.
+    eta is (d,) or a stack (k, d).  Bernoulli: mean sigma(eta), variance
+    sigma(1 - sigma).  Categorical with C classes and C-1 free logits: mean
+    is the full softmax probability vector, covariance is diag(p) - p p^T
+    restricted to the free coordinates.
     """
     if spec.family not in EXPFAM_FAMILIES:
         raise ConfigError(f"expfam_moments unsupported for family {spec.family!r}")
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim == 0:
+        eta = eta[None]
     if spec.family == "bernoulli-logit":
-        if eta.size != 1:
+        if eta.shape[-1] != 1:
             raise ValueError("bernoulli-logit has a single natural parameter")
-        p = 1.0 / (1.0 + np.exp(-eta[0]))
-        return np.array([p]), np.array([[p * (1.0 - p)]])
+        p = 1.0 / (1.0 + np.exp(-eta))
+        return p, (p * (1.0 - p))[..., None]
     free = spec.out_dim - 1
-    if eta.size != free:
-        raise ValueError(f"expected {free} free logits, got {eta.size}")
-    z = np.concatenate([eta, [0.0]])
-    z = z - z.max()
+    if eta.shape[-1] != free:
+        raise ValueError(f"expected {free} free logits, got {eta.shape[-1]}")
+    z = np.concatenate([eta, np.zeros(eta.shape[:-1] + (1,))], axis=-1)
+    z = z - z.max(axis=-1, keepdims=True)
     p = np.exp(z)
-    p /= p.sum()
-    R = np.diag(p[:free]) - np.outer(p[:free], p[:free])
-    return p, R
+    p /= p.sum(axis=-1, keepdims=True)
+    pf = p[..., :free]
+    return p, np.eye(free) * pf[..., None, :] - pf[..., :, None] * pf[..., None, :]
 
 
 def _free_obs(spec: MeasurementSpec, y) -> np.ndarray:
@@ -262,21 +282,27 @@ def moments_for_update(
     spec: MeasurementSpec,
     mean: np.ndarray,
     x,
-    anchor: SegmentAnchor | None = None,
+    anchor: SegmentAnchor | np.ndarray | None = None,
 ):
     """Linearization (yhat, jac, R) at the prior mean, for any family.
 
-    Gaussian families use obs_noise; the exponential families are
-    moment-matched at eta = h(mean, x) with the Jacobian taken in
-    natural-parameter space.
+    mean is (m,) or a stack of hypothesis means (k, m); the outputs then
+    gain the same leading axis: yhat (k, d'), jac (k, d', m), R (k, d', d'),
+    where d' is the update dimension (C-1 for categorical).  Gaussian
+    families use obs_noise; the exponential families are moment-matched at
+    eta = h(mean, x) with the Jacobian taken in natural-parameter space.
     """
     out, jac = apply_h(spec, mean, x, anchor)
     if spec.is_gaussian:
-        return out, jac, spec.obs_noise
+        return out, jac, _per_row(spec.obs_noise, out.shape[:-1])
     yhat, R = expfam_moments(spec, out)
     if spec.family == "categorical-softmax":
-        yhat = yhat[: spec.out_dim - 1]
+        yhat = yhat[..., : spec.out_dim - 1]
     return yhat, jac, R
+
+
+# the batched linearization across a hypothesis bank is the same function
+linearize_bank = moments_for_update
 
 
 def predictive_log_density(
@@ -301,50 +327,11 @@ def link_mean(
     spec: MeasurementSpec,
     theta,
     x,
-    anchor: SegmentAnchor | None = None,
+    anchor: SegmentAnchor | np.ndarray | None = None,
 ) -> np.ndarray:
-    """Predictive mean on the observation scale (probabilities for classifiers)."""
+    """Predictive mean on the observation scale (probabilities for classifiers),
+    for one theta (m,) or a stack (k, m)."""
     out, _ = apply_h(spec, theta, x, anchor)
     if spec.is_gaussian:
         return out
     return expfam_moments(spec, out)[0]
-
-
-def linearize_bank(
-    spec: MeasurementSpec,
-    means: np.ndarray,
-    x,
-    anchors: np.ndarray | None = None,
-):
-    """Batched (yhats, jacs, Rs) across hypothesis means.
-
-    means is (k, m); returns yhats (k, d'), jacs (k, d', m), Rs (k, d', d')
-    where d' is the update dimension (C-1 for categorical).  Linear-in-theta
-    families take vectorized fast paths; MLP falls back to a loop.
-    """
-    k = means.shape[0]
-    if spec.family in ("linear-gaussian", "bernoulli-logit"):
-        phi = spec.phi(x)
-        etas = means @ phi  # (k,)
-        jacs = np.broadcast_to(phi[None, None, :], (k, 1, phi.size))
-        if spec.family == "linear-gaussian":
-            Rs = np.broadcast_to(spec.obs_noise[None], (k, 1, 1))
-            return etas[:, None], jacs, Rs
-        p = 1.0 / (1.0 + np.exp(-etas))
-        return p[:, None], jacs, (p * (1.0 - p))[:, None, None]
-    if spec.family == "segment-poly-gaussian":
-        if anchors is None:
-            raise ValueError("segment-poly-gaussian requires anchors")
-        xs = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
-        dx = xs - anchors
-        basis = np.stack([np.ones(k), dx, dx * dx], axis=1)  # (k, 3)
-        yhats = np.einsum("km,km->k", means, basis)[:, None]
-        Rs = np.broadcast_to(spec.obs_noise[None], (k, 1, 1))
-        return yhats, basis[:, None, :], Rs
-    outs, jacs, Rs = [], [], []
-    for i in range(k):
-        yhat, jac, R = moments_for_update(spec, means[i], x)
-        outs.append(yhat)
-        jacs.append(jac)
-        Rs.append(R)
-    return np.stack(outs), np.stack(jacs), np.stack(Rs)

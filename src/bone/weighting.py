@@ -11,8 +11,7 @@ a step over k hypotheses is a handful of batched matrix operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,22 +39,13 @@ class Hypothesis:
 
 @dataclass(frozen=True)
 class HazardSpec:
-    """Constant hazard rate pi, with an optional runlength-dependent hook."""
+    """Constant hazard rate pi."""
 
     pi: float
-    rate_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not 0.0 < self.pi < 1.0:
             raise ValueError(f"hazard rate must be in (0, 1), got {self.pi}")
-
-    def rates(self, runlengths: np.ndarray) -> np.ndarray:
-        if self.rate_fn is None:
-            return np.full(np.shape(runlengths), self.pi)
-        r = np.asarray(self.rate_fn(np.asarray(runlengths)), dtype=float)
-        if ((r <= 0.0) | (r >= 1.0)).any():
-            raise ValueError("hazard function must map into (0, 1)")
-        return r
 
 
 @dataclass(frozen=True)
@@ -247,8 +237,8 @@ def rl_step(
         raise ValueError("rl_step on an empty hypothesis bank")
     if policy.kind not in ("rl-prior-reset", "rl-mmpr"):
         raise ConfigError(f"rl_step requires a runlength prior policy, got {policy.kind!r}")
-    pis = hazard.rates(bank.runlengths)
-    reset = _reset_prior(bank, policy, hazard.pi)
+    pi = hazard.pi
+    reset = _reset_prior(bank, policy, pi)
 
     # stack growth priors (tracked beliefs) with the reset prior
     means = np.concatenate([bank.means, reset.mean[None, :]])
@@ -273,8 +263,8 @@ def rl_step(
 
     new_means, new_covs, _, _, _ = lg_update_arrays(means, covs, jacs, yhats, yv, Rs)
 
-    grow_joints = bank.log_joints + log_preds[:-1] + np.log1p(-pis)
-    reset_joint = log_preds[-1] + logsumexp(bank.log_joints + np.log(pis))
+    grow_joints = bank.log_joints + log_preds[:-1] + np.log1p(-pi)
+    reset_joint = log_preds[-1] + logsumexp(bank.log_joints + np.log(pi))
     out = HypothesisBank(
         runlengths=np.concatenate([bank.runlengths + 1, [0]]),
         log_joints=np.concatenate([grow_joints, [reset_joint]]),

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bone.agents import (
+    AgentState,
     MethodConfig,
     bone_step,
     drift_unobserved,
@@ -10,9 +13,9 @@ from bone.agents import (
     thompson_action,
 )
 from bone.core import ConfigError, GaussBelief
-from bone.measurement import MeasurementSpec
+from bone.measurement import MeasurementSpec, SegmentAnchor, link_mean
 from bone.priors import PriorPolicy
-from bone.weighting import HazardSpec
+from bone.weighting import HazardSpec, HypothesisBank
 from oracles import batch_linreg_posterior
 
 LINEAR = MeasurementSpec("linear-gaussian", obs_noise=[[1.0]])
@@ -148,6 +151,92 @@ class TestBoneStep:
             state, _, _ = bone_step(state, cfg, x, y)
 
 
+class TestPredictWeighted:
+    def bank_state(self, means, anchors=None):
+        k, m = means.shape
+        bank = HypothesisBank(
+            runlengths=np.arange(k),
+            log_joints=np.log(np.arange(1.0, k + 1.0)),
+            means=means,
+            covs=np.broadcast_to(np.eye(m), (k, m, m)),
+            anchors=anchors,
+            timestep=k,
+        )
+        return AgentState(bank=bank)
+
+    def check_against_explicit_sum(self, cfg, state, x):
+        bank = state.bank
+        w = bank.weights
+        parts = [link_mean(cfg.spec, bank.means[i], x, bank.anchor(i)) for i in range(bank.size)]
+        yhat, per_hyp = predict_weighted(state, cfg, x)
+        np.testing.assert_allclose(yhat, sum(wi * p for wi, p in zip(w, parts)), rtol=1e-14)
+        assert [wi for wi, _ in per_hyp] == w.tolist()
+        for (_, got), want in zip(per_hyp, parts):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        return yhat
+
+    def test_segment_poly_bank_with_distinct_anchors(self):
+        spec = MeasurementSpec("segment-poly-gaussian", obs_noise=[[1.0]])
+        base = GaussBelief(np.zeros(3), np.eye(3))
+        cfg = method("RL-PR[inf]", spec=spec, base=base, hazard=HazardSpec(0.1))
+        rng = np.random.default_rng(6)
+        state = self.bank_state(rng.normal(size=(5, 3)), anchors=rng.normal(size=5))
+        self.check_against_explicit_sum(cfg, state, [0.7])
+
+    def test_categorical_bank_predicts_probabilities(self):
+        spec = MeasurementSpec("categorical-softmax", out_dim=3)
+        base = GaussBelief(np.zeros(4), np.eye(4))
+        cfg = method("RL-PR[inf]", spec=spec, base=base, hazard=HazardSpec(0.1))
+        rng = np.random.default_rng(7)
+        state = self.bank_state(rng.normal(size=(4, 4)))
+        yhat = self.check_against_explicit_sum(cfg, state, [0.3, -1.2])
+        assert yhat.shape == (3,)
+        assert yhat.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+class TestBankInvariants:
+    @given(
+        name=st.sampled_from(["RL-PR[K]", "RL-PR[inf]", "WoLF+RL-PR", "RL-MMPR", "RL-OUPR", "C-OU"]),
+        pi=st.floats(min_value=0.01, max_value=0.5),
+        K=st.integers(min_value=1, max_value=6),
+        stream=st.lists(
+            st.tuples(
+                st.floats(min_value=-3, max_value=3),
+                st.floats(min_value=-3, max_value=3),
+                st.floats(min_value=-50, max_value=50),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bank_invariants_after_every_step(self, name, pi, K, stream):
+        kw = {"hazard": HazardSpec(pi)}
+        if name == "RL-PR[K]":
+            kw["capacity"] = K
+        elif name == "WoLF+RL-PR":
+            kw["wolf_c"] = 2.0
+        elif name == "RL-OUPR":
+            kw["epsilon"] = 0.5
+        elif name == "C-OU":
+            kw = {"gamma": 0.9}
+        cfg = method(name, **kw)
+        state = init_agent(cfg)
+        for t, (x0, x1, y) in enumerate(stream, start=1):
+            state, _, per_hyp = bone_step(state, cfg, [x0, x1], [y], x_next=[x1, x0])
+            bank = state.bank
+            assert bank.timestep == t
+            assert bank.weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert sum(w for w, _ in per_hyp) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_array_equal(bank.covs, bank.covs.transpose(0, 2, 1))
+            traces = np.einsum("kii->k", bank.covs)
+            assert (np.linalg.eigvalsh(bank.covs).min(axis=1) >= -1e-9 * np.maximum(1.0, traces)).all()
+            assert np.unique(bank.runlengths).size == bank.size
+            assert bank.runlengths.max() <= t
+            cap = {"RL-PR[K]": K, "RL-PR[inf]": t + 1, "WoLF+RL-PR": t + 1, "RL-MMPR": t + 1}
+            assert bank.size <= cap.get(name, 1)
+
+
 class TestThompson:
     def bern_cfg(self):
         spec = MeasurementSpec("bernoulli-logit")
@@ -167,7 +256,6 @@ class TestThompson:
                 covs=np.array([[[var]]]),
                 timestep=0,
             ),
-            timestep=0,
         )
 
     def test_single_arm(self):

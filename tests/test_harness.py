@@ -76,6 +76,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(raw)
 
+    @pytest.mark.parametrize("key,value", [("rolling_window", 0), ("rolling_window", -1), ("trials", -1), ("trials", 0)])
+    def test_nonpositive_counts_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(static_config(**{key: value}))
+
 
 class TestRunPrequential:
     def test_zero_horizon_empty_trace(self):
@@ -325,6 +330,36 @@ class TestCsvIngestion:
         path.write_text("")
         with pytest.raises(ConfigError):
             load_csv_stream(str(path))
+
+    @pytest.mark.parametrize("cell", ["abc", "nan", "inf", ""])
+    def test_bad_cell_is_config_error_naming_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b,y\n1,2,3\n4,{cell},6\n")
+        with pytest.raises(ConfigError, match=r"d\.csv: row 3, column 'b'"):
+            load_csv_stream(str(path))
+
+    def test_ragged_row_is_config_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,y\n1,2,3\n4,5\n")
+        with pytest.raises(ConfigError, match="row 3"):
+            load_csv_stream(str(path))
+
+    @pytest.mark.parametrize("cell", ["abc", "nan"])
+    def test_cli_exits_2_on_bad_cell(self, tmp_path, cell):
+        data = tmp_path / "d.csv"
+        data.write_text(f"x,y\n1,2\n{cell},3\n")
+        raw = {
+            "experiment": "csv-stream",
+            "data_path": str(data),
+            "method": {
+                "name": "C-Static",
+                "model": {"family": "linear-gaussian", "obs_noise": 1.0},
+                "prior": {"kind": "static", "base_mean": [0], "base_cov_scale": 1.0},
+            },
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
 
     def test_ewma_flags_applied(self, tmp_path):
         path = tmp_path / "d.csv"

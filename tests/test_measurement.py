@@ -9,6 +9,7 @@ from bone.measurement import (
     expfam_moments,
     linearize_bank,
     link_mean,
+    moments_for_update,
     predictive_log_density,
 )
 from oracles import finite_diff_jacobian
@@ -136,23 +137,30 @@ class TestPredictiveLogDensity:
 
 
 class TestLinearizeBank:
-    @pytest.mark.parametrize("spec,q", [(LINEAR, 2), (BERN, 2), (SEGMENT, 1)])
+    @pytest.mark.parametrize(
+        "spec,q", [(LINEAR, 2), (BERN, 2), (SEGMENT, 1), (CAT3, 2), (MLP, 2)]
+    )
     def test_batched_matches_per_hypothesis(self, spec, q):
         rng = np.random.default_rng(9)
         k = 6
-        m = 3 if spec is SEGMENT else q
-        means = rng.normal(size=(k, m))
         x = rng.normal(size=q)
+        m = 3 if spec is SEGMENT else spec.param_count(x)
+        means = rng.normal(size=(k, m))
         anchors = rng.normal(size=k) if spec is SEGMENT else None
         yhats, jacs, Rs = linearize_bank(spec, means, x, anchors)
-        from bone.measurement import moments_for_update
-
+        probs = link_mean(spec, means, x, anchors)
         for i in range(k):
             anchor = SegmentAnchor(anchors[i]) if anchors is not None else None
             yh, jc, R = moments_for_update(spec, means[i], x, anchor)
-            np.testing.assert_allclose(yhats[i], yh, atol=1e-14)
-            np.testing.assert_allclose(jacs[i], jc, atol=1e-14)
-            np.testing.assert_allclose(Rs[i], R, atol=1e-14)
+            assert (yhats[i].shape, jacs[i].shape, Rs[i].shape) == (yh.shape, jc.shape, R.shape)
+            np.testing.assert_allclose(yhats[i], yh, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(jacs[i], jc, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(Rs[i], R, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(probs[i], link_mean(spec, means[i], x, anchor), rtol=0, atol=1e-14)
+
+    def test_stack_needs_one_anchor_per_row(self):
+        with pytest.raises(ValueError):
+            apply_h(SEGMENT, np.zeros((3, 3)), [0.0], np.zeros(2))
 
 
 class TestLinkMean:
