@@ -3,7 +3,9 @@
 All hypothesis masses in this package are carried as natural-log values;
 probabilities are materialized only at API boundaries.  Positive
 semi-definiteness is policed with a single tolerance, ``PSD_TOL``, taken
-relative to the matrix trace.
+relative to the matrix trace.  A stack of covariances is certified by one
+batched Cholesky factorization: a finite factor proves every matrix
+positive definite, and ``eigvalsh`` runs only when the factorization fails.
 """
 
 from __future__ import annotations
@@ -125,9 +127,30 @@ def symmetrize_psd(cov: np.ndarray, tol: float | None = None) -> np.ndarray:
 
 
 def symmetrize_psd_batch(covs: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Vectorized symmetrize_psd over a (k, d, d) stack."""
+    """Vectorized symmetrize_psd over a (k, d, d) stack.
+
+    For d > 1 one batched Cholesky factorization certifies the stack: when it
+    succeeds with a finite factor, every matrix is positive definite and the
+    symmetrized stack is returned as is.  Only when it fails does ``eigvalsh``
+    find the smallest eigenvalues, which are repaired or rejected exactly as
+    in symmetrize_psd.  A matrix with a non-finite entry raises
+    NumericDomainError.
+    """
     s = (covs + covs.transpose(0, 2, 1)) / 2.0
-    wmin = np.linalg.eigvalsh(s).min(axis=1)
+    d = s.shape[1]
+    if d > 1:
+        try:
+            # numpy returns a NaN factor, not an error, for a NaN matrix
+            if np.isfinite(np.einsum("kii->k", np.linalg.cholesky(s))).all():
+                return s
+        except np.linalg.LinAlgError:
+            pass
+    finite = np.isfinite(s).all(axis=(1, 2))
+    if not finite.all():
+        k = int(np.flatnonzero(~finite)[0])
+        raise NumericDomainError(f"matrix {k} of batch is not finite:\n{s[k]}")
+    # the smallest eigenvalue of a 1x1 matrix is its entry
+    wmin = s[:, 0, 0] if d == 1 else np.linalg.eigvalsh(s).min(axis=1)
     traces = np.einsum("kii->k", s)
     bad = wmin < -np.maximum(1.0, np.abs(traces)) * (PSD_TOL if tol is None else tol)
     if bad.any():
@@ -137,7 +160,7 @@ def symmetrize_psd_batch(covs: np.ndarray, tol: float | None = None) -> np.ndarr
             f"(min eigenvalue {wmin[k]:.3e}):\n{s[k]}"
         )
     shift = np.where(wmin < 0.0, -wmin, 0.0)
-    return s + shift[:, None, None] * np.eye(s.shape[1])
+    return s + shift[:, None, None] * np.eye(d)
 
 
 def gaussian_log_pdf(y, mean, cov, tol: float | None = None) -> float:

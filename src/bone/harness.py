@@ -226,6 +226,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     rolling_window = int(raw.get("rolling_window", 12))
     if rolling_window < 1:
         raise ConfigError("rolling_window must be at least 1")
+    seed = raw.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     sweep = raw.get("sweep")
     if sweep is not None:
         if not isinstance(sweep, dict) or not sweep:
@@ -237,7 +240,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         method=parse_method(raw["method"]),
         trials=trials,
         horizon=horizon,
-        seed=int(raw.get("seed", 0)),
+        seed=int(seed),
         output_path=raw.get("output_path"),
         warmup=raw.get("warmup"),
         rolling_window=rolling_window,

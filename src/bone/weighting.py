@@ -258,10 +258,8 @@ def rl_step(
             raise ConfigError("robust runlength steps require a Gaussian-likelihood family")
         W = _imq_weights(yv[None, :] - yhats, np.ascontiguousarray(Rs), wolf_c)
         Rs = Rs / (W * W)[:, None, None]
-    S = np.einsum("kdm,kmn,ken->kde", jacs, covs, jacs) + Rs
+    new_means, new_covs, _, S, _ = lg_update_arrays(means, covs, jacs, yhats, yv, Rs)
     log_preds = gaussian_log_pdf_batch(yv, yhats, S)
-
-    new_means, new_covs, _, _, _ = lg_update_arrays(means, covs, jacs, yhats, yv, Rs)
 
     grow_joints = bank.log_joints + log_preds[:-1] + np.log1p(-pi)
     reset_joint = log_preds[-1] + logsumexp(bank.log_joints + np.log(pi))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bone.core import (
+    PSD_TOL,
     GaussBelief,
     LinearDynamics,
     NumericDomainError,
@@ -11,6 +12,7 @@ from bone.core import (
     gaussian_log_pdf_batch,
     logsumexp,
     symmetrize_psd,
+    symmetrize_psd_batch,
 )
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -120,6 +122,109 @@ class TestSymmetrizePsd:
         once = symmetrize_psd(a)
         twice = symmetrize_psd(once)
         np.testing.assert_allclose(twice, once, atol=1e-15)
+
+
+def _eigvalsh_psd_batch(covs):
+    """Oracle for symmetrize_psd_batch: the smallest eigenvalue of every matrix."""
+    s = (covs + covs.transpose(0, 2, 1)) / 2.0
+    wmin = np.linalg.eigvalsh(s).min(axis=1)
+    traces = np.einsum("kii->k", s)
+    bad = wmin < -np.maximum(1.0, np.abs(traces)) * PSD_TOL
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        raise NumericDomainError(
+            f"matrix {k} of batch is not PSD within tolerance "
+            f"(min eigenvalue {wmin[k]:.3e}):\n{s[k]}"
+        )
+    shift = np.where(wmin < 0.0, -wmin, 0.0)
+    return s + shift[:, None, None] * np.eye(s.shape[1])
+
+
+def _rotated(rng, eigenvalues):
+    q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), len(eigenvalues))))
+    return q @ np.diag(eigenvalues) @ q.T
+
+
+def _same_outcome(covs):
+    """symmetrize_psd_batch and the oracle return equal bits or raise the same error."""
+    try:
+        want = _eigvalsh_psd_batch(covs)
+    except NumericDomainError as err:
+        with pytest.raises(NumericDomainError) as got:
+            symmetrize_psd_batch(covs)
+        assert str(got.value) == str(err)
+        return
+    np.testing.assert_array_equal(symmetrize_psd_batch(covs), want)
+
+
+class TestSymmetrizePsdBatch:
+    def test_positive_definite_stack_is_symmetrized_only(self):
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(4, 5, 5))
+        covs = a @ a.transpose(0, 2, 1) + np.eye(5)
+        covs[:, 0, 1] += 1e-3  # asymmetric
+        out = symmetrize_psd_batch(covs)
+        np.testing.assert_array_equal(out, (covs + covs.transpose(0, 2, 1)) / 2.0)
+        np.testing.assert_array_equal(out, _eigvalsh_psd_batch(covs))
+
+    def test_rank_one_matrix_takes_the_eigvalsh_path(self):
+        covs = np.stack([2.0 * np.eye(3), np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(covs)
+        np.testing.assert_array_equal(symmetrize_psd_batch(covs), _eigvalsh_psd_batch(covs))
+
+    def test_eigenvalue_within_tolerance_gets_minimal_shift(self):
+        m = _rotated(np.random.default_rng(1), [1.0, 2.0, -1e-11])
+        covs = np.stack([np.eye(3), m])
+        s = (covs + covs.transpose(0, 2, 1)) / 2.0
+        out = symmetrize_psd_batch(covs)
+        np.testing.assert_array_equal(out, _eigvalsh_psd_batch(covs))
+        np.testing.assert_array_equal(out[0], np.eye(3))
+        shift = -np.linalg.eigvalsh(s[1]).min()
+        assert shift == pytest.approx(1e-11, rel=1e-3)
+        np.testing.assert_array_equal(out[1], s[1] + shift * np.eye(3))
+
+    def test_beyond_tolerance_raises_naming_the_matrix(self):
+        covs = np.stack([np.eye(2), np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(NumericDomainError, match="matrix 2 of batch is not PSD"):
+            symmetrize_psd_batch(covs)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_matrix_raises_naming_the_matrix(self, d, value):
+        covs = np.stack([np.eye(d)] * 3)
+        covs[1, 0, d - 1] = value
+        with pytest.raises(NumericDomainError, match="matrix 1 of batch is not finite"):
+            symmetrize_psd_batch(covs)
+
+    def test_scalar_stack_matches_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        v = np.concatenate([rng.uniform(0.0, 5.0, 20), [0.0, -1e-12, -5e-10, 1e-300]])
+        covs = v[:, None, None]
+        np.testing.assert_array_equal(symmetrize_psd_batch(covs), _eigvalsh_psd_batch(covs))
+        _same_outcome(np.concatenate([covs, [[[-1e-3]]]]))
+
+    # Eigenvalues keep a margin from zero (>= 1e-12 in magnitude) so the sign
+    # is decided by the matrix, not by rounding: a matrix singular to working
+    # precision may pass Cholesky while eigvalsh reports -1e-16 and shifts it.
+    @given(
+        st.sampled_from([1, 2, 3, 5]),
+        st.lists(st.sampled_from(["pd", "within-tol", "beyond-tol"]), min_size=1, max_size=6),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_eigvalsh_oracle(self, d, kinds, seed):
+        rng = np.random.default_rng(seed)
+        mats = []
+        for kind in kinds:
+            lam = rng.uniform(1e-3, 10.0, d)
+            if kind == "within-tol":
+                lam[0] = -rng.uniform(1e-12, 5e-10)
+            elif kind == "beyond-tol":
+                lam[0] = -rng.uniform(1e-3, 1.0)
+            m = _rotated(rng, lam)
+            mats.append(m + 1e-14 * rng.normal(size=(d, d)))  # asymmetric rounding
+        _same_outcome(np.stack(mats))
 
 
 class TestTypes:

@@ -81,6 +81,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(static_config(**{key: value}))
 
+    @pytest.mark.parametrize("seed", [-1, "abc", 1.5, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(static_config(seed=seed))
+
 
 class TestRunPrequential:
     def test_zero_horizon_empty_trace(self):
@@ -271,6 +276,31 @@ class TestExportAndCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 3
+
+    @pytest.mark.parametrize("seed", [-1, "abc", 1.5])
+    def test_cli_exits_2_on_bad_seed(self, tmp_path, seed):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(static_config(horizon=5, seed=seed)))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("name,kind", [("C-Static", "static"), ("RL-PR[inf]", "rl-prior-reset")])
+    def test_cli_exits_3_on_non_finite_covariance(self, tmp_path, name, kind):
+        # x = 1e200 overflows the poly2 feature x^2 to inf, so the updated
+        # covariance is not finite
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n1,2\n1e200,2.0\n3,4\n")
+        method = {
+            "name": name,
+            "model": {"family": "linear-gaussian", "obs_noise": 1.0, "feature_map": "poly2"},
+            "prior": {"kind": kind, "base_mean": [0, 0, 0], "base_cov_scale": 1.0},
+        }
+        if kind != "static":
+            method["hazard"] = 0.01
+        raw = {"experiment": "csv-stream", "data_path": str(data), "method": method}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 3
 
     def test_cli_gen(self, tmp_path):
         out = tmp_path / "stream.csv"
