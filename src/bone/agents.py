@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ConfigError, GaussBelief
+from .core import ConfigError, GaussBelief, is_finite_number, is_integer
 from .measurement import (
     MeasurementSpec,
     SegmentAnchor,
@@ -82,17 +82,23 @@ class MethodConfig:
             )
         if self.name in RL_METHODS + ("RL-OUPR",) and self.hazard is None:
             raise ConfigError(f"{self.name} requires a hazard spec")
-        if self.name == "RL-PR[K]" and (self.capacity is None or self.capacity < 1):
+        if self.name == "RL-PR[K]" and self.capacity is None:
             raise ConfigError("RL-PR[K] requires a positive capacity K")
         if self.name == "RL-PR[inf]" and self.capacity is not None:
             raise ConfigError("RL-PR[inf] keeps every hypothesis; drop K")
+        if self.capacity is not None and not (is_integer(self.capacity) and self.capacity >= 1):
+            raise ConfigError(f"K must be a positive integer, got {self.capacity!r}")
         if self.name == "WoLF+RL-PR" and self.wolf_c is None:
             raise ConfigError("WoLF+RL-PR requires the soft threshold wolf_c")
         if self.wolf_c is not None:
-            if self.wolf_c <= 0:
-                raise ConfigError("wolf_c must be positive")
+            if not (is_finite_number(self.wolf_c) and self.wolf_c > 0):
+                raise ConfigError(f"wolf_c must be a positive number, got {self.wolf_c!r}")
             if not self.spec.is_gaussian:
                 raise ConfigError("robust updates require a Gaussian-likelihood family")
+        if not (is_integer(self.cpp_steps) and self.cpp_steps >= 1):
+            raise ConfigError(f"cpp.steps must be an integer >= 1, got {self.cpp_steps!r}")
+        if not (is_finite_number(self.cpp_lr) and self.cpp_lr > 0):
+            raise ConfigError(f"cpp.lr must be a positive number, got {self.cpp_lr!r}")
 
     @property
     def is_rl_bank(self) -> bool:
@@ -156,7 +162,7 @@ def _step_single(state: AgentState, cfg: MethodConfig, x, y) -> AgentState:
     if kind == "cpp-ou":
         ups = cpp_empirical_bayes(
             belief, cfg.policy.base_prior, cfg.spec, x, y,
-            steps=cfg.cpp_steps, lr=cfg.cpp_lr,
+            steps=cfg.cpp_steps, lr=cfg.cpp_lr, anchor=anchor,
         )
         prior = conditional_prior(cfg.policy, belief, aux=ups)
     elif kind == "rl-oupr":

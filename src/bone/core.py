@@ -10,6 +10,7 @@ positive definite, and ``eigvalsh`` runs only when the factorization fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,21 @@ class NumericDomainError(ValueError):
 
 class ConfigError(ValueError):
     """A configuration is missing required parameters or carries unknown ones."""
+
+
+def is_integer(v) -> bool:
+    """True for an int that is not a bool; 2.0 and True are not counts."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def is_finite_number(v) -> bool:
+    """True for an int or float that is not a bool and is finite as a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _tol_abs(trace: float, tol: float | None) -> float:

@@ -29,7 +29,7 @@ from .agents import (
     predict_weighted,
     thompson_action,
 )
-from .core import ConfigError, GaussBelief, LinearDynamics
+from .core import ConfigError, GaussBelief, LinearDynamics, is_finite_number, is_integer
 from .datagen import GENERATORS, StreamRecord
 from .measurement import MeasurementSpec
 from .priors import PriorPolicy
@@ -113,11 +113,10 @@ def _parse_model(d: dict) -> MeasurementSpec:
     _check_keys(d, _MODEL_KEYS, "method.model")
     if "family" not in d:
         raise ConfigError("method.model requires a family")
-    noise = d.get("obs_noise")
-    if noise is not None and np.isscalar(noise):
-        dim = int(d.get("out_dim", 1))
-        noise = (noise * np.eye(dim)).tolist()
     try:
+        noise = d.get("obs_noise")
+        if noise is not None and np.isscalar(noise):
+            noise = (noise * np.eye(int(d.get("out_dim", 1)))).tolist()
         return MeasurementSpec(
             family=d["family"],
             out_dim=int(d.get("out_dim", 1)),
@@ -135,32 +134,40 @@ def _parse_prior(d: dict) -> PriorPolicy:
     _check_keys(d, _PRIOR_KEYS, "method.prior")
     if "kind" not in d or "base_mean" not in d:
         raise ConfigError("method.prior requires kind and base_mean")
-    mean = np.asarray(d["base_mean"], dtype=float)
     if "base_cov" in d and "base_cov_scale" in d:
         raise ConfigError("give base_cov or base_cov_scale, not both")
-    if "base_cov" in d:
-        cov = np.asarray(d["base_cov"], dtype=float)
-    else:
-        cov = float(d.get("base_cov_scale", 1.0)) * np.eye(mean.size)
-    dyn = None
-    if d.get("dyn") is not None:
-        dd = d["dyn"]
-        _check_keys(dd, _DYN_KEYS, "method.prior.dyn")
-        dyn = LinearDynamics(
-            np.asarray(dd["F"], dtype=float),
-            np.asarray(dd["b"], dtype=float),
-            np.asarray(dd["Q"], dtype=float),
+    try:
+        mean = np.asarray(d["base_mean"], dtype=float)
+        if "base_cov" in d:
+            cov = np.asarray(d["base_cov"], dtype=float)
+        else:
+            scale = d.get("base_cov_scale", 1.0)
+            if not is_finite_number(scale):
+                raise ConfigError(f"base_cov_scale must be a finite number, got {scale!r}")
+            cov = float(scale) * np.eye(mean.size)
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ConfigError("base_mean and base_cov must be finite")
+        dyn = None
+        if d.get("dyn") is not None:
+            dd = d["dyn"]
+            _check_keys(dd, _DYN_KEYS, "method.prior.dyn")
+            dyn = LinearDynamics(
+                np.asarray(dd["F"], dtype=float),
+                np.asarray(dd["b"], dtype=float),
+                np.asarray(dd["Q"], dtype=float),
+            )
+        return PriorPolicy(
+            kind=d["kind"],
+            base_prior=GaussBelief(mean, cov),
+            gamma=d.get("gamma"),
+            alpha=d.get("alpha"),
+            shrink=d.get("shrink"),
+            perturb_var=d.get("perturb_var"),
+            dyn=dyn,
+            epsilon=d.get("epsilon"),
         )
-    return PriorPolicy(
-        kind=d["kind"],
-        base_prior=GaussBelief(mean, cov),
-        gamma=d.get("gamma"),
-        alpha=d.get("alpha"),
-        shrink=d.get("shrink"),
-        perturb_var=d.get("perturb_var"),
-        dyn=dyn,
-        epsilon=d.get("epsilon"),
-    )
+    except (KeyError, TypeError, ValueError) as err:  # ValueError includes ConfigError
+        raise ConfigError(f"method.prior: {err}") from err
 
 
 def parse_method(d: dict) -> MethodConfig:
@@ -176,11 +183,11 @@ def parse_method(d: dict) -> MethodConfig:
         name=d["name"],
         spec=_parse_model(d["model"]),
         policy=_parse_prior(d["prior"]),
-        hazard=None if hazard is None else HazardSpec(float(hazard)),
+        hazard=None if hazard is None else HazardSpec(hazard),
         capacity=d.get("K"),
         wolf_c=d.get("wolf_c"),
-        cpp_steps=int(cpp.get("steps", 10)),
-        cpp_lr=float(cpp.get("lr", 0.1)),
+        cpp_steps=cpp.get("steps", 10),
+        cpp_lr=cpp.get("lr", 0.1),
         drift_unpulled=bool(d.get("drift_unpulled", True)),
     )
 
@@ -206,6 +213,13 @@ class ExperimentConfig:
     raw: dict = field(repr=False)
 
 
+def _count(raw: dict, key: str, default: int, minimum: int) -> int:
+    value = raw.get(key, default)
+    if not (is_integer(value) and value >= minimum):
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     _check_keys(raw, _TOP_KEYS, "config")
     if "experiment" not in raw or "method" not in raw:
@@ -215,20 +229,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown experiment {experiment!r}")
     gen = raw.get("generator", {})
     _check_keys(gen, _GENERATOR_KEYS[experiment], f"generator ({experiment})")
-    horizon = int(raw.get("horizon", DEFAULT_HORIZON.get(experiment, 0)))
-    if horizon < 0:
-        raise ConfigError("horizon must be nonnegative")
+    horizon = _count(raw, "horizon", DEFAULT_HORIZON.get(experiment, 0), 0)
     if experiment == "csv-stream" and not raw.get("data_path"):
         raise ConfigError("csv-stream requires data_path")
-    trials = int(raw.get("trials", 1))
-    if trials < 1:
-        raise ConfigError("trials must be at least 1")
-    rolling_window = int(raw.get("rolling_window", 12))
-    if rolling_window < 1:
-        raise ConfigError("rolling_window must be at least 1")
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    trials = _count(raw, "trials", 1, 1)
+    rolling_window = _count(raw, "rolling_window", 12, 1)
+    seed = _count(raw, "seed", 0, 0)
+    warmup = None if raw.get("warmup") is None else _count(raw, "warmup", None, 0)
     sweep = raw.get("sweep")
     if sweep is not None:
         if not isinstance(sweep, dict) or not sweep:
@@ -240,9 +247,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         method=parse_method(raw["method"]),
         trials=trials,
         horizon=horizon,
-        seed=int(seed),
+        seed=seed,
         output_path=raw.get("output_path"),
-        warmup=raw.get("warmup"),
+        warmup=warmup,
         rolling_window=rolling_window,
         runlength_output_path=raw.get("runlength_output_path"),
         data_path=raw.get("data_path"),
@@ -670,7 +677,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, parallel: int = 1) -> dict:
         for k, v in zip(keys, combo):
             _set_by_path(raw, k, v)
         if cfg.warmup:
-            raw["horizon"] = int(cfg.warmup)
+            raw["horizon"] = cfg.warmup
         point_cfg = parse_config(raw)
         traces = run_experiment(point_cfg, parallel)
         export_results(traces, out / f"point_{idx:04d}.csv", config_echo=raw)

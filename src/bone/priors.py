@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ConfigError, GaussBelief, LinearDynamics, symmetrize_psd
+from .core import ConfigError, GaussBelief, LinearDynamics, is_finite_number, symmetrize_psd
 from .posterior import kf_predict
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,6 +67,10 @@ class PriorPolicy:
         for name in _REQUIRED.get(self.kind, ()):
             if getattr(self, name) is None:
                 raise ConfigError(f"prior kind {self.kind!r} requires {name}")
+        for name in ("gamma", "alpha", "shrink", "perturb_var", "epsilon"):
+            value = getattr(self, name)
+            if value is not None and not is_finite_number(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.alpha is not None and self.alpha < 0.0:

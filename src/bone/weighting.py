@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, GaussBelief, gaussian_log_pdf_batch, logsumexp
+from .core import ConfigError, GaussBelief, gaussian_log_pdf_batch, is_finite_number, logsumexp
 from .measurement import MeasurementSpec, SegmentAnchor, _free_obs, linearize_bank
 from .posterior import _imq_weights, lg_update_arrays
 from .priors import PriorPolicy, mmpr_prior
@@ -44,8 +44,8 @@ class HazardSpec:
     pi: float
 
     def __post_init__(self):
-        if not 0.0 < self.pi < 1.0:
-            raise ValueError(f"hazard rate must be in (0, 1), got {self.pi}")
+        if not (is_finite_number(self.pi) and 0.0 < self.pi < 1.0):
+            raise ConfigError(f"hazard rate must be in (0, 1), got {self.pi!r}")
 
 
 @dataclass(frozen=True)
@@ -299,25 +299,26 @@ def cpp_empirical_bayes(
     y,
     steps: int = 10,
     lr: float = 0.1,
+    anchor: SegmentAnchor | None = None,
 ) -> float:
     """Changepoint probability maximizing the one-step predictive density.
 
     Gradient ascent on upsilon in [0, 1] with central finite differences
     (one-sided at the boundaries), initialized at 1 (full continuity).  The
     conditional prior at rate upsilon is the blend
-    (u mu + (1-u) mu0, u^2 Sigma + (1-u^2) Sigma0).
+    (u mu + (1-u) mu0, u^2 Sigma + (1-u^2) Sigma0), and its predictive
+    density is the linearized N(y | h(mean), J Sigma J^T + R), under the
+    segment ``anchor`` for segment models.  Both points of a difference are
+    scored as one 2-row stack.  An iteration depends on u alone, so the
+    search stops at the first iteration that leaves u unchanged (the fixed
+    point), which returns what the remaining iterations would.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    from .measurement import predictive_log_density  # local to avoid cycle at import
-
-    def objective(u: float) -> float:
-        mean = u * prev.mean + (1.0 - u) * base.mean
-        cov = u * u * prev.cov + (1.0 - u * u) * base.cov
-        return predictive_log_density(spec, GaussBelief(mean, cov), x, y)
-
+    yv = _free_obs(spec, y)
+    anchors = None if anchor is None else np.full(2, anchor.anchor_x)
     u = 1.0
     h = 1e-4
     for _ in range(steps):
@@ -325,8 +326,18 @@ def cpp_empirical_bayes(
         lo = max(u - h, 0.0)
         if hi == lo:
             break
-        g = (objective(hi) - objective(lo)) / (hi - lo)
-        u = min(1.0, max(0.0, u + lr * g))
+        pts = np.array([hi, lo])
+        sq = (pts * pts)[:, None, None]
+        means = pts[:, None] * prev.mean + (1.0 - pts)[:, None] * base.mean
+        covs = sq * prev.cov + (1.0 - sq) * base.cov
+        yhats, jacs, Rs = linearize_bank(spec, means, x, anchors)
+        S = (jacs @ covs) @ jacs.transpose(0, 2, 1) + Rs
+        dens = gaussian_log_pdf_batch(yv, yhats, S)
+        g = (dens[0] - dens[1]) / (hi - lo)
+        u_next = min(1.0, max(0.0, u + lr * g))
+        if u_next == u:
+            break
+        u = u_next
     return u
 
 

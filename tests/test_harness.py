@@ -2,6 +2,7 @@ import copy
 import csv
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,43 @@ def static_config(**over):
     }
     raw.update(over)
     return raw
+
+
+def method_config(name, kind, prior_extra=None, **extra):
+    """static_config with another method, its prior kind and extra keys."""
+    raw = static_config()
+    raw["method"].update(name=name, **extra)
+    prior = raw["method"]["prior"]
+    prior.update(kind=kind, **(prior_extra or {}))
+    if "base_cov" in prior:  # base_cov and base_cov_scale exclude each other
+        del prior["base_cov_scale"]
+    return raw
+
+
+NAN = float("nan")
+INF = float("inf")
+# (key the ConfigError names, config)
+BAD_NUMBERS = [
+    ("cpp.steps", method_config("CPP-OU", "cpp-ou", cpp={"steps": 0})),
+    ("cpp.steps", method_config("CPP-OU", "cpp-ou", cpp={"steps": "x"})),
+    ("cpp.steps", method_config("CPP-OU", "cpp-ou", cpp={"steps": True})),
+    ("cpp.steps", method_config("CPP-OU", "cpp-ou", cpp={"steps": 2.5})),
+    ("cpp.lr", method_config("CPP-OU", "cpp-ou", cpp={"lr": -1})),
+    ("cpp.lr", method_config("CPP-OU", "cpp-ou", cpp={"lr": 0})),
+    ("cpp.lr", method_config("CPP-OU", "cpp-ou", cpp={"lr": "x"})),
+    ("cpp.lr", method_config("CPP-OU", "cpp-ou", cpp={"lr": NAN})),
+    ("hazard", method_config("RL-PR[inf]", "rl-prior-reset", hazard="x")),
+    ("hazard", method_config("RL-PR[inf]", "rl-prior-reset", hazard=NAN)),
+    ("K must", method_config("RL-PR[K]", "rl-prior-reset", hazard=0.1, K="x")),
+    ("K must", method_config("RL-PR[K]", "rl-prior-reset", hazard=0.1, K=1.5)),
+    ("K must", method_config("RL-PR[K]", "rl-prior-reset", hazard=0.1, K=True)),
+    ("wolf_c", method_config("WoLF+RL-PR", "rl-prior-reset", hazard=0.1, wolf_c="x")),
+    ("alpha", method_config("C-ACI", "aci", {"alpha": "x"})),
+    ("base_mean", method_config("C-Static", "static", {"base_mean": [NAN, 0, 0]})),
+    ("base_cov_scale", method_config("C-Static", "static", {"base_cov_scale": INF})),
+    ("base_cov_scale", method_config("C-Static", "static", {"base_cov_scale": "x"})),
+    ("base_cov", method_config("C-Static", "static", {"base_cov": np.diag([1, INF, 1]).tolist()})),
+]
 
 
 def trace_of(losses, kind="regression", errors=None, **kw):
@@ -85,6 +123,20 @@ class TestConfig:
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ConfigError, match="seed"):
             parse_config(static_config(seed=seed))
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("trials", "abc"), ("trials", 1.5), ("trials", True), ("horizon", "abc"),
+         ("horizon", 30.7), ("rolling_window", "x"), ("warmup", "x"), ("warmup", 2.5)],
+    )
+    def test_non_integer_counts_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(static_config(**{key: value}))
+
+    @pytest.mark.parametrize("key,raw", BAD_NUMBERS)
+    def test_bad_method_numbers_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(raw)
 
 
 class TestRunPrequential:
@@ -282,6 +334,43 @@ class TestExportAndCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(static_config(horizon=5, seed=seed)))
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            static_config(horizon=5, trials=1.5),
+            method_config("CPP-OU", "cpp-ou", cpp={"steps": 0}),
+            method_config("CPP-OU", "cpp-ou", cpp={"lr": "x"}),
+            method_config("C-Static", "static", {"base_mean": [NAN, 0, 0]}),
+        ],
+    )
+    def test_cli_exits_2_on_bad_numbers(self, tmp_path, raw):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_cli_exits_2_on_infinite_prior_scale(self, tmp_path):
+        # JSON reads 1e400 as inf
+        cfg_path = tmp_path / "cfg.json"
+        text = json.dumps(static_config(horizon=5))
+        cfg_path.write_text(text.replace('"base_cov_scale": 3.0', '"base_cov_scale": 1e400'))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_cli_runs_cpp_ou_on_segment_model(self, tmp_path):
+        raw = {
+            "experiment": "dependent-segments",
+            "horizon": 30,
+            "method": {
+                "name": "CPP-OU",
+                "model": {"family": "segment-poly-gaussian", "obs_noise": 1.0},
+                "prior": {"kind": "cpp-ou", "base_mean": [0, 0, 0], "base_cov_scale": 3.0},
+            },
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "o.csv"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 1 + 30
 
     @pytest.mark.parametrize("name,kind", [("C-Static", "static"), ("RL-PR[inf]", "rl-prior-reset")])
     def test_cli_exits_3_on_non_finite_covariance(self, tmp_path, name, kind):

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bone.measurement
+import bone.weighting
 from bone.core import GaussBelief, logsumexp
-from bone.measurement import MeasurementSpec, predictive_log_density
+from bone.measurement import MeasurementSpec, SegmentAnchor, predictive_log_density
 from bone.priors import PriorPolicy
 from bone.weighting import (
     HazardSpec,
@@ -19,6 +21,63 @@ from oracles import runlength_posterior_bruteforce
 LINEAR = MeasurementSpec("linear-gaussian", obs_noise=[[1.0]])
 BASE = GaussBelief([0.0], [[1.0]])
 RLPR = PriorPolicy("rl-prior-reset", BASE)
+SEGMENT = MeasurementSpec("segment-poly-gaussian", obs_noise=[[0.5]])
+
+# (spec, feature dimension) per family for the search oracle
+ONE_PARAMETER_SPECS = {
+    "linear": (MeasurementSpec("linear-gaussian", obs_noise=[[0.5]]), 1),
+    "bernoulli": (MeasurementSpec("bernoulli-logit"), 1),
+}
+STACKED_SPECS = {
+    "poly2": (MeasurementSpec("linear-gaussian", obs_noise=[[0.5]], feature_map="poly2"), 1),
+    "bernoulli-bias": (MeasurementSpec("bernoulli-logit", feature_map="bias"), 1),
+    "categorical": (MeasurementSpec("categorical-softmax", out_dim=3), 2),
+    "mlp": (MeasurementSpec("mlp-gaussian", obs_noise=[[0.5]], in_dim=2, hidden=(3,)), 2),
+    "segment": (SEGMENT, 1),
+}
+
+
+def _reference_cpp(prev, base, spec, x, y, steps, lr, anchor=None, u=1.0):
+    """Reference search: one predictive_log_density call, on its own
+    GaussBelief, per point of every difference, and all ``steps`` iterations
+    run.  Starts from ``u``; also returns the largest |log density| of the
+    last iteration (at least 1) and its width hi - lo."""
+
+    def objective(u):
+        mean = u * prev.mean + (1.0 - u) * base.mean
+        cov = u * u * prev.cov + (1.0 - u * u) * base.cov
+        return predictive_log_density(spec, GaussBelief(mean, cov), x, y, anchor)
+
+    h = 1e-4
+    for _ in range(steps):
+        hi = min(u + h, 1.0)
+        lo = max(u - h, 0.0)
+        if hi == lo:
+            break
+        f_hi, f_lo = objective(hi), objective(lo)
+        g = (f_hi - f_lo) / (hi - lo)
+        u = min(1.0, max(0.0, u + lr * g))
+    return u, max(1.0, abs(f_hi), abs(f_lo)), hi - lo
+
+
+def _search_case(seed, spec, x_dim):
+    """Random prev and base beliefs, feature, observation and anchor."""
+    rng = np.random.default_rng(seed)
+    x = 1.5 * rng.normal(size=x_dim)
+    m = spec.param_count(x)
+
+    def belief():
+        a = rng.normal(size=(m, m))
+        return GaussBelief(rng.normal(size=m), a @ a.T / m + rng.uniform(0.01, 0.2) * np.eye(m))
+
+    if spec.family == "bernoulli-logit":
+        y = [float(rng.integers(2))]
+    elif spec.family == "categorical-softmax":
+        y = [float(rng.integers(spec.out_dim))]
+    else:
+        y = [2.0 * rng.normal()]
+    anchor = SegmentAnchor(float(rng.normal())) if spec.family == "segment-poly-gaussian" else None
+    return belief(), belief(), x, y, anchor
 
 
 def run_bank(xs, ys, pi, capacity=None, base=BASE, wolf_c=None):
@@ -179,13 +238,78 @@ class TestCppEmpiricalBayes:
         out = cpp_empirical_bayes(BASE, BASE, LINEAR, [1.0], [0.3])
         assert out == 1.0
 
-    def grid_argmax(self, prev, base, x, y):
+    def test_fixed_point_stops_after_one_stacked_iteration(self, monkeypatch):
+        calls = {"linearize_bank": 0, "predictive_log_density": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in (
+            (bone.weighting, "linearize_bank"),
+            (bone.measurement, "predictive_log_density"),
+        ):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        assert cpp_empirical_bayes(BASE, BASE, LINEAR, [1.0], [0.3]) == 1.0
+        assert calls == {"linearize_bank": 1, "predictive_log_density": 0}
+
+    @given(
+        st.sampled_from(sorted(ONE_PARAMETER_SPECS)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=20),
+        st.floats(min_value=0.01, max_value=1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_exactly_for_one_parameter(self, family, seed, steps, lr):
+        spec, x_dim = ONE_PARAMETER_SPECS[family]
+        prev, base, x, y, _ = _search_case(seed, spec, x_dim)
+        want, _, _ = _reference_cpp(prev, base, spec, x, y, steps, lr)
+        assert cpp_empirical_bayes(prev, base, spec, x, y, steps=steps, lr=lr) == want
+
+    @given(
+        st.sampled_from(sorted(STACKED_SPECS)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=20),
+        st.floats(min_value=0.01, max_value=1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_iteration_matches_reference_within_rounding(self, family, seed, steps, lr):
+        # For m > 1 the stacked matmuls and the batched Cholesky sum in
+        # another order than the one-belief path, so each log density may
+        # move by a few ulps of its magnitude F.  One iteration then moves u
+        # by at most lr * (2 * 16 eps * F) / (hi - lo).  Gradient ascent can
+        # amplify that from one iteration to the next, so iteration ``steps``
+        # is compared with one reference iteration from the search's own
+        # iterate ``steps - 1``, not with the whole reference search.
+        spec, x_dim = STACKED_SPECS[family]
+        prev, base, x, y, anchor = _search_case(seed, spec, x_dim)
+        def search(n):
+            return cpp_empirical_bayes(prev, base, spec, x, y, steps=n, lr=lr, anchor=anchor)
+
+        start = 1.0 if steps == 1 else search(steps - 1)
+        got = search(steps)
+        want, scale, width = _reference_cpp(prev, base, spec, x, y, 1, lr, anchor, u=start)
+        assert abs(got - want) <= lr * 32 * np.finfo(float).eps * scale / width
+
+    def test_segment_search_uses_the_anchor(self):
+        # y is far under prev and likely under base, so the search leaves u = 1
+        prev = GaussBelief([0.0, 0.0, 0.0], 0.01 * np.eye(3))
+        base = GaussBelief([10.0, 0.0, 0.0], 4.0 * np.eye(3))
+        anchor, x, y = SegmentAnchor(1.0), [1.5], [10.0]
+        star = self.grid_argmax(prev, base, x, y, SEGMENT, anchor)
+        got = cpp_empirical_bayes(prev, base, SEGMENT, x, y, steps=200, lr=0.02, anchor=anchor)
+        assert got < 0.5
+        assert abs(got - star) < 0.05
+
+    def grid_argmax(self, prev, base, x, y, spec=LINEAR, anchor=None):
         grid = np.linspace(0.0, 1.0, 1001)
         vals = []
         for u in grid:
             mean = u * prev.mean + (1 - u) * base.mean
             cov = u * u * prev.cov + (1 - u * u) * base.cov
-            vals.append(predictive_log_density(LINEAR, GaussBelief(mean, cov), x, y))
+            vals.append(predictive_log_density(spec, GaussBelief(mean, cov), x, y, anchor))
         return grid[int(np.argmax(vals))]
 
     def test_confident_previous_belief_stays_high(self):
