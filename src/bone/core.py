@@ -3,9 +3,10 @@
 All hypothesis masses in this package are carried as natural-log values;
 probabilities are materialized only at API boundaries.  Positive
 semi-definiteness is policed with a single tolerance, ``PSD_TOL``, taken
-relative to the matrix trace.  A stack of covariances is certified by one
-batched Cholesky factorization: a finite factor proves every matrix
-positive definite, and ``eigvalsh`` runs only when the factorization fails.
+relative to the matrix trace.  A stack of covariances is certified by
+batched Cholesky factorizations over bounded slices: a finite factor proves
+every matrix positive definite, and ``eigvalsh`` runs only when a
+factorization fails.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ import scipy.linalg
 # Global PSD tolerance, relative to max(1, |trace|).  Override per call via
 # the ``tol`` keyword accepted by the numeric routines below.
 PSD_TOL = 1e-9
+
+# Byte budget of one slice of a covariance stack: symmetrize_psd_batch
+# symmetrizes a larger stack in place and certifies it with Cholesky one
+# slice at a time, so its scratch stays bounded whatever the stack size.
+SLICE_BYTES = 1 << 17
 
 
 class NumericDomainError(ValueError):
@@ -142,22 +148,49 @@ def symmetrize_psd(cov: np.ndarray, tol: float | None = None) -> np.ndarray:
     return s + (-wmin) * np.eye(s.shape[0])
 
 
-def symmetrize_psd_batch(covs: np.ndarray, tol: float | None = None) -> np.ndarray:
+def symmetrize_psd_batch(
+    covs: np.ndarray, tol: float | None = None, overwrite: bool = False
+) -> np.ndarray:
     """Vectorized symmetrize_psd over a (k, d, d) stack.
 
-    For d > 1 one batched Cholesky factorization certifies the stack: when it
-    succeeds with a finite factor, every matrix is positive definite and the
-    symmetrized stack is returned as is.  Only when it fails does ``eigvalsh``
-    find the smallest eigenvalues, which are repaired or rejected exactly as
-    in symmetrize_psd.  A matrix with a non-finite entry raises
-    NumericDomainError.
+    A stack of at most ``SLICE_BYTES`` is symmetrized into a new array.  A
+    larger one is symmetrized in place one slice of at most ``SLICE_BYTES``
+    at a time, in a copy of ``covs``, or in ``covs`` itself when
+    ``overwrite`` is set (the caller owns it), so the scratch stays bounded.
+    ``covs`` is never written otherwise.
+
+    For d > 1 Cholesky factorizations of the same slices certify the stack,
+    so no factor of a large stack is built: when every slice factors with a
+    finite factor, every matrix is positive definite and the symmetrized
+    stack is returned as is.  A stack of 1x1 matrices is certified by
+    positive finite entries.  Only when a certificate fails does ``eigvalsh``
+    find the smallest eigenvalues of the whole stack, which are repaired or
+    rejected exactly as in symmetrize_psd; a repair returns a new stack.  A
+    matrix with a non-finite entry raises NumericDomainError.
     """
-    s = (covs + covs.transpose(0, 2, 1)) / 2.0
-    d = s.shape[1]
-    if d > 1:
+    k, d = covs.shape[:2]
+    step = max(1, SLICE_BYTES // (covs.itemsize * d * d))
+    if k <= step:
+        s = (covs + covs.transpose(0, 2, 1)) / 2.0
+        parts = (s,)
+    else:
+        s = covs if overwrite else covs.copy()
+        parts = [s[i : i + step] for i in range(0, k, step)]
+        for part in parts:
+            np.multiply(part + part.transpose(0, 2, 1), 0.5, out=part)  # == / 2 exactly
+    if d == 1:
+        # a 1x1 matrix with a positive finite entry is positive definite
+        v = s[:, 0, 0]
+        if ((v > 0.0) & (v < np.inf)).all():
+            return s
+    else:
         try:
-            # numpy returns a NaN factor, not an error, for a NaN matrix
-            if np.isfinite(np.einsum("kii->k", np.linalg.cholesky(s))).all():
+            for part in parts:
+                # numpy returns a NaN factor, not an error, for a NaN matrix
+                traces = np.einsum("kii->k", np.linalg.cholesky(part))
+                if not np.isfinite(traces).all():
+                    break
+            else:
                 return s
         except np.linalg.LinAlgError:
             pass

@@ -91,6 +91,9 @@ _GENERATOR_KEYS = {
     "dependent-segments": {"pi", "noise_sd", "coef_range", "x_max"},
     "csv-stream": set(),
 }
+# generator probabilities lie in [0, 1]; every other generator number (bar
+# the count ``arms``) and the EWMA half-lives are scales, > 0
+_PROBABILITY_KEYS = {"p_eps", "p_jump", "pi"}
 
 
 class TrialError(RuntimeError):
@@ -179,6 +182,9 @@ def parse_method(d: dict) -> MethodConfig:
     cpp = d.get("cpp", {})
     _check_keys(cpp, _CPP_KEYS, "method.cpp")
     hazard = d.get("hazard")
+    drift_unpulled = d.get("drift_unpulled", True)
+    if not isinstance(drift_unpulled, bool):
+        raise ConfigError(f"drift_unpulled must be true or false, got {drift_unpulled!r}")
     return MethodConfig(
         name=d["name"],
         spec=_parse_model(d["model"]),
@@ -188,7 +194,7 @@ def parse_method(d: dict) -> MethodConfig:
         wolf_c=d.get("wolf_c"),
         cpp_steps=cpp.get("steps", 10),
         cpp_lr=cpp.get("lr", 0.1),
-        drift_unpulled=bool(d.get("drift_unpulled", True)),
+        drift_unpulled=drift_unpulled,
     )
 
 
@@ -220,6 +226,15 @@ def _count(raw: dict, key: str, default: int, minimum: int) -> int:
     return int(value)
 
 
+def _check_number(key: str, value):
+    if key in _PROBABILITY_KEYS:
+        ok, rule = is_finite_number(value) and 0.0 <= value <= 1.0, "in [0, 1]"
+    else:
+        ok, rule = is_finite_number(value) and value > 0.0, "> 0"
+    if not ok:
+        raise ConfigError(f"{key} must be a finite number {rule}, got {value!r}")
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     _check_keys(raw, _TOP_KEYS, "config")
     if "experiment" not in raw or "method" not in raw:
@@ -229,6 +244,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown experiment {experiment!r}")
     gen = raw.get("generator", {})
     _check_keys(gen, _GENERATOR_KEYS[experiment], f"generator ({experiment})")
+    for key, value in gen.items():
+        if key == "arms":
+            _count(gen, "arms", None, 1)
+        else:
+            _check_number(key, value)
+    for key in ("ewma_target_half_life", "ewma_feature_half_life"):
+        if raw.get(key) is not None:
+            _check_number(key, raw[key])
     horizon = _count(raw, "horizon", DEFAULT_HORIZON.get(experiment, 0), 0)
     if experiment == "csv-stream" and not raw.get("data_path"):
         raise ConfigError("csv-stream requires data_path")

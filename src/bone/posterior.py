@@ -59,6 +59,13 @@ def _imq_weights(errors: np.ndarray, Rs: np.ndarray, c: float) -> np.ndarray:
     return 1.0 / np.sqrt(1.0 + maha / (c * c))
 
 
+def innovation_arrays(covs: np.ndarray, jacs: np.ndarray, Rs: np.ndarray):
+    """Sigma H^T (k, m, d) and the symmetrized innovation covariance S (k, d, d)."""
+    PHt = np.einsum("kmn,kdn->kmd", covs, jacs)
+    S = np.einsum("kdm,kme->kde", jacs, PHt) + Rs
+    return PHt, (S + S.transpose(0, 2, 1)) / 2.0
+
+
 def lg_update_arrays(
     means: np.ndarray,
     covs: np.ndarray,
@@ -66,16 +73,22 @@ def lg_update_arrays(
     yhats: np.ndarray,
     y: np.ndarray,
     Rs: np.ndarray,
+    innovations: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Batched linearized-Gaussian update.
 
     means (k, m), covs (k, m, m), jacs (k, d, m), yhats (k, d), y (d,),
-    Rs (k, d, d).  Returns (new_means, new_covs, errors, Ss, gain_norms).
+    Rs (k, d, d); ``innovations`` is (Sigma H^T, S) from innovation_arrays
+    when the caller has it already.  Returns (new_means, new_covs, errors,
+    Ss, gain_norms).
+
+    No input is written.  The covariance update K S K^T is formed in one
+    owned (k, m, m) buffer and subtracted from covs into that same buffer,
+    which symmetrize_psd_batch may then symmetrize in place, so a large
+    stack costs one new stack of the size of covs plus bounded scratch.
     """
     e = y[None, :] - yhats  # (k, d)
-    PHt = np.einsum("kmn,kdn->kmd", covs, jacs)  # Sigma H^T
-    S = np.einsum("kdm,kme->kde", jacs, PHt) + Rs  # (k, d, d)
-    S = (S + S.transpose(0, 2, 1)) / 2.0
+    PHt, S = innovation_arrays(covs, jacs, Rs) if innovations is None else innovations
     d = S.shape[1]
     if d == 1:
         s = S[:, 0, 0]
@@ -86,7 +99,8 @@ def lg_update_arrays(
             )
         K = PHt[:, :, 0] / s[:, None]  # (k, m)
         new_means = means + K * e
-        new_covs = covs - np.einsum("km,kn->kmn", K, K) * s[:, None, None]
+        new_covs = np.einsum("km,kn->kmn", K, K)
+        new_covs *= s[:, None, None]
         gain_norms = np.sqrt((K**2).sum(axis=1))
     else:
         try:
@@ -96,9 +110,10 @@ def lg_update_arrays(
         K = Kt.transpose(0, 2, 1)  # (k, m, d)
         new_means = means + np.einsum("kmd,kd->km", K, e)
         KS = np.einsum("kmd,kde->kme", K, S)
-        new_covs = covs - np.einsum("kme,kne->kmn", KS, K)
+        new_covs = np.einsum("kme,kne->kmn", KS, K)
         gain_norms = np.sqrt((K**2).sum(axis=(1, 2)))
-    new_covs = symmetrize_psd_batch(new_covs)
+    np.subtract(covs, new_covs, out=new_covs)
+    new_covs = symmetrize_psd_batch(new_covs, overwrite=True)
     return new_means, new_covs, e, S, gain_norms
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import ConfigError, GaussBelief, gaussian_log_pdf_batch, is_finite_number, logsumexp
 from .measurement import MeasurementSpec, SegmentAnchor, _free_obs, linearize_bank
-from .posterior import _imq_weights, lg_update_arrays
+from .posterior import _imq_weights, innovation_arrays, lg_update_arrays
 from .priors import PriorPolicy, mmpr_prior
 
 
@@ -179,6 +179,13 @@ class HypothesisBank:
         return SegmentAnchor(float(self.anchors[i]))
 
 
+def _top_k(runlengths: np.ndarray, log_joints: np.ndarray, K: int) -> np.ndarray:
+    """Indices of the K largest log-joints, ties toward the larger runlength,
+    in ascending order so survivors keep their relative order."""
+    order = np.lexsort((-runlengths, -log_joints))
+    return np.sort(order[:K])
+
+
 def prune_topk(bank: HypothesisBank, K: int) -> HypothesisBank:
     """Keep the K hypotheses of largest joint mass, ties toward larger runlength.
 
@@ -194,8 +201,7 @@ def prune_topk(bank: HypothesisBank, K: int) -> HypothesisBank:
             bank.runlengths, bank.log_joints, bank.means, bank.covs,
             anchors=bank.anchors, capacity=K, timestep=bank.timestep,
         )
-    order = np.lexsort((-bank.runlengths, -bank.log_joints))
-    keep = np.sort(order[:K])  # preserve existing relative order
+    keep = _top_k(bank.runlengths, bank.log_joints, K)
     return HypothesisBank(
         bank.runlengths[keep],
         bank.log_joints[keep],
@@ -222,7 +228,7 @@ def rl_step(
     y,
     wolf_c: float | None = None,
 ) -> HypothesisBank:
-    """One joint-recursion step: grow every hypothesis, add the reset, prune.
+    """One joint-recursion step: grow every hypothesis, add the reset, keep the top K.
 
     Growth branch k: runlength + 1, log-joint += log p(y | hypothesis k)
     + log(1 - pi); belief updated on its conditional prior.  Reset branch:
@@ -232,6 +238,14 @@ def rl_step(
     updates and the per-hypothesis predictive densities use the inflated
     observation covariance R / W^2, so outliers neither drag the beliefs nor
     trigger spurious resets.
+
+    The log-joints need only the predictive densities, which come from the
+    priors, so a full bank of capacity K selects its K survivors (the
+    prune_topk rule) before any posterior is computed, and only the
+    survivors are updated: their prior covariances are gathered from
+    ``bank.covs`` and the reset prior into one new stack, and no (k + 1)
+    stack is built.  An unbounded or not yet full bank updates all k + 1
+    candidates as one stack.  The input bank is never written.
     """
     if bank.size == 0:
         raise ValueError("rl_step on an empty hypothesis bank")
@@ -240,12 +254,11 @@ def rl_step(
     pi = hazard.pi
     reset = _reset_prior(bank, policy, pi)
 
-    # stack growth priors (tracked beliefs) with the reset prior
+    # candidates: the growth priors (tracked beliefs), then the reset prior
     means = np.concatenate([bank.means, reset.mean[None, :]])
-    covs = np.concatenate([bank.covs, reset.cov[None, :, :]])
-    segmental = spec.family == "segment-poly-gaussian"
+    runlengths = np.concatenate([bank.runlengths + 1, [0]])
     anchors = None
-    if segmental:
+    if spec.family == "segment-poly-gaussian":
         if bank.anchors is None:
             raise ValueError("segment-poly bank must carry anchors")
         x_now = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
@@ -258,23 +271,42 @@ def rl_step(
             raise ConfigError("robust runlength steps require a Gaussian-likelihood family")
         W = _imq_weights(yv[None, :] - yhats, np.ascontiguousarray(Rs), wolf_c)
         Rs = Rs / (W * W)[:, None, None]
-    new_means, new_covs, _, S, _ = lg_update_arrays(means, covs, jacs, yhats, yv, Rs)
+    K = bank.capacity
+    prune = K is not None and bank.size >= K
+    if prune:
+        grow = innovation_arrays(bank.covs, jacs[:-1], Rs[:-1])
+        fresh = innovation_arrays(reset.cov[None], jacs[-1:], Rs[-1:])
+        PHt, S = (np.concatenate(pair) for pair in zip(grow, fresh))
+    else:
+        covs = np.concatenate([bank.covs, reset.cov[None, :, :]])
+        new_means, new_covs, _, S, _ = lg_update_arrays(means, covs, jacs, yhats, yv, Rs)
     log_preds = gaussian_log_pdf_batch(yv, yhats, S)
-
     grow_joints = bank.log_joints + log_preds[:-1] + np.log1p(-pi)
     reset_joint = log_preds[-1] + logsumexp(bank.log_joints + np.log(pi))
-    out = HypothesisBank(
-        runlengths=np.concatenate([bank.runlengths + 1, [0]]),
-        log_joints=np.concatenate([grow_joints, [reset_joint]]),
+    log_joints = np.concatenate([grow_joints, [reset_joint]])
+
+    if prune:
+        keep = _top_k(runlengths, log_joints, K)
+        grown = keep[:-1] if keep[-1] == bank.size else keep
+        covs = np.empty((keep.size,) + bank.covs.shape[1:])
+        np.take(bank.covs, grown, axis=0, out=covs[: grown.size], mode="clip")
+        if grown.size < keep.size:
+            covs[-1] = reset.cov
+        new_means, new_covs, _, _, _ = lg_update_arrays(
+            means[keep], covs, jacs[keep], yhats[keep], yv, Rs[keep],
+            innovations=(PHt[keep], S[keep]),
+        )
+        runlengths, log_joints = runlengths[keep], log_joints[keep]
+        anchors = None if anchors is None else anchors[keep]
+    return HypothesisBank(
+        runlengths=runlengths,
+        log_joints=log_joints,
         means=new_means,
         covs=new_covs,
         anchors=anchors,
-        capacity=None,
+        capacity=K,
         timestep=bank.timestep + 1,
     )
-    if bank.capacity is not None:
-        return prune_topk(out, bank.capacity)
-    return out
 
 
 def greedy_ratio(p_grow: float, p_reset: float, hazard: HazardSpec) -> float:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bone.core
 from bone.core import (
     PSD_TOL,
     GaussBelief,
@@ -146,15 +147,18 @@ def _rotated(rng, eigenvalues):
 
 
 def _same_outcome(covs):
-    """symmetrize_psd_batch and the oracle return equal bits or raise the same error."""
+    """symmetrize_psd_batch and the oracle return equal bits or raise the same
+    error, and covs is left unchanged."""
+    before = covs.copy()
     try:
         want = _eigvalsh_psd_batch(covs)
     except NumericDomainError as err:
         with pytest.raises(NumericDomainError) as got:
             symmetrize_psd_batch(covs)
         assert str(got.value) == str(err)
-        return
-    np.testing.assert_array_equal(symmetrize_psd_batch(covs), want)
+    else:
+        np.testing.assert_array_equal(symmetrize_psd_batch(covs), want)
+    np.testing.assert_array_equal(covs, before)
 
 
 class TestSymmetrizePsdBatch:
@@ -210,10 +214,11 @@ class TestSymmetrizePsdBatch:
     @given(
         st.sampled_from([1, 2, 3, 5]),
         st.lists(st.sampled_from(["pd", "within-tol", "beyond-tol"]), min_size=1, max_size=6),
+        st.booleans(),
         st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=100, deadline=None)
-    def test_matches_eigvalsh_oracle(self, d, kinds, seed):
+    def test_matches_eigvalsh_oracle(self, d, kinds, sliced, seed):
         rng = np.random.default_rng(seed)
         mats = []
         for kind in kinds:
@@ -224,7 +229,54 @@ class TestSymmetrizePsdBatch:
                 lam[0] = -rng.uniform(1e-3, 1.0)
             m = _rotated(rng, lam)
             mats.append(m + 1e-14 * rng.normal(size=(d, d)))  # asymmetric rounding
-        _same_outcome(np.stack(mats))
+        with pytest.MonkeyPatch.context() as mp:
+            if sliced:  # one matrix a slice
+                mp.setattr(bone.core, "SLICE_BYTES", mats[0].nbytes)
+            _same_outcome(np.stack(mats))
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    @pytest.mark.parametrize(
+        "last,error",
+        [
+            ("within-tol", None),
+            ("beyond-tol", "matrix 4 of batch is not PSD"),
+            ("nan", "matrix 4 of batch is not finite"),
+        ],
+    )
+    def test_sliced_certificate_falls_back_on_the_last_slice(
+        self, monkeypatch, overwrite, last, error
+    ):
+        # two 3x3 matrices a slice, so the stack of five ends in a slice of one
+        monkeypatch.setattr(bone.core, "SLICE_BYTES", 2 * 9 * 8)
+        rng = np.random.default_rng(3)
+        lam = {"within-tol": -1e-11, "beyond-tol": -0.5, "nan": 1.0}[last]
+        mats = [_rotated(rng, rng.uniform(0.5, 2.0, 3)) for _ in range(4)]
+        covs = np.stack(mats + [_rotated(rng, [1.0, 2.0, lam])])
+        if last == "nan":
+            covs[4, 0, 2] = np.nan
+        if error is not None:
+            with pytest.raises(NumericDomainError, match=error):
+                symmetrize_psd_batch(covs.copy(), overwrite=overwrite)
+            return
+        out = symmetrize_psd_batch(covs.copy(), overwrite=overwrite)
+        np.testing.assert_array_equal(out, _eigvalsh_psd_batch(covs))
+        assert np.trace(out[4]) > np.trace(covs[4])  # repaired
+
+    @pytest.mark.parametrize("k,d", [(1, 1), (6, 1), (9, 64), (5, 3)])
+    def test_overwrite_matches_a_fresh_result(self, k, d):
+        # (9, 64) spans three slices of the default size; the others fit in one
+        rng = np.random.default_rng(k * d)
+        a = rng.normal(size=(k, d, d))
+        covs = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(d) + 1e-9 * rng.normal(size=(k, d, d))
+        want = (covs + covs.transpose(0, 2, 1)) / 2.0
+        fresh = symmetrize_psd_batch(covs)
+        buf = covs.copy()
+        owned = symmetrize_psd_batch(buf, overwrite=True)
+        np.testing.assert_array_equal(fresh, want)
+        np.testing.assert_array_equal(owned, want)
+        # a stack beyond one slice is written in place; nothing was repaired
+        assert (owned is buf) == (covs.nbytes > bone.core.SLICE_BYTES)
+        assert not np.shares_memory(fresh, covs)
 
 
 class TestTypes:

@@ -76,6 +76,57 @@ BAD_NUMBERS = [
 ]
 
 
+def bandit_config(**method_extra):
+    """A short C-ACI bandit config; extra keys go into its method stanza."""
+    return {
+        "experiment": "bandit",
+        "horizon": 5,
+        "trials": 1,
+        "seed": 0,
+        "generator": {"arms": 3},
+        "method": {
+            "name": "C-ACI",
+            "model": {"family": "bernoulli-logit"},
+            "prior": {"kind": "aci", "base_mean": [0], "base_cov_scale": 1.0, "alpha": 0.01},
+            **method_extra,
+        },
+    }
+
+
+def generator_config(experiment, **gen):
+    return static_config(experiment=experiment, generator=gen)
+
+
+# (key the ConfigError names, config)
+BAD_STREAM_NUMBERS = [
+    ("arms", generator_config("bandit", arms="x")),
+    ("arms", generator_config("bandit", arms=0)),
+    ("arms", generator_config("bandit", arms=2.0)),
+    ("arms", generator_config("bandit", arms=True)),
+    ("walk_sd", generator_config("bandit", walk_sd="x")),
+    ("walk_sd", generator_config("bandit", walk_sd=0)),
+    ("p_eps", generator_config("heavy-tail", p_eps="x")),
+    ("p_eps", generator_config("heavy-tail", p_eps=1.5)),
+    ("p_eps", generator_config("heavy-tail", p_eps=NAN)),
+    ("p_eps", generator_config("heavy-tail", p_eps=True)),
+    ("df", generator_config("heavy-tail", df=0)),
+    ("df", generator_config("heavy-tail", df=INF)),
+    ("p_jump", generator_config("drift-jumps", p_jump=-0.1)),
+    ("drift_sd", generator_config("drift-jumps", drift_sd=-1)),
+    ("pi", generator_config("dependent-segments", pi=2)),
+    ("noise_sd", generator_config("dependent-segments", noise_sd=0)),
+    ("coef_range", generator_config("dependent-segments", coef_range=NAN)),
+    ("x_max", generator_config("dependent-segments", x_max=-1.0)),
+    ("ewma_target_half_life", static_config(ewma_target_half_life="x")),
+    ("ewma_target_half_life", static_config(ewma_target_half_life=0)),
+    ("ewma_feature_half_life", static_config(ewma_feature_half_life=-2.0)),
+    ("ewma_feature_half_life", static_config(ewma_feature_half_life=INF)),
+    ("drift_unpulled", bandit_config(drift_unpulled="false")),
+    ("drift_unpulled", bandit_config(drift_unpulled=0)),
+    ("drift_unpulled", bandit_config(drift_unpulled=None)),
+]
+
+
 def trace_of(losses, kind="regression", errors=None, **kw):
     losses = np.asarray(losses, dtype=float)
     return MetricTrace(
@@ -137,6 +188,23 @@ class TestConfig:
     def test_bad_method_numbers_rejected(self, key, raw):
         with pytest.raises(ConfigError, match=re.escape(key)):
             parse_config(raw)
+
+    @pytest.mark.parametrize("key,raw", BAD_STREAM_NUMBERS)
+    def test_bad_stream_numbers_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(raw)
+
+    def test_boundary_stream_numbers_accepted(self):
+        cfg = parse_config(generator_config("heavy-tail", p_eps=0, df=0.5))
+        assert cfg.generator_params == {"p_eps": 0, "df": 0.5}
+        parse_config(generator_config("dependent-segments", pi=1.0, x_max=1e-3))
+        parse_config(generator_config("bandit", arms=1, walk_sd=1e-9))
+        parse_config(static_config(ewma_target_half_life=None, ewma_feature_half_life=0.5))
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_drift_unpulled_takes_a_json_bool(self, value):
+        assert parse_config(bandit_config(drift_unpulled=value)).method.drift_unpulled is value
+        assert parse_config(bandit_config()).method.drift_unpulled is True
 
 
 class TestRunPrequential:
@@ -345,6 +413,38 @@ class TestExportAndCli:
         ],
     )
     def test_cli_exits_2_on_bad_numbers(self, tmp_path, raw):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            bandit_config(drift_unpulled="false"),
+            dict(bandit_config(), generator={"arms": "x"}),
+            dict(bandit_config(), generator={"arms": 0}),
+            static_config(horizon=5, generator={"p_eps": "x"}),
+        ],
+    )
+    def test_cli_exits_2_on_bad_stream_numbers(self, tmp_path, raw):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_cli_exits_2_on_bad_half_life(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n1,2\n2,3\n")
+        raw = {
+            "experiment": "csv-stream",
+            "data_path": str(data),
+            "ewma_target_half_life": "x",
+            "method": {
+                "name": "C-Static",
+                "model": {"family": "linear-gaussian", "obs_noise": 1.0},
+                "prior": {"kind": "static", "base_mean": [0], "base_cov_scale": 1.0},
+            },
+        }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2

@@ -3,7 +3,7 @@ import pytest
 
 from bone.core import GaussBelief, LinearDynamics
 from bone.measurement import MeasurementSpec
-from bone.posterior import kf_predict, lg_update, wolf_update
+from bone.posterior import innovation_arrays, kf_predict, lg_update, lg_update_arrays, wolf_update
 from oracles import batch_linreg_posterior
 
 LINEAR = MeasurementSpec("linear-gaussian", obs_noise=[[1.0]])
@@ -95,6 +95,65 @@ class TestLgUpdate:
         # observing class 1 at logit 0 pulls the mean toward positive logits
         assert post.mean @ np.array([1.0, -1.0]) > 0.0
         assert diag.innovation == pytest.approx([0.5])
+
+
+class TestLgUpdateArrays:
+    @staticmethod
+    def stack(k, m, d, seed=0):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(k, m, m))
+        covs = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(m)
+        b = rng.normal(size=(k, d, d))
+        Rs = b @ b.transpose(0, 2, 1) + np.eye(d)
+        return (
+            rng.normal(size=(k, m)),
+            covs,
+            rng.normal(size=(k, d, m)),
+            rng.normal(size=(k, d)),
+            rng.normal(size=d),
+            Rs,
+        )
+
+    @pytest.mark.parametrize("k,m,d", [(1, 1, 1), (5, 3, 1), (3, 97, 1), (4, 3, 2)])
+    @pytest.mark.parametrize("given", [False, True])
+    def test_leaves_its_inputs_unchanged(self, k, m, d, given):
+        args = self.stack(k, m, d)
+        before = [a.copy() for a in args]
+        innovations = innovation_arrays(args[1], args[2], args[5]) if given else None
+        kept = None if innovations is None else [a.copy() for a in innovations]
+        new_means, new_covs, *_ = lg_update_arrays(*args, innovations=innovations)
+        for a, b in zip(args, before):
+            np.testing.assert_array_equal(a, b)
+        if kept is not None:
+            for a, b in zip(innovations, kept):
+                np.testing.assert_array_equal(a, b)
+        assert not np.shares_memory(new_covs, args[1])
+        assert not np.shares_memory(new_means, args[0])
+
+    @pytest.mark.parametrize("k,m,d", [(5, 3, 1), (4, 3, 2)])
+    def test_given_innovations_give_the_same_bits(self, k, m, d):
+        args = self.stack(k, m, d, seed=1)
+        own = lg_update_arrays(*args)
+        given = lg_update_arrays(*args, innovations=innovation_arrays(args[1], args[2], args[5]))
+        for a, b in zip(own, given):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_update_matches_the_textbook_form(self, d):
+        means, covs, jacs, yhats, y, Rs = self.stack(6, 4, d, seed=2)
+        new_means, new_covs, e, S, _ = lg_update_arrays(means, covs, jacs, yhats, y, Rs)
+        PHt = np.einsum("kmn,kdn->kmd", covs, jacs)
+        if d == 1:
+            s = S[:, 0, 0]
+            K = PHt[:, :, 0] / s[:, None]
+            want = covs - np.einsum("km,kn->kmn", K, K) * s[:, None, None]
+            want_means = means + K * e
+        else:
+            K = np.linalg.solve(S, PHt.transpose(0, 2, 1)).transpose(0, 2, 1)
+            want = covs - np.einsum("kme,kne->kmn", np.einsum("kmd,kde->kme", K, S), K)
+            want_means = means + np.einsum("kmd,kd->km", K, e)
+        np.testing.assert_array_equal(new_covs, (want + want.transpose(0, 2, 1)) / 2.0)
+        np.testing.assert_array_equal(new_means, want_means)
 
 
 class TestWolfUpdate:

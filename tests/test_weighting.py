@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,16 @@ from hypothesis import strategies as st
 
 import bone.measurement
 import bone.weighting
-from bone.core import GaussBelief, logsumexp
-from bone.measurement import MeasurementSpec, SegmentAnchor, predictive_log_density
-from bone.priors import PriorPolicy
+from bone.core import GaussBelief, gaussian_log_pdf_batch, logsumexp
+from bone.measurement import (
+    MeasurementSpec,
+    SegmentAnchor,
+    _free_obs,
+    linearize_bank,
+    predictive_log_density,
+)
+from bone.posterior import _imq_weights, lg_update_arrays
+from bone.priors import PriorPolicy, mmpr_prior
 from bone.weighting import (
     HazardSpec,
     HypothesisBank,
@@ -78,6 +87,86 @@ def _search_case(seed, spec, x_dim):
         y = [2.0 * rng.normal()]
     anchor = SegmentAnchor(float(rng.normal())) if spec.family == "segment-poly-gaussian" else None
     return belief(), belief(), x, y, anchor
+
+
+def _reference_rl_step(bank, hazard, spec, policy, x, y, wolf_c=None):
+    """Reference step: update all k + 1 candidates as one stack, then prune_topk."""
+    pi = hazard.pi
+    reset = mmpr_prior(bank, pi) if policy.kind == "rl-mmpr" else policy.base_prior
+    means = np.concatenate([bank.means, reset.mean[None, :]])
+    covs = np.concatenate([bank.covs, reset.cov[None, :, :]])
+    anchors = None
+    if spec.family == "segment-poly-gaussian":
+        x_now = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
+        anchors = np.concatenate([bank.anchors, [x_now]])
+    yhats, jacs, Rs = linearize_bank(spec, means, x, anchors)
+    yv = _free_obs(spec, y)
+    if wolf_c is not None:
+        W = _imq_weights(yv[None, :] - yhats, np.ascontiguousarray(Rs), wolf_c)
+        Rs = Rs / (W * W)[:, None, None]
+    new_means, new_covs, _, S, _ = lg_update_arrays(means, covs, jacs, yhats, yv, Rs)
+    log_preds = gaussian_log_pdf_batch(yv, yhats, S)
+    grow_joints = bank.log_joints + log_preds[:-1] + np.log1p(-pi)
+    reset_joint = log_preds[-1] + logsumexp(bank.log_joints + np.log(pi))
+    out = HypothesisBank(
+        runlengths=np.concatenate([bank.runlengths + 1, [0]]),
+        log_joints=np.concatenate([grow_joints, [reset_joint]]),
+        means=new_means,
+        covs=new_covs,
+        anchors=anchors,
+        capacity=None,
+        timestep=bank.timestep + 1,
+    )
+    if bank.capacity is not None:
+        return prune_topk(out, bank.capacity)
+    return out
+
+
+# (spec, feature dimension) per family for the select-then-update oracle
+ORACLE_SPECS = {
+    "poly2": (MeasurementSpec("linear-gaussian", obs_noise=[[0.5]], feature_map="poly2"), 1),
+    "mlp": (MeasurementSpec("mlp-gaussian", obs_noise=[[0.5]], in_dim=2, hidden=(3,)), 2),
+    "segment": (SEGMENT, 1),
+    "categorical": (MeasurementSpec("categorical-softmax", out_dim=3), 2),
+}
+
+
+def _random_bank(rng, m, size, capacity, tied, segmental):
+    """A bank of ``size`` distinct runlengths with random SPD beliefs; when
+    ``tied`` every hypothesis shares one belief and one log-joint."""
+    timestep = size + int(rng.integers(0, 4))
+    runlengths = np.sort(rng.choice(timestep + 1, size=size, replace=False))
+    a = rng.normal(size=(size, m, m))
+    covs = a @ a.transpose(0, 2, 1) / m + rng.uniform(0.05, 0.5) * np.eye(m)
+    means = rng.normal(size=(size, m))
+    log_joints = rng.normal(size=size) - 2.0
+    if tied:
+        covs[:] = covs[0]
+        means[:] = means[0]
+        log_joints[:] = log_joints[0]
+    return HypothesisBank(
+        runlengths=runlengths,
+        log_joints=log_joints,
+        means=means,
+        covs=covs,
+        anchors=rng.normal(size=size) if segmental else None,
+        capacity=capacity,
+        timestep=timestep,
+    )
+
+
+def _bank_fields(bank):
+    return (bank.runlengths, bank.log_joints, bank.means, bank.covs, bank.anchors,
+            bank.capacity, bank.timestep)
+
+
+def _assert_same_bank(got, want):
+    for g, w in zip(_bank_fields(got), _bank_fields(want)):
+        if isinstance(w, np.ndarray):
+            assert isinstance(g, np.ndarray) and g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        else:
+            assert g == w
 
 
 def run_bank(xs, ys, pi, capacity=None, base=BASE, wolf_c=None):
@@ -153,6 +242,78 @@ class TestRlStep:
         np.testing.assert_array_equal(full.means, roomy.means)
         small = run_bank(xs, ys, 0.05, capacity=3)
         assert small.size == 3
+
+    @given(
+        st.sampled_from(sorted(ORACLE_SPECS)),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from(["rl-prior-reset", "rl-mmpr"]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_select_then_update_matches_update_then_prune(
+        self, family, K, size, kind, robust, tied, seed
+    ):
+        """rl_step gives the bits of updating all k + 1 candidates and then
+        pruning, whether the bank is full (select first) or not yet full."""
+        spec, x_dim = ORACLE_SPECS[family]
+        rng = np.random.default_rng(seed)
+        m = spec.param_count(np.zeros(x_dim))
+        segmental = spec.family == "segment-poly-gaussian"
+        base = GaussBelief(rng.normal(size=m), rng.uniform(0.5, 2.0) * np.eye(m))
+        policy = PriorPolicy(kind, base)
+        wolf_c = 1.5 if robust and spec.is_gaussian else None
+        hazard = HazardSpec(float(rng.uniform(0.01, 0.5)))
+        bank = _random_bank(rng, m, min(size, K), K, tied, segmental)
+        want = bank
+        for _ in range(4):
+            x = 1.5 * rng.normal(size=x_dim)
+            if spec.family == "categorical-softmax":
+                y = [float(rng.integers(spec.out_dim))]
+            else:
+                y = [float(2.0 * rng.normal())]
+            before = [np.copy(f) for f in _bank_fields(bank)[:5] if f is not None]
+            got = rl_step(bank, hazard, spec, policy, x, y, wolf_c=wolf_c)
+            for f, b in zip([f for f in _bank_fields(bank)[:5] if f is not None], before):
+                np.testing.assert_array_equal(f, b)  # the input bank is not written
+            want = _reference_rl_step(want, hazard, spec, policy, x, y, wolf_c=wolf_c)
+            _assert_same_bank(got, want)
+            bank = got
+
+    def test_tied_log_joints_keep_the_larger_runlength(self):
+        # two identical hypotheses whose growth candidates tie exactly; the
+        # reset prior is their belief and the hazard is high, so the reset
+        # outweighs both and one tied candidate must go
+        rng = np.random.default_rng(4)
+        bank = _random_bank(rng, 1, 2, 2, tied=True, segmental=False)
+        policy = PriorPolicy("rl-prior-reset", bank.belief(0))
+        hazard = HazardSpec(0.9)
+        got = rl_step(bank, hazard, LINEAR, policy, [1.0], [0.2])
+        want = _reference_rl_step(bank, hazard, LINEAR, policy, [1.0], [0.2])
+        _assert_same_bank(got, want)
+        assert got.runlengths.tolist() == [bank.runlengths.max() + 1, 0]
+
+    def test_full_bank_step_allocates_under_three_covariance_stacks(self):
+        # the 97-parameter MLP of the mlp-segments benchmark, full at K = 10
+        spec = MeasurementSpec("mlp-gaussian", obs_noise=[[0.01]], in_dim=1, hidden=(8, 8))
+        m = spec.param_count()
+        rng = np.random.default_rng(0)
+        bank = _random_bank(rng, m, 10, 10, tied=False, segmental=False)
+        policy = PriorPolicy("rl-prior-reset", GaussBelief(rng.normal(size=m), np.eye(m)))
+        hazard = HazardSpec(0.01)
+        assert bank.covs.shape == (10, 97, 97)
+        rl_step(bank, hazard, spec, policy, [0.3], [0.1])  # warm caches
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            out = rl_step(bank, hazard, spec, policy, [0.3], [0.1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.size == 10
+        assert peak - base < 3 * bank.covs.nbytes
 
     def test_empty_bank_rejected(self):
         with pytest.raises(Exception):
