@@ -21,6 +21,7 @@ from .core import ConfigError, NumericDomainError
 from .datagen import GENERATORS, stream_to_rows
 from .harness import (
     TrialError,
+    check_key,
     export_results,
     load_config,
     parse_config,
@@ -70,12 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.trials is not None:
-        raw["trials"] = args.trials
-    if args.out is not None:
-        raw["output_path"] = args.out
+    overrides = {"seed": args.seed, "trials": args.trials, "output_path": args.out}
+    if isinstance(raw, dict):  # parse_config rejects any other document
+        raw.update((key, value) for key, value in overrides.items() if value is not None)
     cfg = parse_config(raw)
     traces = run_experiment(cfg, parallel=args.parallel)
     out = cfg.output_path or "results.csv"
@@ -93,8 +91,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_gen(args) -> int:
     gen = GENERATORS[args.experiment]
+    check_key("seed", args.seed)
     kwargs = {"seed": args.seed}
     if args.horizon is not None:
+        check_key("horizon", args.horizon)
         kwargs["T"] = args.horizon
     records = gen(**kwargs)
     header, rows = stream_to_rows(records)

@@ -1,22 +1,26 @@
 """Experiment runner: prequential loops, bandit simulation, metrics, export.
 
-Configuration is a strict JSON document (unknown keys are rejected so a
-typo in a sweep cannot silently run the wrong hyperparameter).  All
-randomness flows from the single master seed through the declared split
-scheme: SeedSequence([seed, trial, role]) with role 0 = data stream,
-role 1 = agent (Thompson draws), role 2 = reward realization.
+A configuration is a strict JSON document.  ``SCHEMA`` holds one row per
+key path, with the rule its value must obey and whether a sweep may vary
+it; a path with no row is rejected, so a typo in a sweep cannot silently
+run the wrong hyperparameter.  All randomness flows from the single master
+seed through the declared split scheme: SeedSequence([seed, trial, role])
+with role 0 = data stream, role 1 = agent (Thompson draws), role 2 =
+reward realization.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
+import functools
+import inspect
 import itertools
 import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,15 +41,6 @@ from .weighting import HazardSpec, runlength_posterior_rows
 
 log = logging.getLogger("bone")
 
-EXPERIMENTS = (
-    "periodic-drift",
-    "drift-jumps",
-    "heavy-tail",
-    "bandit",
-    "dependent-segments",
-    "csv-stream",
-)
-
 EXPERIMENT_KIND = {
     "periodic-drift": "classification",
     "drift-jumps": "classification",
@@ -55,45 +50,11 @@ EXPERIMENT_KIND = {
     "bandit": "bandit",
 }
 
-DEFAULT_HORIZON = {
-    "periodic-drift": 720,
-    "drift-jumps": 1000,
-    "heavy-tail": 500,
-    "bandit": 10000,
-    "dependent-segments": 500,
-}
-
 PRIMARY_METRIC = {
     "classification": "misclassification_rate",
     "regression": "rmse",
     "bandit": "cumulative_regret",
 }
-
-_TOP_KEYS = {
-    "experiment", "horizon", "trials", "seed", "output_path", "warmup",
-    "rolling_window", "runlength_output_path", "data_path",
-    "ewma_target_half_life", "ewma_feature_half_life", "generator",
-    "method", "sweep",
-}
-_METHOD_KEYS = {"name", "model", "prior", "hazard", "K", "wolf_c", "cpp", "drift_unpulled"}
-_MODEL_KEYS = {"family", "out_dim", "obs_noise", "feature_map", "hidden", "activation", "in_dim"}
-_PRIOR_KEYS = {
-    "kind", "base_mean", "base_cov", "base_cov_scale", "gamma", "alpha",
-    "shrink", "perturb_var", "epsilon", "dyn",
-}
-_CPP_KEYS = {"steps", "lr"}
-_DYN_KEYS = {"F", "b", "Q"}
-_GENERATOR_KEYS = {
-    "periodic-drift": set(),
-    "drift-jumps": {"p_jump", "drift_sd"},
-    "heavy-tail": {"p_eps", "df"},
-    "bandit": {"arms", "walk_sd"},
-    "dependent-segments": {"pi", "noise_sd", "coef_range", "x_max"},
-    "csv-stream": set(),
-}
-# generator probabilities lie in [0, 1]; every other generator number (bar
-# the count ``arms``) and the EWMA half-lives are scales, > 0
-_PROBABILITY_KEYS = {"p_eps", "p_jump", "pi"}
 
 
 class TrialError(RuntimeError):
@@ -106,203 +67,223 @@ class TrialError(RuntimeError):
         self.cause = cause
 
 
-def _check_keys(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+# A rule is (test, what the test asks for).
+def _count(n: int):
+    return (lambda v: is_integer(v) and v >= n), f"an integer >= {n}"
 
 
-def _parse_model(d: dict) -> MeasurementSpec:
-    _check_keys(d, _MODEL_KEYS, "method.model")
-    if "family" not in d:
-        raise ConfigError("method.model requires a family")
+def _nullable(rule):
+    test, text = rule
+    return (lambda v: v is None or test(v)), f"{text} or null"
+
+
+def _is_finite_array(v) -> bool:
+    """A finite number or a rectangular nested list of them; bools are not numbers."""
     try:
-        noise = d.get("obs_noise")
-        if noise is not None and np.isscalar(noise):
-            noise = (noise * np.eye(int(d.get("out_dim", 1)))).tolist()
-        return MeasurementSpec(
-            family=d["family"],
-            out_dim=int(d.get("out_dim", 1)),
-            obs_noise=None if noise is None else np.asarray(noise, dtype=float),
-            feature_map=d.get("feature_map"),
-            hidden=tuple(d.get("hidden", ())),
-            activation=d.get("activation", "relu"),
-            in_dim=d.get("in_dim"),
-        )
-    except ValueError as err:  # includes non-PSD obs_noise
-        raise ConfigError(f"method.model: {err}") from err
+        a = np.asarray(v)
+    except ValueError:  # a ragged list
+        return False
+    return a.dtype.kind in "if" and bool(np.isfinite(a).all())
 
 
-def _parse_prior(d: dict) -> PriorPolicy:
-    _check_keys(d, _PRIOR_KEYS, "method.prior")
-    if "kind" not in d or "base_mean" not in d:
-        raise ConfigError("method.prior requires kind and base_mean")
-    if "base_cov" in d and "base_cov_scale" in d:
-        raise ConfigError("give base_cov or base_cov_scale, not both")
-    try:
-        mean = np.asarray(d["base_mean"], dtype=float)
-        if "base_cov" in d:
-            cov = np.asarray(d["base_cov"], dtype=float)
+_NUMBER = is_finite_number, "a finite number"
+_POSITIVE = (lambda v: is_finite_number(v) and v > 0), "a finite number > 0"
+_PROBABILITY = (lambda v: is_finite_number(v) and 0 <= v <= 1), "a finite number in [0, 1]"
+_BOOL = (lambda v: isinstance(v, bool)), "true or false"
+_STRING = (lambda v: isinstance(v, str)), "a string"
+_ARRAY = _is_finite_array, "a finite number or a rectangular list of them"
+_COUNTS = (lambda v: isinstance(v, list) and all(map(_count(1)[0], v))), "a list of integers >= 1"
+_SWEEP = (
+    (lambda v: isinstance(v, dict) and v and all(isinstance(g, list) and g for g in v.values())),
+    "a non-empty mapping of keys to non-empty lists",
+)
+_EXPERIMENT = (
+    (lambda v: isinstance(v, str) and v in EXPERIMENT_KIND),
+    f"one of {sorted(EXPERIMENT_KIND)}",
+)
+
+# Dotted key path -> (rule, sweepable).  The prefixes of the paths are the
+# sections, each a JSON object.  Null means "not given" where a row is
+# nullable.  The method stanza's numbers are range-checked by the dataclasses
+# they build (callers also construct those directly), so their rows check
+# only that the value is a finite number.  A generator key is allowed where
+# the experiment's generator takes it.
+SCHEMA = {
+    "experiment": (_EXPERIMENT, False),
+    "horizon": (_count(0), True),
+    "trials": (_count(1), False),
+    "seed": (_count(0), True),
+    "warmup": (_nullable(_count(0)), False),
+    "rolling_window": (_count(1), False),
+    "output_path": (_nullable(_STRING), False),
+    "runlength_output_path": (_nullable(_STRING), False),
+    "data_path": (_nullable(_STRING), False),
+    "ewma_target_half_life": (_nullable(_POSITIVE), False),
+    "ewma_feature_half_life": (_nullable(_POSITIVE), False),
+    "sweep": (_nullable(_SWEEP), False),
+    "generator.arms": (_count(1), True),
+    "generator.walk_sd": (_POSITIVE, True),
+    "generator.p_eps": (_PROBABILITY, True),
+    "generator.df": (_POSITIVE, True),
+    "generator.p_jump": (_PROBABILITY, True),
+    "generator.drift_sd": (_POSITIVE, True),
+    "generator.pi": (_PROBABILITY, True),
+    "generator.noise_sd": (_POSITIVE, True),
+    "generator.coef_range": (_POSITIVE, True),
+    "generator.x_max": (_POSITIVE, True),
+    "method.name": (_STRING, False),
+    "method.hazard": (_nullable(_NUMBER), True),
+    "method.K": (_nullable(_NUMBER), True),
+    "method.wolf_c": (_nullable(_NUMBER), True),
+    "method.drift_unpulled": (_BOOL, True),
+    "method.cpp.steps": (_NUMBER, True),
+    "method.cpp.lr": (_NUMBER, True),
+    "method.model.family": (_STRING, False),
+    "method.model.out_dim": (_count(1), False),
+    "method.model.obs_noise": (_nullable(_ARRAY), True),
+    "method.model.feature_map": (_nullable(_STRING), False),
+    "method.model.hidden": (_COUNTS, False),
+    "method.model.activation": (_STRING, False),
+    "method.model.in_dim": (_nullable(_count(1)), False),
+    "method.prior.kind": (_STRING, False),
+    "method.prior.base_mean": (_ARRAY, False),
+    "method.prior.base_cov": (_ARRAY, False),
+    "method.prior.base_cov_scale": (_NUMBER, True),
+    "method.prior.gamma": (_nullable(_NUMBER), True),
+    "method.prior.alpha": (_nullable(_NUMBER), True),
+    "method.prior.shrink": (_nullable(_NUMBER), True),
+    "method.prior.perturb_var": (_nullable(_NUMBER), True),
+    "method.prior.epsilon": (_nullable(_NUMBER), True),
+    "method.prior.dyn.F": (_ARRAY, False),
+    "method.prior.dyn.b": (_ARRAY, False),
+    "method.prior.dyn.Q": (_ARRAY, False),
+}
+_SECTIONS = {path.rsplit(".", 1)[0] for path in SCHEMA if "." in path}
+
+
+@functools.cache
+def _generator_params(experiment: str):
+    """The experiment generator's parameters by name; csv-stream has none."""
+    gen = GENERATORS.get(experiment)
+    return inspect.signature(gen).parameters if gen else {}
+
+
+def check_key(path: str, value, generator_params=()):
+    """Raise ConfigError unless ``path`` has a row in SCHEMA, and the
+    experiment's generator takes it, and ``value`` obeys the row's rule."""
+    leaf = path.removeprefix("generator.")
+    if path not in SCHEMA or (leaf != path and leaf not in generator_params):
+        raise ConfigError(f"unknown key {path!r}")
+    test, text = SCHEMA[path][0]
+    if not test(value):
+        raise ConfigError(f"{path} must be {text}, got {value!r}")
+
+
+def _flatten(node: dict, prefix: str, out: dict) -> dict:
+    for key, value in node.items():
+        path = prefix + key
+        if path in _SECTIONS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path} must be a JSON object, got {value!r}")
+            _flatten(value, path + ".", out)
         else:
-            scale = d.get("base_cov_scale", 1.0)
-            if not is_finite_number(scale):
-                raise ConfigError(f"base_cov_scale must be a finite number, got {scale!r}")
-            cov = float(scale) * np.eye(mean.size)
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ConfigError("base_mean and base_cov must be finite")
-        dyn = None
-        if d.get("dyn") is not None:
-            dd = d["dyn"]
-            _check_keys(dd, _DYN_KEYS, "method.prior.dyn")
-            dyn = LinearDynamics(
-                np.asarray(dd["F"], dtype=float),
-                np.asarray(dd["b"], dtype=float),
-                np.asarray(dd["Q"], dtype=float),
-            )
-        return PriorPolicy(
-            kind=d["kind"],
-            base_prior=GaussBelief(mean, cov),
-            gamma=d.get("gamma"),
-            alpha=d.get("alpha"),
-            shrink=d.get("shrink"),
-            perturb_var=d.get("perturb_var"),
-            dyn=dyn,
-            epsilon=d.get("epsilon"),
-        )
-    except (KeyError, TypeError, ValueError) as err:  # ValueError includes ConfigError
-        raise ConfigError(f"method.prior: {err}") from err
+            out[path] = value
+    return out
 
 
-def parse_method(d: dict) -> MethodConfig:
-    """Parse the JSON 'method' stanza into a validated MethodConfig."""
-    _check_keys(d, _METHOD_KEYS, "method")
-    for key in ("name", "model", "prior"):
-        if key not in d:
-            raise ConfigError(f"method requires {key}")
-    cpp = d.get("cpp", {})
-    _check_keys(cpp, _CPP_KEYS, "method.cpp")
-    hazard = d.get("hazard")
-    drift_unpulled = d.get("drift_unpulled", True)
-    if not isinstance(drift_unpulled, bool):
-        raise ConfigError(f"drift_unpulled must be true or false, got {drift_unpulled!r}")
-    return MethodConfig(
-        name=d["name"],
-        spec=_parse_model(d["model"]),
-        policy=_parse_prior(d["prior"]),
-        hazard=None if hazard is None else HazardSpec(hazard),
-        capacity=d.get("K"),
-        wolf_c=d.get("wolf_c"),
-        cpp_steps=cpp.get("steps", 10),
-        cpp_lr=cpp.get("lr", 0.1),
-        drift_unpulled=drift_unpulled,
-    )
+def _make(cls, where: str, kwargs: dict):
+    """``cls(**kwargs)``; a field with no default must be among the kwargs."""
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where} requires {f.name}")
+    try:
+        return cls(**kwargs)
+    except ValueError as err:  # includes ConfigError and a non-PSD matrix
+        raise ConfigError(f"{where}: {err}") from err
+
+
+def _method(given: dict) -> MethodConfig:
+    """The method built from ``given`` (section -> leaf name -> value)."""
+    model = given.get("method.model", {})
+    if "hidden" in model:
+        model["hidden"] = tuple(model["hidden"])
+    if "obs_noise" in model and np.ndim(model["obs_noise"]) == 0:  # a scalar variance
+        model["obs_noise"] = model["obs_noise"] * np.eye(model.get("out_dim", 1))
+    spec = _make(MeasurementSpec, "method.model", model)
+    prior = given.get("method.prior", {})
+    if "base_cov" in prior and "base_cov_scale" in prior:
+        raise ConfigError("give method.prior.base_cov or base_cov_scale, not both")
+    if "base_mean" not in prior:
+        raise ConfigError("method.prior requires base_mean")
+    mean = np.asarray(prior.pop("base_mean"), dtype=float)
+    cov = prior.pop("base_cov", None)
+    if cov is None:
+        cov = prior.pop("base_cov_scale", 1.0) * np.eye(mean.size)
+    prior["base_prior"] = _make(GaussBelief, "method.prior", {"mean": mean, "cov": cov})
+    dyn = given.get("method.prior.dyn")
+    if dyn:
+        prior["dyn"] = _make(LinearDynamics, "method.prior.dyn", dyn)
+    method = given.get("method", {})
+    if "hazard" in method:
+        method["hazard"] = HazardSpec(method["hazard"])
+    if "K" in method:
+        method["capacity"] = method.pop("K")
+    method.update((f"cpp_{k}", v) for k, v in given.get("method.cpp", {}).items())
+    policy = _make(PriorPolicy, "method.prior", prior)
+    return _make(MethodConfig, "method", dict(method, spec=spec, policy=policy))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description plus the raw dict it came from."""
+    """Validated experiment description plus the raw dict it came from.
+
+    A horizon of 0 reads the whole CSV stream; ``parse_config`` passes a
+    synthetic experiment its generator's default horizon.
+    """
 
     experiment: str
     method: MethodConfig
-    trials: int
-    horizon: int
-    seed: int
-    output_path: str | None
-    warmup: int | None
-    rolling_window: int
-    runlength_output_path: str | None
-    data_path: str | None
-    ewma_target_half_life: float | None
-    ewma_feature_half_life: float | None
-    generator_params: dict
-    sweep: dict | None
-    raw: dict = field(repr=False)
-
-
-def _count(raw: dict, key: str, default: int, minimum: int) -> int:
-    value = raw.get(key, default)
-    if not (is_integer(value) and value >= minimum):
-        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
-def _check_number(key: str, value):
-    if key in _PROBABILITY_KEYS:
-        ok, rule = is_finite_number(value) and 0.0 <= value <= 1.0, "in [0, 1]"
-    else:
-        ok, rule = is_finite_number(value) and value > 0.0, "> 0"
-    if not ok:
-        raise ConfigError(f"{key} must be a finite number {rule}, got {value!r}")
+    trials: int = 1
+    horizon: int = 0
+    seed: int = 0
+    output_path: str | None = None
+    warmup: int | None = None
+    rolling_window: int = 12
+    runlength_output_path: str | None = None
+    data_path: str | None = None
+    ewma_target_half_life: float | None = None
+    ewma_feature_half_life: float | None = None
+    generator_params: dict = field(default_factory=dict)
+    sweep: dict | None = None
+    raw: dict = field(default_factory=dict, repr=False)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    _check_keys(raw, _TOP_KEYS, "config")
-    if "experiment" not in raw or "method" not in raw:
-        raise ConfigError("config requires experiment and method")
-    experiment = raw["experiment"]
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}")
-    gen = raw.get("generator", {})
-    _check_keys(gen, _GENERATOR_KEYS[experiment], f"generator ({experiment})")
-    for key, value in gen.items():
-        if key == "arms":
-            _count(gen, "arms", None, 1)
-        else:
-            _check_number(key, value)
-    for key in ("ewma_target_half_life", "ewma_feature_half_life"):
-        if raw.get(key) is not None:
-            _check_number(key, raw[key])
-    horizon = _count(raw, "horizon", DEFAULT_HORIZON.get(experiment, 0), 0)
-    if experiment == "csv-stream" and not raw.get("data_path"):
+    """Check ``raw`` against SCHEMA and build the experiment it describes."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a config must be a JSON object, got {raw!r}")
+    flat = _flatten(raw, "", {})
+    check_key("experiment", flat.get("experiment"))
+    params = _generator_params(flat["experiment"])
+    given = {}  # section -> leaf name -> value, less the nulls
+    for path, value in flat.items():
+        check_key(path, value, params)
+        if value is not None:
+            section, _, leaf = path.rpartition(".")
+            given.setdefault(section, {})[leaf] = value
+    for key, grid in (flat.get("sweep") or {}).items():
+        if not SCHEMA.get(key, (None, False))[1]:
+            raise ConfigError(f"sweep key {key!r} does not name a hyperparameter")
+        for value in grid:
+            check_key(key, value, params)
+    top = given[""]
+    if "horizon" not in top and params:
+        top["horizon"] = params["T"].default
+    if top["experiment"] == "csv-stream" and not top.get("data_path"):
         raise ConfigError("csv-stream requires data_path")
-    trials = _count(raw, "trials", 1, 1)
-    rolling_window = _count(raw, "rolling_window", 12, 1)
-    seed = _count(raw, "seed", 0, 0)
-    warmup = None if raw.get("warmup") is None else _count(raw, "warmup", None, 0)
-    sweep = raw.get("sweep")
-    if sweep is not None:
-        if not isinstance(sweep, dict) or not sweep:
-            raise ConfigError("sweep must be a non-empty mapping")
-        for key in sweep:
-            _validate_sweep_key(key)
     return ExperimentConfig(
-        experiment=experiment,
-        method=parse_method(raw["method"]),
-        trials=trials,
-        horizon=horizon,
-        seed=seed,
-        output_path=raw.get("output_path"),
-        warmup=warmup,
-        rolling_window=rolling_window,
-        runlength_output_path=raw.get("runlength_output_path"),
-        data_path=raw.get("data_path"),
-        ewma_target_half_life=raw.get("ewma_target_half_life"),
-        ewma_feature_half_life=raw.get("ewma_feature_half_life"),
-        generator_params=dict(gen),
-        sweep=sweep,
-        raw=raw,
+        **top, method=_method(given), generator_params=given.get("generator", {}), raw=raw
     )
-
-
-_SWEEPABLE = {
-    "horizon", "seed",
-    "method.hazard", "method.K", "method.wolf_c", "method.drift_unpulled",
-    "method.cpp.steps", "method.cpp.lr",
-    "method.prior.gamma", "method.prior.alpha", "method.prior.shrink",
-    "method.prior.perturb_var", "method.prior.epsilon",
-    "method.prior.base_cov_scale",
-    "method.model.obs_noise",
-}
-
-
-def _validate_sweep_key(key: str):
-    if key in _SWEEPABLE:
-        return
-    if key.startswith("generator."):
-        leaf = key.split(".", 1)[1]
-        if any(leaf in ks for ks in _GENERATOR_KEYS.values()):
-            return
-    raise ConfigError(f"sweep key {key!r} does not name a hyperparameter")
 
 
 def _set_by_path(raw: dict, key: str, value):
@@ -460,18 +441,22 @@ def _trial_rng(seed: int, trial: int, role: int) -> np.random.Generator:
 
 
 def _make_stream(cfg: ExperimentConfig, trial: int) -> list[StreamRecord]:
+    """The trial's stream, checked against the length of the base prior."""
     if cfg.experiment == "csv-stream":
         records = load_csv_stream(
             cfg.data_path, cfg.ewma_target_half_life, cfg.ewma_feature_half_life
-        )
-        return records[: cfg.horizon] if cfg.horizon else records
-    gen = GENERATORS[cfg.experiment]
-    rng_seed = np.random.SeedSequence([cfg.seed, trial, 0])
-    if cfg.experiment == "bandit":
-        params = dict(cfg.generator_params)
-        arms = int(params.pop("arms", 10))
-        return gen(arms=arms, T=cfg.horizon, seed=rng_seed, **params)
-    return gen(T=cfg.horizon, seed=rng_seed, **cfg.generator_params)
+        )[: cfg.horizon or None]
+    else:
+        rng_seed = np.random.SeedSequence([cfg.seed, trial, 0])
+        records = GENERATORS[cfg.experiment](T=cfg.horizon, seed=rng_seed, **cfg.generator_params)
+    if records:
+        m = cfg.method.spec.param_count(records[0].x)
+        dim = cfg.method.policy.base_prior.dim
+        if m != dim:
+            raise ConfigError(
+                f"method.prior.base_mean has length {dim}, but the model has {m} parameters"
+            )
+    return records
 
 
 def _classify_loss(yhat, y) -> float:
@@ -685,15 +670,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, parallel: int = 1) -> dict:
     """
     if not cfg.sweep:
         raise ConfigError("config has no sweep stanza")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     keys = sorted(cfg.sweep)
-    grids = [cfg.sweep[k] for k in keys]
-    kind = EXPERIMENT_KIND[cfg.experiment]
-    metric = PRIMARY_METRIC[kind]
-    rows = []
-    best = None
-    for idx, combo in enumerate(itertools.product(*grids)):
+    combos = list(itertools.product(*(cfg.sweep[k] for k in keys)))
+    point_cfgs = []  # every grid point is parsed before any runs, so a bad one writes nothing
+    for combo in combos:
         raw = copy.deepcopy(cfg.raw)
         raw.pop("sweep", None)
         raw.pop("output_path", None)
@@ -701,9 +681,15 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, parallel: int = 1) -> dict:
             _set_by_path(raw, k, v)
         if cfg.warmup:
             raw["horizon"] = cfg.warmup
-        point_cfg = parse_config(raw)
+        point_cfgs.append(parse_config(raw))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    metric = PRIMARY_METRIC[EXPERIMENT_KIND[cfg.experiment]]
+    rows = []
+    best = None
+    for idx, (combo, point_cfg) in enumerate(zip(combos, point_cfgs)):
         traces = run_experiment(point_cfg, parallel)
-        export_results(traces, out / f"point_{idx:04d}.csv", config_echo=raw)
+        export_results(traces, out / f"point_{idx:04d}.csv", config_echo=point_cfg.raw)
         values = [tr.finals.get(metric, np.nan) for tr in traces]
         mean_val = float(np.mean(values))
         point = dict(zip(keys, combo))

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ import pytest
 from bone.cli import main as cli_main
 from bone.core import ConfigError
 from bone.harness import (
+    SCHEMA,
     MetricTrace,
     compute_metrics,
     ewma_normalize,
     export_results,
+    load_config,
     load_csv_stream,
     parse_config,
     rolling_mean,
@@ -50,8 +53,33 @@ def method_config(name, kind, prior_extra=None, **extra):
     return raw
 
 
+def model_config(**model):
+    """static_config with the method stanza's model replaced by ``model``."""
+    raw = static_config()
+    raw["method"]["model"] = model
+    return raw
+
+
+def mlp_config(**over):
+    """An MLP model of 1 -> 2 -> 1 (7 parameters) with ``over`` in its model."""
+    raw = model_config(**{"family": "mlp-gaussian", "obs_noise": 1.0, "in_dim": 1, "hidden": [2], **over})
+    raw["method"]["prior"]["base_mean"] = [0] * 7
+    return raw
+
+
 NAN = float("nan")
 INF = float("inf")
+# (key the ConfigError names, config) for method values of the wrong JSON type
+BAD_METHOD_TYPES = [
+    ("obs_noise", model_config(family="linear-gaussian", obs_noise="x", feature_map="poly2")),
+    ("method must be a JSON object", static_config(method=5)),
+    ("method.cpp", method_config("CPP-OU", "cpp-ou", cpp=5)),
+    ("in_dim", mlp_config(in_dim="x")),
+    ("in_dim", mlp_config(in_dim=1.5)),
+    ("hidden", mlp_config(hidden="88")),
+    ("hidden", mlp_config(hidden=[2.5])),
+    ("out_dim", mlp_config(out_dim=1.5)),
+]
 # (key the ConfigError names, config)
 BAD_NUMBERS = [
     ("cpp.steps", method_config("CPP-OU", "cpp-ou", cpp={"steps": 0})),
@@ -73,6 +101,7 @@ BAD_NUMBERS = [
     ("base_cov_scale", method_config("C-Static", "static", {"base_cov_scale": INF})),
     ("base_cov_scale", method_config("C-Static", "static", {"base_cov_scale": "x"})),
     ("base_cov", method_config("C-Static", "static", {"base_cov": np.diag([1, INF, 1]).tolist()})),
+    *BAD_METHOD_TYPES,
 ]
 
 
@@ -97,6 +126,15 @@ def generator_config(experiment, **gen):
     return static_config(experiment=experiment, generator=gen)
 
 
+# (key the ConfigError names, config) for top-level values of the wrong JSON type
+BAD_TOP_TYPES = [
+    ("generator", static_config(generator=5)),
+    ("output_path", static_config(output_path=123)),
+    ("data_path", static_config(data_path=5)),
+    ("sweep", static_config(sweep={"method.prior.base_cov_scale": 0.5})),
+    ("sweep", static_config(sweep={"method.prior.base_cov_scale": []})),
+    ("base_cov_scale", static_config(sweep={"method.prior.base_cov_scale": [1.0, "x"]})),
+]
 # (key the ConfigError names, config)
 BAD_STREAM_NUMBERS = [
     ("arms", generator_config("bandit", arms="x")),
@@ -124,6 +162,7 @@ BAD_STREAM_NUMBERS = [
     ("drift_unpulled", bandit_config(drift_unpulled="false")),
     ("drift_unpulled", bandit_config(drift_unpulled=0)),
     ("drift_unpulled", bandit_config(drift_unpulled=None)),
+    *BAD_TOP_TYPES,
 ]
 
 
@@ -193,6 +232,16 @@ class TestConfig:
     def test_bad_stream_numbers_rejected(self, key, raw):
         with pytest.raises(ConfigError, match=re.escape(key)):
             parse_config(raw)
+
+    def test_generator_keys_and_horizon_come_from_the_generator(self):
+        for experiment, key in [("heavy-tail", "arms"), ("periodic-drift", "p_eps"), ("csv-stream", "df")]:
+            with pytest.raises(ConfigError, match=f"generator.{key}"):
+                parse_config(generator_config(experiment, **{key: 1}))
+        raw = static_config()
+        del raw["horizon"]
+        assert parse_config(raw).horizon == 500
+        assert parse_config(dict(raw, experiment="bandit")).horizon == 10000
+        assert parse_config(dict(raw, experiment="csv-stream", data_path="d.csv")).horizon == 0
 
     def test_boundary_stream_numbers_accepted(self):
         cfg = parse_config(generator_config("heavy-tail", p_eps=0, df=0.5))
@@ -432,6 +481,30 @@ class TestExportAndCli:
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("key,raw", BAD_METHOD_TYPES + BAD_TOP_TYPES)
+    def test_cli_exits_2_on_bad_types(self, tmp_path, monkeypatch, capsys, key, raw):
+        # no --out, so a bad output_path is the one the run would write to
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(raw))
+        argv = ["sweep", "--config", "cfg.json", "--out", "grid"] if "sweep" in raw else ["run", "--config", "cfg.json"]
+        assert cli_main(argv) == 2
+        assert key in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize(
+        "raw",
+        [static_config(horizon=5), bandit_config()],
+        ids=["prequential", "bandit"],
+    )
+    def test_cli_exits_2_on_prior_length_mismatch(self, tmp_path, capsys, raw):
+        raw["method"]["prior"]["base_mean"] = [0, 0]  # poly2 has 3 parameters, the bandit 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "o.csv"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "method.prior.base_mean" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cli_exits_2_on_bad_half_life(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("x,y\n1,2\n2,3\n")
@@ -497,6 +570,29 @@ class TestExportAndCli:
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 8
 
+    @pytest.mark.parametrize("flag,key", [("--horizon", "horizon"), ("--seed", "seed")])
+    def test_cli_gen_exits_2_on_negative_count(self, tmp_path, capsys, flag, key):
+        out = tmp_path / "stream.csv"
+        assert cli_main(["gen", "--experiment", "heavy-tail", "--out", str(out), flag, "-1"]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+class TestShippedConfigs:
+    def test_configs_found(self):
+        assert len(CONFIGS) >= 3
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_config_parses_and_sweeps_hyperparameters(self, path):
+        cfg = load_config(str(path))
+        if path.name == "periodic_sweep.json":
+            assert cfg.sweep
+        for key in cfg.sweep or {}:
+            assert SCHEMA[key][1], f"{key} is not sweepable"
+
 
 class TestSweep:
     def test_full_grid_visited(self, tmp_path):
@@ -513,6 +609,14 @@ class TestSweep:
         assert (tmp_path / "sweep" / "index.json").exists()
         assert len(list((tmp_path / "sweep").glob("point_*.csv"))) == 4
         assert "point" in index["best"]
+
+    def test_bad_grid_point_runs_no_point(self, tmp_path):
+        # 1.5 is a finite number, so only the grid point's own parse rejects it
+        raw = method_config("RL-PR[inf]", "rl-prior-reset", hazard=0.1)
+        raw.update(horizon=10, sweep={"method.hazard": [0.1, 1.5]})
+        with pytest.raises(ConfigError, match="hazard"):
+            run_sweep(parse_config(raw), tmp_path / "grid")
+        assert not (tmp_path / "grid").exists()
 
     def test_warmup_prefix_controls_sweep_horizon(self, tmp_path):
         raw = static_config(trials=1, horizon=50, warmup=10)
