@@ -3,7 +3,6 @@
 from .core import (
     ConfigError,
     GaussBelief,
-    LinearDynamics,
     NumericDomainError,
     gaussian_log_pdf,
     logsumexp,
@@ -17,11 +16,10 @@ from .measurement import (
     link_mean,
     predictive_log_density,
 )
-from .posterior import UpdateDiagnostics, kf_predict, lg_update, wolf_update
+from .posterior import UpdateDiagnostics, lg_update, wolf_update
 from .priors import PriorPolicy, conditional_prior, mmpr_prior
 from .weighting import (
     HazardSpec,
-    Hypothesis,
     HypothesisBank,
     cpp_empirical_bayes,
     greedy_ratio,
@@ -43,9 +41,7 @@ __all__ = [
     "ConfigError",
     "GaussBelief",
     "HazardSpec",
-    "Hypothesis",
     "HypothesisBank",
-    "LinearDynamics",
     "MeasurementSpec",
     "MethodConfig",
     "NumericDomainError",
@@ -61,7 +57,6 @@ __all__ = [
     "gaussian_log_pdf",
     "greedy_ratio",
     "init_agent",
-    "kf_predict",
     "lg_update",
     "link_mean",
     "logsumexp",

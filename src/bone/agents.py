@@ -56,6 +56,9 @@ _METHOD_KIND = {
 }
 
 RL_METHODS = ("RL-PR[K]", "RL-PR[inf]", "WoLF+RL-PR", "RL-MMPR")
+# the methods that read a hazard rate, and those that read a capacity K
+_HAZARD_METHODS = RL_METHODS + ("RL-OUPR",)
+_CAPACITY_METHODS = ("RL-PR[K]", "WoLF+RL-PR", "RL-MMPR")
 
 
 @dataclass(frozen=True)
@@ -80,12 +83,14 @@ class MethodConfig:
             raise ConfigError(
                 f"{self.name} requires prior kind {want!r}, got {self.policy.kind!r}"
             )
-        if self.name in RL_METHODS + ("RL-OUPR",) and self.hazard is None:
-            raise ConfigError(f"{self.name} requires a hazard spec")
+        if self.name in _HAZARD_METHODS and self.hazard is None:
+            raise ConfigError(f"{self.name} requires a hazard")
+        if self.name not in _HAZARD_METHODS and self.hazard is not None:
+            raise ConfigError(f"{self.name} does not take a hazard")
         if self.name == "RL-PR[K]" and self.capacity is None:
             raise ConfigError("RL-PR[K] requires a positive capacity K")
-        if self.name == "RL-PR[inf]" and self.capacity is not None:
-            raise ConfigError("RL-PR[inf] keeps every hypothesis; drop K")
+        if self.capacity is not None and self.name not in _CAPACITY_METHODS:
+            raise ConfigError(f"{self.name} does not take K")
         if self.capacity is not None and not (is_integer(self.capacity) and self.capacity >= 1):
             raise ConfigError(f"K must be a positive integer, got {self.capacity!r}")
         if self.name == "WoLF+RL-PR" and self.wolf_c is None:
@@ -172,13 +177,13 @@ def _step_single(state: AgentState, cfg: MethodConfig, x, y) -> AgentState:
             reset_anchor = SegmentAnchor(float(np.atleast_1d(x)[0]))
         p_reset = predictive_log_density(cfg.spec, cfg.policy.base_prior, x, y, reset_anchor)
         nu = greedy_ratio(p_grow, p_reset, cfg.hazard)
-        prior = conditional_prior(cfg.policy, belief, aux=runlength, weight=nu)
+        prior = conditional_prior(cfg.policy, belief, weight=nu)
         if nu <= cfg.policy.epsilon:  # hard reset branch
             runlength = 0
             if _needs_anchor(cfg):
                 anchor = reset_anchor
                 anchor_x = reset_anchor.anchor_x
-    else:  # static / ou / aci / shrink-perturb / lssm
+    else:  # static / ou / aci
         prior = conditional_prior(cfg.policy, belief)
 
     if cfg.wolf_c is not None:
@@ -211,12 +216,12 @@ def bone_step(state: AgentState, cfg: MethodConfig, x, y, x_next=None):
 def drift_unobserved(state: AgentState, cfg: MethodConfig) -> AgentState:
     """Apply the data-free part of the conditional prior (for unpulled arms).
 
-    OU, ACI, shrink-perturb, and LSSM beliefs diffuse without an
-    observation; data-dependent kinds (cpp-ou, rl-*) are left unchanged
-    because their auxiliary value needs the current observation.
+    OU and ACI beliefs diffuse without an observation; data-dependent kinds
+    (cpp-ou, rl-*) are left unchanged because their auxiliary value needs
+    the current observation.
     """
     kind = cfg.policy.kind
-    if kind not in ("ou", "aci", "shrink-perturb", "lssm") or not cfg.drift_unpulled:
+    if kind not in ("ou", "aci") or not cfg.drift_unpulled:
         return state
     bank = state.bank
     belief = conditional_prior(cfg.policy, bank.belief(0))

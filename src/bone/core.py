@@ -81,37 +81,6 @@ class GaussBelief:
         return self.mean.size
 
 
-@dataclass(frozen=True)
-class LinearDynamics:
-    """Affine-Gaussian parameter dynamics: next mean F mu + b, noise Q."""
-
-    F: np.ndarray
-    b: np.ndarray
-    Q: np.ndarray
-
-    def __post_init__(self):
-        F = np.atleast_2d(np.asarray(self.F, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        m = F.shape[0]
-        if F.shape != (m, m) or b.shape != (m,) or Q.shape != (m, m):
-            raise ValueError(
-                f"inconsistent dynamics shapes F{F.shape} b{b.shape} Q{Q.shape}"
-            )
-        tol = _tol_abs(np.trace(Q), None)
-        if np.abs(Q - Q.T).max() > tol:
-            raise ValueError("Q must be symmetric")
-        if np.linalg.eigvalsh((Q + Q.T) / 2.0).min() < -tol:
-            raise ValueError("Q must be PSD within tolerance")
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "Q", Q)
-
-    @property
-    def dim(self) -> int:
-        return self.F.shape[0]
-
-
 def logsumexp(values) -> float:
     """log sum exp of a non-empty list, stable under large magnitudes.
 

@@ -33,7 +33,7 @@ from .agents import (
     predict_weighted,
     thompson_action,
 )
-from .core import ConfigError, GaussBelief, LinearDynamics, is_finite_number, is_integer
+from .core import ConfigError, GaussBelief, is_finite_number, is_integer
 from .datagen import GENERATORS, StreamRecord
 from .measurement import MeasurementSpec
 from .priors import PriorPolicy
@@ -143,7 +143,6 @@ SCHEMA = {
     "method.model.obs_noise": (_nullable(_ARRAY), True),
     "method.model.feature_map": (_nullable(_STRING), False),
     "method.model.hidden": (_COUNTS, False),
-    "method.model.activation": (_STRING, False),
     "method.model.in_dim": (_nullable(_count(1)), False),
     "method.prior.kind": (_STRING, False),
     "method.prior.base_mean": (_ARRAY, False),
@@ -151,12 +150,7 @@ SCHEMA = {
     "method.prior.base_cov_scale": (_NUMBER, True),
     "method.prior.gamma": (_nullable(_NUMBER), True),
     "method.prior.alpha": (_nullable(_NUMBER), True),
-    "method.prior.shrink": (_nullable(_NUMBER), True),
-    "method.prior.perturb_var": (_nullable(_NUMBER), True),
     "method.prior.epsilon": (_nullable(_NUMBER), True),
-    "method.prior.dyn.F": (_ARRAY, False),
-    "method.prior.dyn.b": (_ARRAY, False),
-    "method.prior.dyn.Q": (_ARRAY, False),
 }
 _SECTIONS = {path.rsplit(".", 1)[0] for path in SCHEMA if "." in path}
 
@@ -220,17 +214,18 @@ def _method(given: dict) -> MethodConfig:
     if cov is None:
         cov = prior.pop("base_cov_scale", 1.0) * np.eye(mean.size)
     prior["base_prior"] = _make(GaussBelief, "method.prior", {"mean": mean, "cov": cov})
-    dyn = given.get("method.prior.dyn")
-    if dyn:
-        prior["dyn"] = _make(LinearDynamics, "method.prior.dyn", dyn)
     method = given.get("method", {})
     if "hazard" in method:
         method["hazard"] = HazardSpec(method["hazard"])
     if "K" in method:
         method["capacity"] = method.pop("K")
-    method.update((f"cpp_{k}", v) for k, v in given.get("method.cpp", {}).items())
+    cpp = given.get("method.cpp", {})
+    method.update((f"cpp_{k}", v) for k, v in cpp.items())
     policy = _make(PriorPolicy, "method.prior", prior)
-    return _make(MethodConfig, "method", dict(method, spec=spec, policy=policy))
+    cfg = _make(MethodConfig, "method", dict(method, spec=spec, policy=policy))
+    if cpp and cfg.name != "CPP-OU":
+        raise ConfigError(f"method.cpp: {cfg.name} does not take a cpp section")
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -441,7 +436,8 @@ def _trial_rng(seed: int, trial: int, role: int) -> np.random.Generator:
 
 
 def _make_stream(cfg: ExperimentConfig, trial: int) -> list[StreamRecord]:
-    """The trial's stream, checked against the length of the base prior."""
+    """The trial's stream, checked against the MLP input width and the
+    length of the base prior."""
     if cfg.experiment == "csv-stream":
         records = load_csv_stream(
             cfg.data_path, cfg.ewma_target_half_life, cfg.ewma_feature_half_life
@@ -450,7 +446,12 @@ def _make_stream(cfg: ExperimentConfig, trial: int) -> list[StreamRecord]:
         rng_seed = np.random.SeedSequence([cfg.seed, trial, 0])
         records = GENERATORS[cfg.experiment](T=cfg.horizon, seed=rng_seed, **cfg.generator_params)
     if records:
-        m = cfg.method.spec.param_count(records[0].x)
+        spec, n = cfg.method.spec, np.size(records[0].x)
+        if spec.family == "mlp-gaussian" and spec.in_dim != n:
+            raise ConfigError(
+                f"method.model.in_dim is {spec.in_dim}, but the stream has {n} features"
+            )
+        m = spec.param_count(records[0].x)
         dim = cfg.method.policy.base_prior.dim
         if m != dim:
             raise ConfigError(

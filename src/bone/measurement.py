@@ -30,6 +30,8 @@ from .core import ConfigError, GaussBelief, gaussian_log_pdf, symmetrize_psd
 GAUSSIAN_FAMILIES = ("linear-gaussian", "mlp-gaussian", "segment-poly-gaussian")
 EXPFAM_FAMILIES = ("bernoulli-logit", "categorical-softmax")
 FAMILIES = GAUSSIAN_FAMILIES + EXPFAM_FAMILIES
+# families whose link gives one output whatever the parameters
+_SCALAR_FAMILIES = ("linear-gaussian", "segment-poly-gaussian", "bernoulli-logit")
 
 
 def _phi_identity(x):
@@ -76,12 +78,13 @@ class MeasurementSpec:
     obs_noise: np.ndarray | None = None
     feature_map: str | None = None
     hidden: tuple[int, ...] = ()
-    activation: str = "relu"
     in_dim: int | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown measurement family {self.family!r}")
+        if self.family in _SCALAR_FAMILIES and self.out_dim != 1:
+            raise ConfigError(f"{self.family} has out_dim 1")
         if self.family in GAUSSIAN_FAMILIES:
             if self.obs_noise is None:
                 raise ConfigError(f"{self.family} requires obs_noise")
@@ -95,8 +98,6 @@ class MeasurementSpec:
         else:
             if self.obs_noise is not None:
                 raise ConfigError(f"{self.family} does not take obs_noise")
-        if self.family == "bernoulli-logit" and self.out_dim != 1:
-            raise ConfigError("bernoulli-logit has out_dim 1")
         if self.family == "categorical-softmax" and self.out_dim < 2:
             raise ConfigError("categorical-softmax needs out_dim = C >= 2 classes")
         if self.feature_map is not None and self.feature_map not in FEATURE_MAPS:
@@ -104,8 +105,6 @@ class MeasurementSpec:
         if self.family == "mlp-gaussian":
             if self.in_dim is None or not self.hidden:
                 raise ConfigError("mlp-gaussian requires in_dim and hidden widths")
-            if self.activation != "relu":
-                raise ConfigError("only relu hidden activations are supported")
             object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
         elif self.hidden:
             raise ConfigError("hidden widths only apply to mlp-gaussian")

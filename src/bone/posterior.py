@@ -1,9 +1,10 @@
 """Recursive Gaussian posterior computation.
 
-Predict step, linearized-Gaussian update, exponential-family update (noise
-moment-matched at the prior mean, single pass, no relinearization), and the
-robust update that inflates the observation covariance by an
-inverse-multiquadric weight of the standardized residual.
+Linearized-Gaussian update, exponential-family update (noise moment-matched
+at the prior mean, single pass, no relinearization), and the robust update
+that inflates the observation covariance by an inverse-multiquadric weight
+of the standardized residual.  The step from one update to the next prior
+is the conditional prior's (``priors.py``); this module has no predict step.
 
 The covariance update is Sigma - K S K^T followed by PSD symmetrization;
 the Joseph form is deliberately not used.
@@ -15,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    GaussBelief,
-    LinearDynamics,
-    NumericDomainError,
-    symmetrize_psd,
-    symmetrize_psd_batch,
-)
+from .core import GaussBelief, NumericDomainError, symmetrize_psd_batch
 from .measurement import (
     MeasurementSpec,
     SegmentAnchor,
@@ -38,15 +33,6 @@ class UpdateDiagnostics:
     innovation_cov: np.ndarray
     gain_norm: float
     wolf_weight: float = 1.0
-
-
-def kf_predict(belief: GaussBelief, dyn: LinearDynamics) -> GaussBelief:
-    """Push a Gaussian belief through affine dynamics: (F mu + b, F Sigma F^T + Q)."""
-    if dyn.dim != belief.dim:
-        raise ValueError(f"dynamics dim {dyn.dim} != belief dim {belief.dim}")
-    mean = dyn.F @ belief.mean + dyn.b
-    cov = symmetrize_psd(dyn.F @ belief.cov @ dyn.F.T + dyn.Q)
-    return GaussBelief(mean, cov)
 
 
 def _imq_weights(errors: np.ndarray, Rs: np.ndarray, c: float) -> np.ndarray:

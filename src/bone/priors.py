@@ -7,11 +7,13 @@ static        keep the belief
 ou            blend toward the base prior at fixed rate gamma
 cpp-ou        same blend, rate given by the changepoint probability
 aci           additive covariance inflation Sigma + alpha I
-shrink-perturb shrink the mean, inflate the covariance
-lssm          push through affine-Gaussian dynamics
-rl-prior-reset hard reset to the base prior at runlength 0
-rl-oupr       blend at rate nu above the threshold, hard reset below
-rl-mmpr       moment-matched mixture over the hypothesis bank at reset
+rl-oupr       blend at rate nu above the threshold epsilon, hard reset below
+
+The two runlength kinds keep the grown belief and differ only at runlength
+0, whose prior ``weighting.rl_step`` builds for the whole bank:
+
+rl-prior-reset hard reset to the base prior
+rl-mmpr       moment-matched mixture over the hypothesis bank (mmpr_prior)
 """
 
 from __future__ import annotations
@@ -21,71 +23,44 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ConfigError, GaussBelief, LinearDynamics, is_finite_number, symmetrize_psd
-from .posterior import kf_predict
+from .core import ConfigError, GaussBelief, is_finite_number, symmetrize_psd
 
 if TYPE_CHECKING:  # pragma: no cover
     from .weighting import HypothesisBank
 
-PRIOR_KINDS = (
-    "static",
-    "ou",
-    "aci",
-    "shrink-perturb",
-    "lssm",
-    "cpp-ou",
-    "rl-prior-reset",
-    "rl-mmpr",
-    "rl-oupr",
-)
+PRIOR_KINDS = ("static", "ou", "aci", "cpp-ou", "rl-prior-reset", "rl-mmpr", "rl-oupr")
 
-_REQUIRED = {
-    "ou": ("gamma",),
-    "aci": ("alpha",),
-    "shrink-perturb": ("shrink",),
-    "lssm": ("dyn",),
-    "rl-oupr": ("epsilon",),
+# The one number each kind reads; every other kind rejects it.
+_REQUIRED = {"ou": "gamma", "aci": "alpha", "rl-oupr": "epsilon"}
+_RANGES = {
+    "gamma": (0.0, 1.0, "in [0, 1]"),
+    "alpha": (0.0, np.inf, "nonnegative"),
+    "epsilon": (0.0, 1.0, "in [0, 1]"),
 }
 
 
 @dataclass(frozen=True)
 class PriorPolicy:
-    """Conditional-prior kind plus the parameters that kind requires."""
+    """Conditional-prior kind plus the one number that kind reads, if any."""
 
     kind: str
     base_prior: GaussBelief
     gamma: float | None = None
     alpha: float | None = None
-    shrink: float | None = None
-    perturb_var: float | None = None
-    dyn: LinearDynamics | None = None
     epsilon: float | None = None
 
     def __post_init__(self):
         if self.kind not in PRIOR_KINDS:
             raise ConfigError(f"unknown prior kind {self.kind!r}")
-        for name in _REQUIRED.get(self.kind, ()):
-            if getattr(self, name) is None:
-                raise ConfigError(f"prior kind {self.kind!r} requires {name}")
-        for name in ("gamma", "alpha", "shrink", "perturb_var", "epsilon"):
+        for name, (lo, hi, text) in _RANGES.items():
             value = getattr(self, name)
-            if value is not None and not is_finite_number(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.alpha is not None and self.alpha < 0.0:
-            raise ConfigError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.shrink is not None and not 0.0 < self.shrink < 1.0:
-            raise ConfigError(f"shrink must be in (0, 1), got {self.shrink}")
-        if self.epsilon is not None and not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError(f"epsilon must be in [0, 1], got {self.epsilon}")
-
-    def perturb_variance(self) -> float:
-        """Perturbation variance for shrink-perturb; defaults to the mean
-        diagonal of the base covariance when not set explicitly."""
-        if self.perturb_var is not None:
-            return self.perturb_var
-        return float(np.diag(self.base_prior.cov).mean())
+            if name == _REQUIRED.get(self.kind):
+                if value is None:
+                    raise ConfigError(f"prior kind {self.kind!r} requires {name}")
+                if not (is_finite_number(value) and lo <= value <= hi):
+                    raise ConfigError(f"{name} must be a finite number {text}, got {value!r}")
+            elif value is not None:
+                raise ConfigError(f"prior kind {self.kind!r} does not take {name}")
 
 
 def _ou_blend(prev: GaussBelief, base: GaussBelief, rate: float) -> GaussBelief:
@@ -106,9 +81,9 @@ def conditional_prior(
 ) -> GaussBelief:
     """Build the prior for the next update from last step's belief.
 
-    ``aux`` carries the auxiliary value the kind needs: the changepoint
-    probability for cpp-ou, the runlength for the rl-* kinds.  ``weight`` is
-    the continuation probability nu for rl-oupr.
+    ``aux`` is the changepoint probability for cpp-ou and ``weight`` the
+    continuation probability nu for rl-oupr.  The rl-prior-reset and rl-mmpr
+    priors are built by ``weighting.rl_step``.
     """
     base = policy.base_prior
     kind = policy.kind
@@ -122,22 +97,13 @@ def conditional_prior(
         return _ou_blend(prev, base, float(aux))
     if kind == "aci":
         return GaussBelief(prev.mean, prev.cov + policy.alpha * np.eye(prev.dim))
-    if kind == "shrink-perturb":
-        cov = prev.cov + policy.perturb_variance() * np.eye(prev.dim)
-        return GaussBelief(policy.shrink * prev.mean, cov)
-    if kind == "lssm":
-        return kf_predict(prev, policy.dyn)
-    if kind in ("rl-prior-reset", "rl-mmpr"):
-        if aux is None or aux < 0:
-            raise ConfigError(f"{kind} needs a nonnegative runlength, got {aux}")
-        return base if aux == 0 else prev
     if kind == "rl-oupr":
         if weight is None or not 0.0 <= weight <= 1.0:
             raise ConfigError(f"rl-oupr needs a continuation weight in [0, 1], got {weight}")
         if weight > policy.epsilon:
             return _ou_blend(prev, base, weight)
         return base
-    raise ConfigError(f"unknown prior kind {kind!r}")
+    raise ConfigError(f"prior kind {kind!r} is built by rl_step, not conditional_prior")
 
 
 def mmpr_prior(bank: "HypothesisBank", hazard: float) -> GaussBelief:

@@ -22,22 +22,6 @@ from .priors import PriorPolicy, mmpr_prior
 
 
 @dataclass(frozen=True)
-class Hypothesis:
-    """One auxiliary-variable value with its log-joint mass and belief."""
-
-    runlength: int
-    log_joint: float
-    belief: GaussBelief
-    anchor: SegmentAnchor | None = None
-
-    def __post_init__(self):
-        if self.runlength < 0:
-            raise ValueError(f"runlength must be nonnegative, got {self.runlength}")
-        if np.isnan(self.log_joint):
-            raise ValueError("log_joint is NaN")
-
-
-@dataclass(frozen=True)
 class HazardSpec:
     """Constant hazard rate pi."""
 
@@ -114,42 +98,9 @@ class HypothesisBank:
             timestep=0,
         )
 
-    @classmethod
-    def from_hypotheses(
-        cls,
-        hyps,
-        capacity: int | None = None,
-        timestep: int = 0,
-    ) -> "HypothesisBank":
-        hyps = list(hyps)
-        anchors = None
-        if any(h.anchor is not None for h in hyps):
-            anchors = np.array([h.anchor.anchor_x for h in hyps])
-        return cls(
-            runlengths=np.array([h.runlength for h in hyps]),
-            log_joints=np.array([h.log_joint for h in hyps]),
-            means=np.stack([h.belief.mean for h in hyps]),
-            covs=np.stack([h.belief.cov for h in hyps]),
-            anchors=anchors,
-            capacity=capacity,
-            timestep=timestep,
-        )
-
     @property
     def size(self) -> int:
         return self.runlengths.size
-
-    @property
-    def hypotheses(self) -> tuple[Hypothesis, ...]:
-        return tuple(
-            Hypothesis(
-                runlength=int(self.runlengths[i]),
-                log_joint=float(self.log_joints[i]),
-                belief=GaussBelief(self.means[i], self.covs[i]),
-                anchor=None if self.anchors is None else SegmentAnchor(float(self.anchors[i])),
-            )
-            for i in range(self.size)
-        )
 
     @property
     def log_weights(self) -> np.ndarray:

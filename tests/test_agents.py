@@ -35,7 +35,7 @@ def method(name, spec=LINEAR, base=BASE2, **kw):
         "RL-OUPR": "rl-oupr",
     }
     policy_kw = {}
-    for key in ("gamma", "alpha", "shrink", "epsilon"):
+    for key in ("gamma", "alpha", "epsilon"):
         if key in kw:
             policy_kw[key] = kw.pop(key)
     policy = PriorPolicy(kinds[name], base, **policy_kw)

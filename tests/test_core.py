@@ -7,7 +7,6 @@ import bone.core
 from bone.core import (
     PSD_TOL,
     GaussBelief,
-    LinearDynamics,
     NumericDomainError,
     gaussian_log_pdf,
     gaussian_log_pdf_batch,
@@ -287,11 +286,3 @@ class TestTypes:
             GaussBelief([np.nan], [[1.0]])
         b = GaussBelief([0.0, 0.0], np.eye(2))
         assert b.dim == 2
-
-    def test_dynamics_validation(self):
-        with pytest.raises(ValueError):
-            LinearDynamics(np.eye(2), np.zeros(3), np.eye(2))
-        with pytest.raises(ValueError):
-            LinearDynamics(np.eye(2), np.zeros(2), -np.eye(2))
-        dyn = LinearDynamics(np.eye(2), np.zeros(2), np.eye(2))
-        assert dyn.dim == 2

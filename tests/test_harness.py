@@ -80,6 +80,25 @@ BAD_METHOD_TYPES = [
     ("hidden", mlp_config(hidden=[2.5])),
     ("out_dim", mlp_config(out_dim=1.5)),
 ]
+# (key the ConfigError names, config) for keys that no method, or not the
+# chosen one, reads, and for model shapes that cannot fit the data
+BAD_METHOD_KEYS = [
+    ("unknown key 'method.prior.shrink'", method_config("C-Static", "static", {"shrink": 0.5})),
+    ("unknown key 'method.prior.perturb_var'", method_config("C-Static", "static", {"perturb_var": 0.1})),
+    ("unknown key 'method.prior.dyn'", method_config("C-Static", "static", {"dyn": {"F": [[1.0]]}})),
+    ("unknown key 'method.model.activation'", mlp_config(activation="relu")),
+    ("unknown prior kind 'shrink-perturb'", method_config("C-Static", "shrink-perturb")),
+    ("unknown prior kind 'lssm'", method_config("C-Static", "lssm")),
+    # keys that the chosen method or prior kind does not read
+    ("does not take gamma", method_config("C-Static", "static", {"gamma": 0.5})),
+    ("does not take alpha", method_config("RL-OUPR", "rl-oupr", {"epsilon": 0.5, "alpha": 0.1}, hazard=0.1)),
+    ("does not take a hazard", method_config("C-ACI", "aci", {"alpha": 0.1}, hazard=0.1)),
+    ("does not take K", method_config("CPP-OU", "cpp-ou", K=3)),
+    ("does not take a cpp section", method_config("RL-OUPR", "rl-oupr", {"epsilon": 0.5}, hazard=0.1, cpp={"steps": 5})),
+    # model shapes that cannot fit the data
+    ("has out_dim 1", model_config(family="linear-gaussian", obs_noise=1.0, feature_map="poly2", out_dim=2)),
+    ("has out_dim 1", model_config(family="segment-poly-gaussian", obs_noise=1.0, out_dim=2)),
+]
 # (key the ConfigError names, config)
 BAD_NUMBERS = [
     ("cpp.steps", method_config("CPP-OU", "cpp-ou", cpp={"steps": 0})),
@@ -102,6 +121,7 @@ BAD_NUMBERS = [
     ("base_cov_scale", method_config("C-Static", "static", {"base_cov_scale": "x"})),
     ("base_cov", method_config("C-Static", "static", {"base_cov": np.diag([1, INF, 1]).tolist()})),
     *BAD_METHOD_TYPES,
+    *BAD_METHOD_KEYS,
 ]
 
 
@@ -134,6 +154,10 @@ BAD_TOP_TYPES = [
     ("sweep", static_config(sweep={"method.prior.base_cov_scale": 0.5})),
     ("sweep", static_config(sweep={"method.prior.base_cov_scale": []})),
     ("base_cov_scale", static_config(sweep={"method.prior.base_cov_scale": [1.0, "x"]})),
+]
+# (key the ConfigError names, config) for sweeps whose grid points do not parse
+BAD_GRID_POINTS = [
+    ("does not take gamma", static_config(sweep={"method.prior.gamma": [0.1, 0.9]})),
 ]
 # (key the ConfigError names, config)
 BAD_STREAM_NUMBERS = [
@@ -481,7 +505,7 @@ class TestExportAndCli:
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("key,raw", BAD_METHOD_TYPES + BAD_TOP_TYPES)
+    @pytest.mark.parametrize("key,raw", BAD_METHOD_TYPES + BAD_TOP_TYPES + BAD_METHOD_KEYS + BAD_GRID_POINTS)
     def test_cli_exits_2_on_bad_types(self, tmp_path, monkeypatch, capsys, key, raw):
         # no --out, so a bad output_path is the one the run would write to
         monkeypatch.chdir(tmp_path)
@@ -492,17 +516,23 @@ class TestExportAndCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize(
-        "raw",
-        [static_config(horizon=5), bandit_config()],
-        ids=["prequential", "bandit"],
+        "key,raw,base_mean",
+        [
+            # poly2 has 3 parameters, the bandit 1
+            ("method.prior.base_mean", static_config(horizon=5), [0, 0]),
+            ("method.prior.base_mean", bandit_config(), [0, 0]),
+            # a 2 -> 2 -> 1 MLP has 9 parameters, but the stream has 1 feature
+            ("method.model.in_dim", mlp_config(in_dim=2), [0] * 9),
+        ],
+        ids=["prequential", "bandit", "mlp-in-dim"],
     )
-    def test_cli_exits_2_on_prior_length_mismatch(self, tmp_path, capsys, raw):
-        raw["method"]["prior"]["base_mean"] = [0, 0]  # poly2 has 3 parameters, the bandit 1
+    def test_cli_exits_2_on_prior_length_mismatch(self, tmp_path, capsys, key, raw, base_mean):
+        raw["method"]["prior"]["base_mean"] = base_mean
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         out = tmp_path / "o.csv"
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "method.prior.base_mean" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     def test_cli_exits_2_on_bad_half_life(self, tmp_path):

@@ -1,37 +1,12 @@
 import numpy as np
 import pytest
 
-from bone.core import GaussBelief, LinearDynamics
+from bone.core import GaussBelief
 from bone.measurement import MeasurementSpec
-from bone.posterior import innovation_arrays, kf_predict, lg_update, lg_update_arrays, wolf_update
+from bone.posterior import innovation_arrays, lg_update, lg_update_arrays, wolf_update
 from oracles import batch_linreg_posterior
 
 LINEAR = MeasurementSpec("linear-gaussian", obs_noise=[[1.0]])
-
-
-class TestKfPredict:
-    def test_identity_dynamics(self):
-        belief = GaussBelief([1.0, -2.0], np.diag([0.5, 2.0]))
-        dyn = LinearDynamics(np.eye(2), np.zeros(2), np.zeros((2, 2)))
-        out = kf_predict(belief, dyn)
-        np.testing.assert_array_equal(out.mean, belief.mean)
-        np.testing.assert_array_equal(out.cov, belief.cov)
-
-    def test_instant_reversion(self):
-        # rate-zero mean reversion: F = 0, b = mu0, Q = Sigma0
-        mu0, Sigma0 = np.array([3.0]), np.array([[2.0]])
-        belief = GaussBelief([-5.0], [[9.0]])
-        dyn = LinearDynamics(np.zeros((1, 1)), mu0, Sigma0)
-        out = kf_predict(belief, dyn)
-        assert out.mean == pytest.approx(mu0)
-        np.testing.assert_allclose(out.cov, Sigma0)
-
-    def test_scalar_affine(self):
-        belief = GaussBelief([1.0], [[1.0]])
-        dyn = LinearDynamics([[2.0]], [0.0], [[3.0]])
-        out = kf_predict(belief, dyn)
-        assert out.mean == pytest.approx([2.0])
-        np.testing.assert_allclose(out.cov, [[7.0]])
 
 
 class TestLgUpdate:

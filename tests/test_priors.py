@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from bone.core import ConfigError, GaussBelief, LinearDynamics
+from bone.core import ConfigError, GaussBelief
+from bone.measurement import MeasurementSpec
+from bone.posterior import lg_update
 from bone.priors import PriorPolicy, conditional_prior, mmpr_prior
-from bone.weighting import HypothesisBank
+from bone.weighting import HazardSpec, HypothesisBank, rl_step
 
 BASE = GaussBelief([0.0, 0.0], 4.0 * np.eye(2))
 PREV = GaussBelief([2.0, -1.0], np.diag([1.0, 0.5]))
@@ -52,28 +54,21 @@ class TestConditionalPrior:
         np.testing.assert_allclose(np.diag(out.cov), np.diag(PREV.cov) + alpha)
         np.testing.assert_array_equal(out.mean, PREV.mean)
 
-    def test_shrink_perturb(self):
-        pol = PriorPolicy("shrink-perturb", BASE, shrink=0.9, perturb_var=0.01)
-        out = conditional_prior(pol, PREV)
-        np.testing.assert_allclose(out.mean, 0.9 * PREV.mean)
-        np.testing.assert_allclose(out.cov, PREV.cov + 0.01 * np.eye(2))
-
-    def test_shrink_perturb_default_noise_from_base(self):
-        pol = PriorPolicy("shrink-perturb", BASE, shrink=0.5)
-        assert pol.perturb_variance() == pytest.approx(4.0)
-
-    def test_lssm_routes_through_predict(self):
-        dyn = LinearDynamics(2.0 * np.eye(2), np.zeros(2), np.eye(2))
-        out = conditional_prior(PriorPolicy("lssm", BASE, dyn=dyn), PREV)
-        np.testing.assert_allclose(out.mean, 2.0 * PREV.mean)
-        np.testing.assert_allclose(out.cov, 4.0 * PREV.cov + np.eye(2))
-
     def test_prior_reset_branches_on_runlength(self):
+        # rl_step builds the rl-prior-reset prior for the whole bank: the grown
+        # hypothesis keeps its belief, the runlength-0 one starts at the base
         pol = PriorPolicy("rl-prior-reset", BASE)
-        reset = conditional_prior(pol, PREV, aux=0)
-        grown = conditional_prior(pol, PREV, aux=3)
-        np.testing.assert_array_equal(reset.mean, BASE.mean)
-        np.testing.assert_array_equal(grown.mean, PREV.mean)
+        with pytest.raises(ConfigError, match="rl_step"):
+            conditional_prior(pol, PREV)
+        spec = MeasurementSpec("linear-gaussian", obs_noise=[[1.0]])
+        bank = HypothesisBank([3], [0.0], PREV.mean[None], PREV.cov[None], timestep=3)
+        x, y = [1.0, 2.0], [0.5]
+        out = rl_step(bank, HazardSpec(0.1), spec, pol, x, y)
+        np.testing.assert_array_equal(out.runlengths, [4, 0])
+        for i, prior in enumerate((PREV, BASE)):
+            post, _ = lg_update(prior, spec, x, y)
+            np.testing.assert_allclose(out.means[i], post.mean, rtol=1e-12)
+            np.testing.assert_allclose(out.covs[i], post.cov, rtol=1e-12)
 
     def test_oupr_threshold_one_always_resets(self):
         # nu never exceeds 1, so epsilon = 1 forces the hard reset branch
@@ -110,7 +105,6 @@ class TestConditionalPrior:
             for pol in (
                 PriorPolicy("ou", BASE, gamma=rng.uniform()),
                 PriorPolicy("aci", BASE, alpha=rng.uniform()),
-                PriorPolicy("shrink-perturb", BASE, shrink=0.5),
             ):
                 out = conditional_prior(pol, prev)
                 assert np.linalg.eigvalsh(out.cov).min() >= -1e-9

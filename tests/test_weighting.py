@@ -504,15 +504,6 @@ class TestCppEmpiricalBayes:
 
 
 class TestBankSurface:
-    def test_hypothesis_views_round_trip(self):
-        bank = run_bank([0.5, -1.0], [0.2, 0.4], 0.1)
-        hyps = bank.hypotheses
-        assert len(hyps) == bank.size
-        assert sorted(h.runlength for h in hyps) == sorted(bank.runlengths.tolist())
-        rebuilt = HypothesisBank.from_hypotheses(hyps, timestep=bank.timestep)
-        np.testing.assert_array_equal(rebuilt.log_joints, bank.log_joints)
-        np.testing.assert_array_equal(rebuilt.means, bank.means)
-
     def test_duplicate_runlengths_rejected(self):
         with pytest.raises(ValueError):
             HypothesisBank(
