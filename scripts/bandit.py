@@ -52,11 +52,12 @@ def main():
         traces = run_experiment(parse_config(raw), parallel=args.parallel)
         export_results(traces, out / f"{label}.csv", config_echo=raw)
         regret = np.array([t.finals["cumulative_regret"] for t in traces])
-        summary[label] = {"mean_regret": float(regret.mean()),
-                          "se": float(regret.std(ddof=1) / np.sqrt(len(regret)))}
-        print(f"{label:10s} cumulative regret {regret.mean():8.1f} "
-              f"+- {summary[label]['se']:.1f}")
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+        # one trial has no standard error: JSON null, not NaN
+        se = float(regret.std(ddof=1) / np.sqrt(regret.size)) if regret.size > 1 else None
+        summary[label] = {"mean_regret": float(regret.mean()), "se": se}
+        print(f"{label:10s} cumulative regret {regret.mean():8.1f}"
+              + ("" if se is None else f" +- {se:.1f}"))
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
 
 
 if __name__ == "__main__":

@@ -53,11 +53,12 @@ def main():
         export_results(traces, out / f"{label.replace('[', '_').rstrip(']')}.csv",
                        config_echo=raw)
         rates = np.array([t.finals["misclassification_rate"] for t in traces])
-        summary[label] = {"mean": float(rates.mean()),
-                          "se": float(rates.std(ddof=1) / np.sqrt(len(rates)))}
-        print(f"{label:10s} misclassification {rates.mean():.4f} "
-              f"+- {summary[label]['se']:.4f}")
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+        # one trial has no standard error: JSON null, not NaN
+        se = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else None
+        summary[label] = {"mean": float(rates.mean()), "se": se}
+        print(f"{label:10s} misclassification {rates.mean():.4f}"
+              + ("" if se is None else f" +- {se:.4f}"))
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
 
 
 if __name__ == "__main__":

@@ -59,6 +59,8 @@ RL_METHODS = ("RL-PR[K]", "RL-PR[inf]", "WoLF+RL-PR", "RL-MMPR")
 # the methods that read a hazard rate, and those that read a capacity K
 _HAZARD_METHODS = RL_METHODS + ("RL-OUPR",)
 _CAPACITY_METHODS = ("RL-PR[K]", "WoLF+RL-PR", "RL-MMPR")
+# the prior kinds whose bandit arms diffuse while unpulled (drift_unpulled)
+DRIFT_KINDS = ("ou", "aci")
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,7 @@ def drift_unobserved(state: AgentState, cfg: MethodConfig) -> AgentState:
     the current observation.
     """
     kind = cfg.policy.kind
-    if kind not in ("ou", "aci") or not cfg.drift_unpulled:
+    if kind not in DRIFT_KINDS or not cfg.drift_unpulled:
         return state
     bank = state.bank
     belief = conditional_prior(cfg.policy, bank.belief(0))

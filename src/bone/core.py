@@ -3,10 +3,11 @@
 All hypothesis masses in this package are carried as natural-log values;
 probabilities are materialized only at API boundaries.  Positive
 semi-definiteness is policed with a single tolerance, ``PSD_TOL``, taken
-relative to the matrix trace.  A stack of covariances is certified by
-batched Cholesky factorizations over bounded slices: a finite factor proves
-every matrix positive definite, and ``eigvalsh`` runs only when a
-factorization fails.
+relative to the matrix trace.  The PSD check and the Gaussian log-density
+each have one implementation, on a stack of matrices; ``symmetrize_psd`` and
+``gaussian_log_pdf`` run it on a stack of one.  Both factor the stack with
+batched numpy Cholesky: a finite factor proves a matrix positive definite,
+and ``eigvalsh`` runs only when a factorization fails.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-# Global PSD tolerance, relative to max(1, |trace|).  Override per call via
-# the ``tol`` keyword accepted by the numeric routines below.
+# The one PSD tolerance, relative to max(1, |trace|): a smallest eigenvalue
+# within it is repaired by a diagonal shift, one beyond it is an error.
 PSD_TOL = 1e-9
 
 # Byte budget of one slice of a covariance stack: symmetrize_psd_batch
@@ -48,11 +48,6 @@ def is_finite_number(v) -> bool:
         return math.isfinite(v)
     except OverflowError:  # an int beyond the float range
         return False
-
-
-def _tol_abs(trace: float, tol: float | None) -> float:
-    t = PSD_TOL if tol is None else tol
-    return t * max(1.0, abs(float(trace)))
 
 
 @dataclass(frozen=True)
@@ -96,31 +91,21 @@ def logsumexp(values) -> float:
     return float(m + np.log(np.exp(v - m).sum()))
 
 
-def symmetrize_psd(cov: np.ndarray, tol: float | None = None) -> np.ndarray:
+def symmetrize_psd(cov: np.ndarray) -> np.ndarray:
     """Return the symmetric part (A + A^T)/2, repaired onto the PSD cone.
 
-    Eigenvalues in (-tol, 0) are clamped to zero by a minimal diagonal
-    shift; an eigenvalue below -tol (relative to trace) raises
-    NumericDomainError.
+    symmetrize_psd_batch on a stack of one: an eigenvalue in (-tol, 0), with
+    tol = PSD_TOL * max(1, |trace|), is clamped to zero by a minimal diagonal
+    shift; an eigenvalue below -tol raises NumericDomainError.
     """
     a = np.asarray(cov, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    s = (a + a.T) / 2.0
-    wmin = float(np.linalg.eigvalsh(s).min())
-    if wmin >= 0.0:
-        return s
-    if wmin < -_tol_abs(np.trace(s), tol):
-        raise NumericDomainError(
-            f"matrix is not PSD within tolerance (min eigenvalue {wmin:.3e}):\n{s}"
-        )
-    return s + (-wmin) * np.eye(s.shape[0])
+    return symmetrize_psd_batch(a[None])[0]
 
 
-def symmetrize_psd_batch(
-    covs: np.ndarray, tol: float | None = None, overwrite: bool = False
-) -> np.ndarray:
-    """Vectorized symmetrize_psd over a (k, d, d) stack.
+def symmetrize_psd_batch(covs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """The symmetric parts of a (k, d, d) stack, repaired onto the PSD cone.
 
     A stack of at most ``SLICE_BYTES`` is symmetrized into a new array.  A
     larger one is symmetrized in place one slice of at most ``SLICE_BYTES``
@@ -133,9 +118,10 @@ def symmetrize_psd_batch(
     finite factor, every matrix is positive definite and the symmetrized
     stack is returned as is.  A stack of 1x1 matrices is certified by
     positive finite entries.  Only when a certificate fails does ``eigvalsh``
-    find the smallest eigenvalues of the whole stack, which are repaired or
-    rejected exactly as in symmetrize_psd; a repair returns a new stack.  A
-    matrix with a non-finite entry raises NumericDomainError.
+    find the smallest eigenvalues of the whole stack: a negative one within
+    PSD_TOL * max(1, |trace|) is repaired by a diagonal shift that lifts it
+    to zero, in a new stack, and one beyond raises NumericDomainError naming
+    the matrix.  A matrix with a non-finite entry raises NumericDomainError.
     """
     k, d = covs.shape[:2]
     step = max(1, SLICE_BYTES // (covs.itemsize * d * d))
@@ -170,7 +156,7 @@ def symmetrize_psd_batch(
     # the smallest eigenvalue of a 1x1 matrix is its entry
     wmin = s[:, 0, 0] if d == 1 else np.linalg.eigvalsh(s).min(axis=1)
     traces = np.einsum("kii->k", s)
-    bad = wmin < -np.maximum(1.0, np.abs(traces)) * (PSD_TOL if tol is None else tol)
+    bad = wmin < -np.maximum(1.0, np.abs(traces)) * PSD_TOL
     if bad.any():
         k = int(np.flatnonzero(bad)[0])
         raise NumericDomainError(
@@ -181,13 +167,8 @@ def symmetrize_psd_batch(
     return s + shift[:, None, None] * np.eye(d)
 
 
-def gaussian_log_pdf(y, mean, cov, tol: float | None = None) -> float:
-    """log N(y | mean, cov) via a stable symmetric factorization.
-
-    cov must be PSD within tolerance; matrices beyond tolerance raise
-    NumericDomainError.  Singular-but-PSD covariances are evaluated on a
-    minimally jittered matrix, so the result stays deterministic.
-    """
+def gaussian_log_pdf(y, mean, cov) -> float:
+    """log N(y | mean, cov): gaussian_log_pdf_batch on a stack of one."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     c = np.atleast_2d(np.asarray(cov, dtype=float))
@@ -196,36 +177,37 @@ def gaussian_log_pdf(y, mean, cov, tol: float | None = None) -> float:
         raise ValueError(
             f"dimension mismatch: y{y.shape} mean{mean.shape} cov{c.shape}"
         )
-    e = y - mean
-    if d == 1:
-        v = float(c[0, 0])
-        ta = _tol_abs(v, tol)
-        if v < -ta:
-            raise NumericDomainError(f"negative variance {v:.3e}")
-        v = max(v, ta)
-        return float(-0.5 * (np.log(2.0 * np.pi * v) + e[0] * e[0] / v))
-    s = (c + c.T) / 2.0
+    return float(gaussian_log_pdf_batch(y, mean[None], c[None])[0])
+
+
+def _repaired_cholesky(s: np.ndarray, k: int) -> np.ndarray:
+    """Cholesky factor of item k of a batch, on a minimally jittered matrix
+    when s itself does not factor."""
     try:
-        cf = scipy.linalg.cho_factor(s, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        wmin = float(np.linalg.eigvalsh(s).min())
-        ta = _tol_abs(np.trace(s), tol)
-        if wmin < -ta:
-            raise NumericDomainError(
-                f"covariance is not PSD within tolerance "
-                f"(min eigenvalue {wmin:.3e}):\n{s}"
-            ) from None
-        s = s + (max(0.0, -wmin) + ta) * np.eye(d)
-        cf = scipy.linalg.cho_factor(s, lower=True, check_finite=False)
-    quad = float(e @ scipy.linalg.cho_solve(cf, e, check_finite=False))
-    logdet = 2.0 * float(np.log(np.diag(cf[0])).sum())
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + quad)
+        return np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        pass
+    wmin = float(np.linalg.eigvalsh(s).min())
+    tol = PSD_TOL * max(1.0, abs(float(np.trace(s))))
+    if wmin < -tol:
+        raise NumericDomainError(
+            f"covariance {k} of batch is not PSD within tolerance "
+            f"(min eigenvalue {wmin:.3e}):\n{s}"
+        )
+    return np.linalg.cholesky(s + (max(0.0, -wmin) + tol) * np.eye(s.shape[0]))
 
 
 def gaussian_log_pdf_batch(y: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """log N(y | means_k, covs_k) over a batch k; y is (d,), means (k, d), covs (k, d, d).
 
-    Fast path for d == 1; the general path uses batched Cholesky factors.
+    Every covariance must be PSD within tol = PSD_TOL * max(1, |trace|); one
+    beyond raises NumericDomainError naming its item.  A variance (d == 1)
+    below tol is evaluated as tol.  For d > 1 one batched Cholesky
+    factorization scores the stack; when it fails, each item that does not
+    factor alone is evaluated on its matrix shifted by max(0, -min
+    eigenvalue) + tol, so a singular-but-PSD covariance gives a
+    deterministic result and the other items keep the value they have when
+    scored alone.
     """
     e = y[None, :] - means
     d = y.size
@@ -241,8 +223,7 @@ def gaussian_log_pdf_batch(y: np.ndarray, means: np.ndarray, covs: np.ndarray) -
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
-        # fall back item by item; the scalar path repairs or raises
-        return np.array([gaussian_log_pdf(y, means[k], covs[k]) for k in range(covs.shape[0])])
+        chol = np.stack([_repaired_cholesky(s[k], k) for k in range(s.shape[0])])
     z = np.linalg.solve(chol, e[:, :, None])[:, :, 0]
     quad = (z**2).sum(axis=1)
     logdet = 2.0 * np.log(np.einsum("kii->ki", chol)).sum(axis=1)

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .agents import (
+    DRIFT_KINDS,
     MethodConfig,
     bone_step,
     drift_unobserved,
@@ -65,6 +66,9 @@ class TrialError(RuntimeError):
         self.trial = trial
         self.step = step
         self.cause = cause
+
+    def __reduce__(self):  # a worker process sends it back pickled
+        return TrialError, (self.trial, self.step, self.cause)
 
 
 # A rule is (test, what the test asks for).
@@ -274,10 +278,21 @@ def parse_config(raw: dict) -> ExperimentConfig:
     top = given[""]
     if "horizon" not in top and params:
         top["horizon"] = params["T"].default
-    if top["experiment"] == "csv-stream" and not top.get("data_path"):
+    experiment = top["experiment"]
+    if experiment == "csv-stream" and not top.get("data_path"):
         raise ConfigError("csv-stream requires data_path")
+    if experiment == "bandit" and "runlength_output_path" in top:
+        raise ConfigError("runlength_output_path: a bandit trial writes no runlength posterior")
+    method = _method(given)
+    if "drift_unpulled" in given.get("method", {}) and (
+        experiment != "bandit" or method.policy.kind not in DRIFT_KINDS
+    ):
+        raise ConfigError(
+            f"method.drift_unpulled: {method.name} on {experiment} does not read it; "
+            f"only bandit arms of prior kind {' or '.join(DRIFT_KINDS)} drift"
+        )
     return ExperimentConfig(
-        **top, method=_method(given), generator_params=given.get("generator", {}), raw=raw
+        **top, method=method, generator_params=given.get("generator", {}), raw=raw
     )
 
 
@@ -322,20 +337,19 @@ def rolling_mean(values: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def compute_metrics(trace: MetricTrace, kind: str | None = None) -> dict:
+def compute_metrics(trace: MetricTrace) -> dict:
     """Final scalars for a trace: RMSE, MAE, misclassification, regret,
     changepoint count, as applicable to the trace kind."""
-    kind = kind or trace.kind
     finals: dict = {}
     if trace.losses.size == 0:
         return finals
-    if kind == "regression":
+    if trace.kind == "regression":
         e = trace.errors if trace.errors is not None else np.sqrt(trace.losses)
         finals["rmse"] = float(np.sqrt(np.mean(e**2)))
         finals["mae"] = float(np.mean(np.abs(e)))
-    elif kind == "classification":
+    elif trace.kind == "classification":
         finals["misclassification_rate"] = float(np.mean(trace.losses))
-    elif kind == "bandit":
+    elif trace.kind == "bandit":
         reg = trace.regret if trace.regret is not None else trace.losses
         finals["cumulative_regret"] = float(np.sum(reg))
     if trace.mode_runlengths is not None and trace.mode_runlengths.size:
@@ -468,7 +482,9 @@ def _classify_loss(yhat, y) -> float:
     return float(int(np.argmax(p)) != int(np.atleast_1d(y).argmax() if np.size(y) > 1 else y))
 
 
-def _run_prequential_trial(cfg: ExperimentConfig, trial: int):
+def _run_prequential_trial(cfg: ExperimentConfig, trial: int) -> MetricTrace:
+    """One prequential trial; trial 0 also writes the runlength CSV when
+    ``runlength_output_path`` is set, whichever process runs it."""
     kind = EXPERIMENT_KIND[cfg.experiment]
     records = _make_stream(cfg, trial)
     method = cfg.method
@@ -481,7 +497,7 @@ def _run_prequential_trial(cfg: ExperimentConfig, trial: int):
     errors = np.zeros(n) if kind == "regression" else None
     preds = np.zeros(n)
     modes = np.zeros(n, dtype=int)
-    banks = [] if cfg.runlength_output_path else None
+    banks = [] if cfg.runlength_output_path and trial == 0 else None
     for t, rec in enumerate(records):
         try:
             yhat, _ = predict_weighted(state, method, rec.x)
@@ -513,7 +529,9 @@ def _run_prequential_trial(cfg: ExperimentConfig, trial: int):
         predictions=preds,
     )
     trace.finals = compute_metrics(trace)
-    return trace, banks
+    if banks is not None:
+        _write_runlength_csv(banks, cfg.runlength_output_path)
+    return trace
 
 
 def _run_bandit_trial(cfg: ExperimentConfig, trial: int) -> MetricTrace:
@@ -551,63 +569,27 @@ def _run_bandit_trial(cfg: ExperimentConfig, trial: int) -> MetricTrace:
     return trace
 
 
-def _worker(raw_json: str, trial: int):
-    cfg = parse_config(json.loads(raw_json))
-    if cfg.experiment == "bandit":
-        return _run_bandit_trial(cfg, trial)
-    return _run_prequential_trial(cfg, trial)[0]
+def _run_trial(cfg: ExperimentConfig, trial: int) -> MetricTrace:
+    run = _run_bandit_trial if cfg.experiment == "bandit" else _run_prequential_trial
+    return run(cfg, trial)
 
 
-def run_prequential(cfg: ExperimentConfig, parallel: int = 1) -> list[MetricTrace]:
-    """Run every trial of a prequential experiment; output ordered by trial."""
-    if cfg.experiment == "bandit":
-        raise ConfigError("use run_bandit for the bandit experiment")
-    traces = []
-    if parallel > 1 and cfg.trials > 1:
-        # trial 0 runs here when the runlength matrix is requested, so the
-        # export works identically regardless of the worker pool
-        first = 0
-        if cfg.runlength_output_path:
-            trace, banks = _run_prequential_trial(cfg, 0)
-            traces.append(trace)
-            _write_runlength_csv(banks, cfg.runlength_output_path)
-            first = 1
-        raw_json = json.dumps(cfg.raw)
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            traces += list(
-                pool.map(_worker, itertools.repeat(raw_json), range(first, cfg.trials))
-            )
-    else:
-        for trial in range(cfg.trials):
-            trace, banks = _run_prequential_trial(cfg, trial)
-            traces.append(trace)
-            if banks is not None and trial == 0:
-                _write_runlength_csv(banks, cfg.runlength_output_path)
-            log.info("trial %d/%d done: %s", trial + 1, cfg.trials, trace.finals)
-    return traces
+def _worker(raw_json: str, trial: int) -> MetricTrace:
+    return _run_trial(parse_config(json.loads(raw_json)), trial)
 
 
-def run_bandit(cfg: ExperimentConfig, parallel: int = 1) -> list[MetricTrace]:
-    """Thompson-sampling simulation per trial; rewards realized for the
-    pulled arm only, regret measured against the true arm probabilities."""
-    if cfg.experiment != "bandit":
-        raise ConfigError("run_bandit requires the bandit experiment")
+def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> list[MetricTrace]:
+    """Run every trial, in ``parallel`` worker processes when that is above 1;
+    the traces are ordered by trial and do not depend on ``parallel``."""
     if parallel > 1 and cfg.trials > 1:
         raw_json = json.dumps(cfg.raw)
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             return list(pool.map(_worker, itertools.repeat(raw_json), range(cfg.trials)))
     traces = []
     for trial in range(cfg.trials):
-        trace = _run_bandit_trial(cfg, trial)
-        traces.append(trace)
-        log.info("simulation %d/%d done: %s", trial + 1, cfg.trials, trace.finals)
+        traces.append(_run_trial(cfg, trial))
+        log.info("trial %d/%d done: %s", trial + 1, cfg.trials, traces[-1].finals)
     return traces
-
-
-def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> list[MetricTrace]:
-    if cfg.experiment == "bandit":
-        return run_bandit(cfg, parallel)
-    return run_prequential(cfg, parallel)
 
 
 def _fmt(v) -> str:

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,7 +55,7 @@ class TestGaussianLogPdf:
         with pytest.raises(ValueError):
             gaussian_log_pdf([0.0, 1.0], [0.0], [[1.0]])
 
-    def test_batch_matches_scalar(self):
+    def test_batch_matches_scipy(self):
         rng = np.random.default_rng(3)
         for d in (1, 3):
             y = rng.normal(size=d)
@@ -60,8 +65,41 @@ class TestGaussianLogPdf:
                 a = rng.normal(size=(d, d))
                 covs[k] = a @ a.T + 0.5 * np.eye(d)
             got = gaussian_log_pdf_batch(y, means, covs)
-            want = [gaussian_log_pdf(y, means[k], covs[k]) for k in range(5)]
-            np.testing.assert_allclose(got, want, atol=1e-12)
+            want = [scipy.stats.multivariate_normal.logpdf(y, means[k], covs[k]) for k in range(5)]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_singular_item_gets_minimal_jitter_alone(self):
+        rng = np.random.default_rng(4)
+        v = np.array([1.0, 2.0, 3.0])
+        singular = np.outer(v, v)  # PSD with rank one: Cholesky fails
+        covs = np.stack([_rotated(rng, [0.5, 1.0, 2.0]), singular, _rotated(rng, [1.0, 3.0, 4.0])])
+        y = np.array([0.3, -0.2, 1.0])
+        means = np.stack([np.zeros(3), y - 0.1 * v, np.ones(3)])  # y - mean lies in range(v)
+        got = gaussian_log_pdf_batch(y, means, covs)
+        for k in (0, 2):  # the items that factor keep their value when scored alone
+            assert got[k] == gaussian_log_pdf(y, means[k], covs[k])
+        jitter = max(0.0, -np.linalg.eigvalsh(singular).min()) + PSD_TOL * np.trace(singular)
+        s = singular + jitter * np.eye(3)
+        e = y - means[1]
+        want = -0.5 * (3 * np.log(2 * np.pi) + np.linalg.slogdet(s)[1] + e @ np.linalg.solve(s, e))
+        # s has condition number ~1e9, so agree to 1e-6; a jitter off by a
+        # factor of 2 would move the log-density by about log 2
+        assert got[1] == pytest.approx(want, rel=0, abs=1e-6)
+
+    def test_item_beyond_tolerance_raises_naming_it(self):
+        covs = np.stack([np.eye(2), np.outer([1.0, 1.0], [1.0, 1.0]), np.diag([1.0, -1e-3])])
+        with pytest.raises(NumericDomainError, match="covariance 2 of batch is not PSD"):
+            gaussian_log_pdf_batch(np.zeros(2), np.zeros((3, 2)), covs)
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, bone; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(src)!r}); {code}"],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestLogSumExp:

@@ -21,7 +21,6 @@ from bone.harness import (
     parse_config,
     rolling_mean,
     run_experiment,
-    run_prequential,
     run_sweep,
 )
 
@@ -67,6 +66,23 @@ def mlp_config(**over):
     return raw
 
 
+def bandit_config(**method_extra):
+    """A short C-ACI bandit config; extra keys go into its method stanza."""
+    return {
+        "experiment": "bandit",
+        "horizon": 5,
+        "trials": 1,
+        "seed": 0,
+        "generator": {"arms": 3},
+        "method": {
+            "name": "C-ACI",
+            "model": {"family": "bernoulli-logit"},
+            "prior": {"kind": "aci", "base_mean": [0], "base_cov_scale": 1.0, "alpha": 0.01},
+            **method_extra,
+        },
+    }
+
+
 NAN = float("nan")
 INF = float("inf")
 # (key the ConfigError names, config) for method values of the wrong JSON type
@@ -98,6 +114,12 @@ BAD_METHOD_KEYS = [
     # model shapes that cannot fit the data
     ("has out_dim 1", model_config(family="linear-gaussian", obs_noise=1.0, feature_map="poly2", out_dim=2)),
     ("has out_dim 1", model_config(family="segment-poly-gaussian", obs_noise=1.0, out_dim=2)),
+    # keys that the chosen experiment or prior kind does not read
+    ("method.drift_unpulled", method_config("C-Static", "static", drift_unpulled=False)),
+    ("method.drift_unpulled", method_config("C-ACI", "aci", {"alpha": 0.1}, drift_unpulled=True)),
+    ("method.drift_unpulled", bandit_config(
+        name="CPP-OU", prior={"kind": "cpp-ou", "base_mean": [0]}, drift_unpulled=False)),
+    ("runlength_output_path", dict(bandit_config(), runlength_output_path="rl.csv")),
 ]
 # (key the ConfigError names, config)
 BAD_NUMBERS = [
@@ -125,23 +147,6 @@ BAD_NUMBERS = [
 ]
 
 
-def bandit_config(**method_extra):
-    """A short C-ACI bandit config; extra keys go into its method stanza."""
-    return {
-        "experiment": "bandit",
-        "horizon": 5,
-        "trials": 1,
-        "seed": 0,
-        "generator": {"arms": 3},
-        "method": {
-            "name": "C-ACI",
-            "model": {"family": "bernoulli-logit"},
-            "prior": {"kind": "aci", "base_mean": [0], "base_cov_scale": 1.0, "alpha": 0.01},
-            **method_extra,
-        },
-    }
-
-
 def generator_config(experiment, **gen):
     return static_config(experiment=experiment, generator=gen)
 
@@ -158,6 +163,7 @@ BAD_TOP_TYPES = [
 # (key the ConfigError names, config) for sweeps whose grid points do not parse
 BAD_GRID_POINTS = [
     ("does not take gamma", static_config(sweep={"method.prior.gamma": [0.1, 0.9]})),
+    ("method.drift_unpulled", static_config(sweep={"method.drift_unpulled": [True, False]})),
 ]
 # (key the ConfigError names, config)
 BAD_STREAM_NUMBERS = [
@@ -282,7 +288,7 @@ class TestConfig:
 
 class TestRunPrequential:
     def test_zero_horizon_empty_trace(self):
-        traces = run_prequential(parse_config(static_config(horizon=0)))
+        traces = run_experiment(parse_config(static_config(horizon=0)))
         assert traces[0].losses.size == 0
         assert traces[0].finals == {}
 
@@ -308,12 +314,12 @@ class TestRunPrequential:
                 "prior": {"kind": "static", "base_mean": [0, 0], "base_cov_scale": 1.0},
             },
         }
-        trace = run_prequential(parse_config(raw))[0]
+        trace = run_experiment(parse_config(raw))[0]
         tail_rmse = float(np.sqrt(np.mean(trace.losses[-50:])))
         assert tail_rmse < 1e-3
 
     def test_trace_length_equals_horizon(self):
-        traces = run_prequential(parse_config(static_config(horizon=37)))
+        traces = run_experiment(parse_config(static_config(horizon=37)))
         assert traces[0].losses.size == 37
         assert traces[0].rolling.size == 37
 
@@ -347,16 +353,16 @@ class TestRunPrequential:
                 "hazard": 0.05,
             },
         }
-        p1 = run_prequential(parse_config(raw))[0].predictions
+        p1 = run_experiment(parse_config(raw))[0].predictions
         raw["data_path"] = str(b)
-        p2 = run_prequential(parse_config(raw))[0].predictions
+        p2 = run_experiment(parse_config(raw))[0].predictions
         np.testing.assert_array_equal(p1[:31], p2[:31])  # prediction at 30 uses y[:30]
         assert not np.array_equal(p1[31:], p2[31:])
 
     def test_parallel_matches_serial(self):
         cfg = parse_config(static_config(trials=3, horizon=40))
-        serial = run_prequential(cfg, parallel=1)
-        par = run_prequential(cfg, parallel=2)
+        serial = run_experiment(cfg, parallel=1)
+        par = run_experiment(cfg, parallel=2)
         for a, b in zip(serial, par):
             np.testing.assert_array_equal(a.losses, b.losses)
 
@@ -469,6 +475,9 @@ class TestExportAndCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 3
+        # the same failure in a worker process
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv"), "--trials", "2"]
+        assert cli_main(argv + ["--parallel", "2"]) == 3
 
     @pytest.mark.parametrize("seed", [-1, "abc", 1.5])
     def test_cli_exits_2_on_bad_seed(self, tmp_path, seed):
@@ -663,10 +672,21 @@ class TestRunlengthExport:
         raw["method"]["name"] = "RL-PR[inf]"
         raw["method"]["prior"]["kind"] = "rl-prior-reset"
         raw["method"]["hazard"] = 0.05
-        run_prequential(parse_config(raw))
+        run_experiment(parse_config(raw))
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,r,log_posterior"
         assert len(lines) == 1 + sum(t + 2 for t in range(15))
+
+    def test_parallel_writes_the_same_bytes(self, tmp_path):
+        # trial 0 writes the matrix in whichever process runs it
+        raw = method_config("RL-PR[inf]", "rl-prior-reset", hazard=0.05)
+        raw.update(horizon=15, trials=3)
+        digests = []
+        for parallel in (1, 2):
+            out = tmp_path / f"rl{parallel}.csv"
+            run_experiment(parse_config(dict(raw, runlength_output_path=str(out))), parallel)
+            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
 
 
 class TestCsvIngestion:
