@@ -10,13 +10,12 @@ from .core import (
 )
 from .measurement import (
     MeasurementSpec,
-    SegmentAnchor,
     apply_h,
     expfam_moments,
     link_mean,
     predictive_log_density,
 )
-from .posterior import UpdateDiagnostics, lg_update, wolf_update
+from .posterior import lg_update, wolf_update
 from .priors import PriorPolicy, conditional_prior, mmpr_prior
 from .weighting import (
     HazardSpec,
@@ -46,8 +45,6 @@ __all__ = [
     "MethodConfig",
     "NumericDomainError",
     "PriorPolicy",
-    "SegmentAnchor",
-    "UpdateDiagnostics",
     "apply_h",
     "bone_step",
     "conditional_prior",

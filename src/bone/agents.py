@@ -6,24 +6,25 @@ robustness knobs.  Every method's state is a hypothesis bank (a singleton
 for the single-hypothesis methods), so one step is: build the conditional
 prior per hypothesis, update it against (x, y), refresh the weights, and
 optionally emit the weighted one-step-ahead prediction.
+
+Per-hypothesis results are arrays over the bank: a prediction is the
+weighted mean with the (k, d) stack of per-hypothesis predictions (read
+with ``bank.weights``), and a segment anchor is a float for the one
+hypothesis of a single-hypothesis method.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, GaussBelief, is_finite_number, is_integer
-from .measurement import (
-    MeasurementSpec,
-    SegmentAnchor,
-    link_mean,
-    predictive_log_density,
-)
+from .core import ConfigError, is_finite_number, is_integer
+from .measurement import MeasurementSpec, link_mean, predictive_log_density
 from .posterior import lg_update, wolf_update
 from .priors import PriorPolicy, conditional_prior
 from .weighting import (
+    RL_KINDS,
     HazardSpec,
     HypothesisBank,
     cpp_empirical_bayes,
@@ -31,34 +32,18 @@ from .weighting import (
     rl_step,
 )
 
-METHOD_NAMES = (
-    "C-Static",
-    "C-ACI",
-    "C-OU",
-    "CPP-OU",
-    "RL-PR[K]",
-    "RL-PR[inf]",
-    "WoLF+RL-PR",
-    "RL-MMPR",
-    "RL-OUPR",
-)
-
-_METHOD_KIND = {
-    "C-Static": "static",
-    "C-ACI": "aci",
-    "C-OU": "ou",
-    "CPP-OU": "cpp-ou",
-    "RL-PR[K]": "rl-prior-reset",
-    "RL-PR[inf]": "rl-prior-reset",
-    "WoLF+RL-PR": "rl-prior-reset",
-    "RL-MMPR": "rl-mmpr",
-    "RL-OUPR": "rl-oupr",
+# name -> (prior kind, reads a hazard rate, reads a capacity K)
+METHODS = {
+    "C-Static": ("static", False, False),
+    "C-ACI": ("aci", False, False),
+    "C-OU": ("ou", False, False),
+    "CPP-OU": ("cpp-ou", False, False),
+    "RL-PR[K]": ("rl-prior-reset", True, True),
+    "RL-PR[inf]": ("rl-prior-reset", True, False),
+    "WoLF+RL-PR": ("rl-prior-reset", True, True),
+    "RL-MMPR": ("rl-mmpr", True, True),
+    "RL-OUPR": ("rl-oupr", True, False),
 }
-
-RL_METHODS = ("RL-PR[K]", "RL-PR[inf]", "WoLF+RL-PR", "RL-MMPR")
-# the methods that read a hazard rate, and those that read a capacity K
-_HAZARD_METHODS = RL_METHODS + ("RL-OUPR",)
-_CAPACITY_METHODS = ("RL-PR[K]", "WoLF+RL-PR", "RL-MMPR")
 # the prior kinds whose bandit arms diffuse while unpulled (drift_unpulled)
 DRIFT_KINDS = ("ou", "aci")
 
@@ -78,20 +63,20 @@ class MethodConfig:
     drift_unpulled: bool = True
 
     def __post_init__(self):
-        if self.name not in METHOD_NAMES:
+        if self.name not in METHODS:
             raise ConfigError(f"unknown method {self.name!r}")
-        want = _METHOD_KIND[self.name]
+        want, reads_hazard, reads_k = METHODS[self.name]
         if self.policy.kind != want:
             raise ConfigError(
                 f"{self.name} requires prior kind {want!r}, got {self.policy.kind!r}"
             )
-        if self.name in _HAZARD_METHODS and self.hazard is None:
+        if reads_hazard and self.hazard is None:
             raise ConfigError(f"{self.name} requires a hazard")
-        if self.name not in _HAZARD_METHODS and self.hazard is not None:
+        if not reads_hazard and self.hazard is not None:
             raise ConfigError(f"{self.name} does not take a hazard")
         if self.name == "RL-PR[K]" and self.capacity is None:
             raise ConfigError("RL-PR[K] requires a positive capacity K")
-        if self.capacity is not None and self.name not in _CAPACITY_METHODS:
+        if self.capacity is not None and not reads_k:
             raise ConfigError(f"{self.name} does not take K")
         if self.capacity is not None and not (is_integer(self.capacity) and self.capacity >= 1):
             raise ConfigError(f"K must be a positive integer, got {self.capacity!r}")
@@ -109,7 +94,7 @@ class MethodConfig:
 
     @property
     def is_rl_bank(self) -> bool:
-        return self.name in RL_METHODS
+        return self.policy.kind in RL_KINDS
 
 
 @dataclass(frozen=True)
@@ -119,38 +104,33 @@ class AgentState:
     bank: HypothesisBank
 
 
-def _needs_anchor(cfg: MethodConfig) -> bool:
-    return cfg.spec.family == "segment-poly-gaussian"
-
-
 def init_agent(cfg: MethodConfig, anchor_x: float | None = None) -> AgentState:
     """Fresh state at the base prior, runlength 0, unit mass."""
-    if _needs_anchor(cfg) and anchor_x is None:
+    if cfg.spec.family == "segment-poly-gaussian" and anchor_x is None:
         anchor_x = 0.0
     bank = HypothesisBank.root(cfg.policy.base_prior, cfg.capacity, anchor_x)
     return AgentState(bank=bank)
 
 
 def predict_weighted(state: AgentState, cfg: MethodConfig, x):
-    """Weighted plug-in prediction sum_k nu_k h(mu_k; x) and the per-hypothesis parts.
+    """Weighted plug-in prediction sum_k nu_k h(mu_k; x) and the (k, d) stack
+    of per-hypothesis predictions h(mu_k; x), in bank order.
 
     For classification families the per-hypothesis outputs are probability
     vectors, so the weighted sum is one as well.
     """
     bank = state.bank
-    w = bank.weights
     yhats = link_mean(cfg.spec, bank.means, x, bank.anchors)
-    return w @ yhats, list(zip(w.tolist(), yhats))
+    return bank.weights @ yhats, yhats
 
 
-def _singleton_state(belief, runlength, t, anchor_x=None):
-    anchors = None if anchor_x is None else np.array([float(anchor_x)])
+def _singleton_state(belief, runlength, t, anchor=None):
     bank = HypothesisBank(
         runlengths=np.array([runlength]),
         log_joints=np.array([0.0]),
         means=belief.mean[None, :],
         covs=belief.cov[None, :, :],
-        anchors=anchors,
+        anchors=None if anchor is None else np.array([anchor]),
         capacity=None,
         timestep=t,
     )
@@ -161,7 +141,6 @@ def _step_single(state: AgentState, cfg: MethodConfig, x, y) -> AgentState:
     bank = state.bank
     belief = bank.belief(0)
     anchor = bank.anchor(0)
-    anchor_x = None if bank.anchors is None else float(bank.anchors[0])
     t = bank.timestep + 1
     kind = cfg.policy.kind
     runlength = int(bank.runlengths[0]) + 1
@@ -174,33 +153,30 @@ def _step_single(state: AgentState, cfg: MethodConfig, x, y) -> AgentState:
         prior = conditional_prior(cfg.policy, belief, aux=ups)
     elif kind == "rl-oupr":
         p_grow = predictive_log_density(cfg.spec, belief, x, y, anchor)
-        reset_anchor = None
-        if _needs_anchor(cfg):
-            reset_anchor = SegmentAnchor(float(np.atleast_1d(x)[0]))
+        reset_anchor = None if anchor is None else float(np.atleast_1d(x)[0])
         p_reset = predictive_log_density(cfg.spec, cfg.policy.base_prior, x, y, reset_anchor)
         nu = greedy_ratio(p_grow, p_reset, cfg.hazard)
         prior = conditional_prior(cfg.policy, belief, weight=nu)
         if nu <= cfg.policy.epsilon:  # hard reset branch
             runlength = 0
-            if _needs_anchor(cfg):
-                anchor = reset_anchor
-                anchor_x = reset_anchor.anchor_x
+            anchor = reset_anchor
     else:  # static / ou / aci
         prior = conditional_prior(cfg.policy, belief)
 
     if cfg.wolf_c is not None:
-        post, _ = wolf_update(prior, cfg.spec, x, y, cfg.wolf_c, anchor)
+        post = wolf_update(prior, cfg.spec, x, y, cfg.wolf_c, anchor)
     else:
-        post, _ = lg_update(prior, cfg.spec, x, y, anchor)
-    return _singleton_state(post, runlength, t, anchor_x)
+        post = lg_update(prior, cfg.spec, x, y, anchor)
+    return _singleton_state(post, runlength, t, anchor)
 
 
 def bone_step(state: AgentState, cfg: MethodConfig, x, y, x_next=None):
     """One generic update step, optionally followed by the weighted prediction.
 
-    Returns (new_state, yhat_next or None, per-hypothesis (weight, yhat)
-    list for the prediction).  Errors raised inside a hypothesis update
-    carry the hypothesis index in their message.
+    Returns (new_state, yhat_next, yhats), the last two as predict_weighted
+    gives them at x_next, or (new_state, None, None) without x_next.  Errors
+    raised inside a hypothesis update carry the hypothesis index in their
+    message.
     """
     if cfg.is_rl_bank:
         bank = rl_step(
@@ -210,9 +186,8 @@ def bone_step(state: AgentState, cfg: MethodConfig, x, y, x_next=None):
     else:
         new_state = _step_single(state, cfg, x, y)
     if x_next is None:
-        return new_state, None, []
-    yhat, per_hyp = predict_weighted(new_state, cfg, x_next)
-    return new_state, yhat, per_hyp
+        return new_state, None, None
+    return (new_state, *predict_weighted(new_state, cfg, x_next))
 
 
 def drift_unobserved(state: AgentState, cfg: MethodConfig) -> AgentState:
@@ -227,9 +202,7 @@ def drift_unobserved(state: AgentState, cfg: MethodConfig) -> AgentState:
         return state
     bank = state.bank
     belief = conditional_prior(cfg.policy, bank.belief(0))
-    anchor_x = None if bank.anchors is None else float(bank.anchors[0])
-    out = _singleton_state(belief, int(bank.runlengths[0]), bank.timestep, anchor_x)
-    return out
+    return _singleton_state(belief, int(bank.runlengths[0]), bank.timestep, bank.anchor(0))
 
 
 def thompson_action(

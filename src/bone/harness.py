@@ -578,12 +578,19 @@ def _worker(raw_json: str, trial: int) -> MetricTrace:
     return _run_trial(parse_config(json.loads(raw_json)), trial)
 
 
+def _check_parallel(parallel) -> None:
+    if not (is_integer(parallel) and parallel >= 1):
+        raise ConfigError(f"parallel must be an integer >= 1, got {parallel!r}")
+
+
 def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> list[MetricTrace]:
-    """Run every trial, in ``parallel`` worker processes when that is above 1;
-    the traces are ordered by trial and do not depend on ``parallel``."""
-    if parallel > 1 and cfg.trials > 1:
+    """Run every trial, in min(parallel, trials) worker processes when that is
+    above 1; the traces are ordered by trial and do not depend on ``parallel``."""
+    _check_parallel(parallel)
+    workers = min(parallel, cfg.trials)
+    if workers > 1:
         raw_json = json.dumps(cfg.raw)
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_worker, itertools.repeat(raw_json), range(cfg.trials)))
     traces = []
     for trial in range(cfg.trials):
@@ -653,6 +660,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, parallel: int = 1) -> dict:
     """
     if not cfg.sweep:
         raise ConfigError("config has no sweep stanza")
+    _check_parallel(parallel)
     keys = sorted(cfg.sweep)
     combos = list(itertools.product(*(cfg.sweep[k] for k in keys)))
     point_cfgs = []  # every grid point is parsed before any runs, so a bad one writes nothing

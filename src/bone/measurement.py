@@ -16,7 +16,9 @@ order: weights row-major, then biases, per layer.
 Each family is written once over a leading batch axis: ``apply_h``,
 ``expfam_moments``, ``moments_for_update`` and ``link_mean`` take one
 parameter vector (m,) or a stack of hypothesis means (k, m), and
-``linearize_bank`` is ``moments_for_update`` applied to a stack.
+``linearize_bank`` is ``moments_for_update`` applied to a stack.  The
+segment anchor (x at the segment's reset) follows the same rule: a float
+for one vector, a (k,) array for a stack.
 """
 
 from __future__ import annotations
@@ -55,13 +57,6 @@ FEATURE_MAPS = {
     "bias": _phi_bias,
     "poly2": _phi_poly2,
 }
-
-
-@dataclass(frozen=True)
-class SegmentAnchor:
-    """Feature value recorded at the last segment reset (x at runlength 0)."""
-
-    anchor_x: float
 
 
 @dataclass(frozen=True)
@@ -191,15 +186,15 @@ def apply_h(
     spec: MeasurementSpec,
     theta,
     x,
-    anchor: SegmentAnchor | np.ndarray | None = None,
+    anchor: float | np.ndarray | None = None,
 ):
     """Evaluate the measurement link and its parameter Jacobian at theta.
 
     theta is one parameter vector (m,) or a stack of them (k, m).  Returns
     (out, jac) with out = h(theta; x), shape (d,) or (k, d) (natural
     parameters for the exponential families), and jac = d h / d theta,
-    shape (d, m) or (k, d, m).  Segment anchors are a SegmentAnchor for one
-    theta or a (k,) array of anchor x values for a stack.
+    shape (d, m) or (k, d, m).  A segment anchor is the x recorded at the
+    segment's reset: a float for one theta, a (k,) array for a stack.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim == 0:
@@ -207,12 +202,10 @@ def apply_h(
     batch, m = theta.shape[:-1], theta.shape[-1]
     if spec.family == "segment-poly-gaussian":
         if anchor is None:
-            raise ValueError("segment-poly-gaussian requires a SegmentAnchor or (k,) anchors")
+            raise ValueError("segment-poly-gaussian requires an anchor x or (k,) anchors")
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         if xs.size != 1 or m != 3:
             raise ValueError("segment-poly expects scalar x and 3 parameters")
-        if isinstance(anchor, SegmentAnchor):
-            anchor = anchor.anchor_x
         dx = xs[0] - np.asarray(anchor, dtype=float)
         if dx.shape != batch:
             raise ValueError(f"anchors of shape {dx.shape} for parameters of shape {theta.shape}")
@@ -281,7 +274,7 @@ def moments_for_update(
     spec: MeasurementSpec,
     mean: np.ndarray,
     x,
-    anchor: SegmentAnchor | np.ndarray | None = None,
+    anchor: float | np.ndarray | None = None,
 ):
     """Linearization (yhat, jac, R) at the prior mean, for any family.
 
@@ -309,7 +302,7 @@ def predictive_log_density(
     prior: GaussBelief,
     x,
     y,
-    anchor: SegmentAnchor | None = None,
+    anchor: float | None = None,
 ) -> float:
     """log p(y | x, prior) under linearization at the prior mean.
 
@@ -326,7 +319,7 @@ def link_mean(
     spec: MeasurementSpec,
     theta,
     x,
-    anchor: SegmentAnchor | np.ndarray | None = None,
+    anchor: float | np.ndarray | None = None,
 ) -> np.ndarray:
     """Predictive mean on the observation scale (probabilities for classifiers),
     for one theta (m,) or a stack (k, m)."""

@@ -6,33 +6,20 @@ that inflates the observation covariance by an inverse-multiquadric weight
 of the standardized residual.  The step from one update to the next prior
 is the conditional prior's (``priors.py``); this module has no predict step.
 
+Everything is written over a stack of k hypotheses (``lg_update_arrays``,
+``robust_noise``); ``lg_update`` and ``wolf_update`` update one belief as a
+stack of one and return only the posterior.
+
 The covariance update is Sigma - K S K^T followed by PSD symmetrization;
 the Joseph form is deliberately not used.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import GaussBelief, NumericDomainError, symmetrize_psd_batch
-from .measurement import (
-    MeasurementSpec,
-    SegmentAnchor,
-    _free_obs,
-    moments_for_update,
-)
-
-
-@dataclass(frozen=True)
-class UpdateDiagnostics:
-    """Per-update byproducts: residual, innovation covariance, gain size, weight."""
-
-    innovation: np.ndarray
-    innovation_cov: np.ndarray
-    gain_norm: float
-    wolf_weight: float = 1.0
+from .core import ConfigError, GaussBelief, NumericDomainError, symmetrize_psd_batch
+from .measurement import MeasurementSpec, _free_obs, moments_for_update
 
 
 def _imq_weights(errors: np.ndarray, Rs: np.ndarray, c: float) -> np.ndarray:
@@ -43,6 +30,15 @@ def _imq_weights(errors: np.ndarray, Rs: np.ndarray, c: float) -> np.ndarray:
         sol = np.linalg.solve(Rs, errors[:, :, None])[:, :, 0]
         maha = np.einsum("kd,kd->k", errors, sol)
     return 1.0 / np.sqrt(1.0 + maha / (c * c))
+
+
+def robust_noise(spec: MeasurementSpec, y, yhats, Rs, c: float) -> np.ndarray:
+    """Observation covariances R / W^2 inflated by the IMQ weight W of each
+    residual y - yhat; yhats (k, d), Rs (k, d, d)."""
+    if not spec.is_gaussian:
+        raise ConfigError("robust updates require a Gaussian-likelihood family")
+    W = _imq_weights(y[None, :] - yhats, np.ascontiguousarray(Rs), c)
+    return Rs / (W * W)[:, None, None]
 
 
 def innovation_arrays(covs: np.ndarray, jacs: np.ndarray, Rs: np.ndarray):
@@ -65,8 +61,7 @@ def lg_update_arrays(
 
     means (k, m), covs (k, m, m), jacs (k, d, m), yhats (k, d), y (d,),
     Rs (k, d, d); ``innovations`` is (Sigma H^T, S) from innovation_arrays
-    when the caller has it already.  Returns (new_means, new_covs, errors,
-    Ss, gain_norms).
+    when the caller has it already.  Returns (new_means, new_covs, S).
 
     No input is written.  The covariance update K S K^T is formed in one
     owned (k, m, m) buffer and subtracted from covs into that same buffer,
@@ -87,7 +82,6 @@ def lg_update_arrays(
         new_means = means + K * e
         new_covs = np.einsum("km,kn->kmn", K, K)
         new_covs *= s[:, None, None]
-        gain_norms = np.sqrt((K**2).sum(axis=1))
     else:
         try:
             Kt = np.linalg.solve(S, PHt.transpose(0, 2, 1))  # S^-1 H Sigma
@@ -97,10 +91,9 @@ def lg_update_arrays(
         new_means = means + np.einsum("kmd,kd->km", K, e)
         KS = np.einsum("kmd,kde->kme", K, S)
         new_covs = np.einsum("kme,kne->kmn", KS, K)
-        gain_norms = np.sqrt((K**2).sum(axis=(1, 2)))
     np.subtract(covs, new_covs, out=new_covs)
     new_covs = symmetrize_psd_batch(new_covs, overwrite=True)
-    return new_means, new_covs, e, S, gain_norms
+    return new_means, new_covs, S
 
 
 def _update(
@@ -108,27 +101,18 @@ def _update(
     spec: MeasurementSpec,
     x,
     y,
-    anchor: SegmentAnchor | None,
+    anchor: float | None,
     wolf_c: float | None,
-):
+) -> GaussBelief:
     yhat, jac, R = moments_for_update(spec, prior.mean, x, anchor)
     yv = _free_obs(spec, y)
-    w = 1.0
+    Rs = R[None]
     if wolf_c is not None:
-        if not spec.is_gaussian:
-            raise ValueError("robust update requires a Gaussian-likelihood family")
-        w = float(_imq_weights((yv - yhat)[None, :], R[None], wolf_c)[0])
-        R = R / (w * w)
-    means, covs, e, S, gains = lg_update_arrays(
-        prior.mean[None],
-        prior.cov[None],
-        jac[None],
-        yhat[None],
-        yv,
-        np.asarray(R)[None],
+        Rs = robust_noise(spec, yv, yhat[None], Rs, wolf_c)
+    means, covs, _ = lg_update_arrays(
+        prior.mean[None], prior.cov[None], jac[None], yhat[None], yv, Rs
     )
-    diag = UpdateDiagnostics(e[0], S[0], float(gains[0]), w)
-    return GaussBelief(means[0], covs[0]), diag
+    return GaussBelief(means[0], covs[0])
 
 
 def lg_update(
@@ -136,13 +120,13 @@ def lg_update(
     spec: MeasurementSpec,
     x,
     y,
-    anchor: SegmentAnchor | None = None,
-):
+    anchor: float | None = None,
+) -> GaussBelief:
     """One conditional-Bayes update of a Gaussian prior against (x, y).
 
     Exponential-family specs route the observation noise through the
     moment-matched covariance at the prior mean.  Returns the posterior
-    belief and diagnostics.
+    belief.
     """
     return _update(prior, spec, x, y, anchor, None)
 
@@ -153,13 +137,13 @@ def wolf_update(
     x,
     y,
     c: float,
-    anchor: SegmentAnchor | None = None,
-):
+    anchor: float | None = None,
+) -> GaussBelief:
     """Outlier-robust update: observation covariance inflated to R / W^2.
 
     W = (1 + ||y - h(mu, x)||^2_{R^-1} / c^2)^(-1/2), so a residual of c
     standard deviations halves the precision and W -> 0 bounds the influence
-    of gross outliers.
+    of gross outliers.  Returns the posterior belief.
     """
     if c <= 0:
         raise ValueError("soft threshold c must be positive")

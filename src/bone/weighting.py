@@ -15,10 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, GaussBelief, gaussian_log_pdf_batch, is_finite_number, logsumexp
-from .measurement import MeasurementSpec, SegmentAnchor, _free_obs, linearize_bank
-from .posterior import _imq_weights, innovation_arrays, lg_update_arrays
+from .core import (
+    ConfigError,
+    GaussBelief,
+    NumericDomainError,
+    gaussian_log_pdf_batch,
+    is_finite_number,
+    logsumexp,
+)
+from .measurement import MeasurementSpec, _free_obs, linearize_bank
+from .posterior import innovation_arrays, lg_update_arrays, robust_noise
 from .priors import PriorPolicy, mmpr_prior
+
+# the prior kinds whose methods keep a runlength bank (rl_step)
+RL_KINDS = ("rl-prior-reset", "rl-mmpr")
 
 
 @dataclass(frozen=True)
@@ -124,10 +134,8 @@ class HypothesisBank:
     def belief(self, i: int) -> GaussBelief:
         return GaussBelief(self.means[i], self.covs[i])
 
-    def anchor(self, i: int) -> SegmentAnchor | None:
-        if self.anchors is None:
-            return None
-        return SegmentAnchor(float(self.anchors[i]))
+    def anchor(self, i: int) -> float | None:
+        return None if self.anchors is None else float(self.anchors[i])
 
 
 def _top_k(runlengths: np.ndarray, log_joints: np.ndarray, K: int) -> np.ndarray:
@@ -196,11 +204,12 @@ def rl_step(
     survivors are updated: their prior covariances are gathered from
     ``bank.covs`` and the reset prior into one new stack, and no (k + 1)
     stack is built.  An unbounded or not yet full bank updates all k + 1
-    candidates as one stack.  The input bank is never written.
+    candidates as one stack.  The input bank is never written.  An
+    observation of zero density under every candidate is a NumericDomainError.
     """
     if bank.size == 0:
         raise ValueError("rl_step on an empty hypothesis bank")
-    if policy.kind not in ("rl-prior-reset", "rl-mmpr"):
+    if policy.kind not in RL_KINDS:
         raise ConfigError(f"rl_step requires a runlength prior policy, got {policy.kind!r}")
     pi = hazard.pi
     reset = _reset_prior(bank, policy, pi)
@@ -218,10 +227,7 @@ def rl_step(
     yhats, jacs, Rs = linearize_bank(spec, means, x, anchors)
     yv = _free_obs(spec, y)
     if wolf_c is not None:
-        if not spec.is_gaussian:
-            raise ConfigError("robust runlength steps require a Gaussian-likelihood family")
-        W = _imq_weights(yv[None, :] - yhats, np.ascontiguousarray(Rs), wolf_c)
-        Rs = Rs / (W * W)[:, None, None]
+        Rs = robust_noise(spec, yv, yhats, Rs, wolf_c)
     K = bank.capacity
     prune = K is not None and bank.size >= K
     if prune:
@@ -230,11 +236,13 @@ def rl_step(
         PHt, S = (np.concatenate(pair) for pair in zip(grow, fresh))
     else:
         covs = np.concatenate([bank.covs, reset.cov[None, :, :]])
-        new_means, new_covs, _, S, _ = lg_update_arrays(means, covs, jacs, yhats, yv, Rs)
+        new_means, new_covs, S = lg_update_arrays(means, covs, jacs, yhats, yv, Rs)
     log_preds = gaussian_log_pdf_batch(yv, yhats, S)
     grow_joints = bank.log_joints + log_preds[:-1] + np.log1p(-pi)
     reset_joint = log_preds[-1] + logsumexp(bank.log_joints + np.log(pi))
     log_joints = np.concatenate([grow_joints, [reset_joint]])
+    if np.isneginf(log_joints).all():
+        raise NumericDomainError("every hypothesis gives the observation zero density")
 
     if prune:
         keep = _top_k(runlengths, log_joints, K)
@@ -243,7 +251,7 @@ def rl_step(
         np.take(bank.covs, grown, axis=0, out=covs[: grown.size], mode="clip")
         if grown.size < keep.size:
             covs[-1] = reset.cov
-        new_means, new_covs, _, _, _ = lg_update_arrays(
+        new_means, new_covs, _ = lg_update_arrays(
             means[keep], covs, jacs[keep], yhats[keep], yv, Rs[keep],
             innovations=(PHt[keep], S[keep]),
         )
@@ -267,7 +275,7 @@ def greedy_ratio(p_grow: float, p_reset: float, hazard: HazardSpec) -> float:
     evaluated in log space.
     """
     if np.isinf(p_grow) and np.isinf(p_reset) and p_grow < 0 and p_reset < 0:
-        raise ValueError("both predictive densities are zero")
+        raise NumericDomainError("both predictive densities are zero")
     pi = hazard.pi
     lg = p_grow + np.log1p(-pi)
     lr = p_reset + np.log(pi)
@@ -282,7 +290,7 @@ def cpp_empirical_bayes(
     y,
     steps: int = 10,
     lr: float = 0.1,
-    anchor: SegmentAnchor | None = None,
+    anchor: float | None = None,
 ) -> float:
     """Changepoint probability maximizing the one-step predictive density.
 
@@ -301,7 +309,7 @@ def cpp_empirical_bayes(
     if lr <= 0:
         raise ValueError("learning rate must be positive")
     yv = _free_obs(spec, y)
-    anchors = None if anchor is None else np.full(2, anchor.anchor_x)
+    anchors = None if anchor is None else np.full(2, anchor)
     u = 1.0
     h = 1e-4
     for _ in range(steps):

@@ -231,10 +231,10 @@ def test_07_robust_weight_outlier_contrast():
             bank_lg = rl_step(bank_lg, hazard, spec, policy, x, y)
             bank_w = rl_step(bank_w, hazard, spec, policy, x, y, wolf_c=c)
             if t < t_out:
-                bel_lg, _ = lg_update(bel_lg, spec, x, y)
-                bel_w, _ = wolf_update(bel_w, spec, x, y, c)
-        post_lg, _ = lg_update(bel_lg, spec, [xs[t_out]], [ys[t_out]])
-        post_w, _ = wolf_update(bel_w, spec, [xs[t_out]], [ys[t_out]], c)
+                bel_lg = lg_update(bel_lg, spec, x, y)
+                bel_w = wolf_update(bel_w, spec, x, y, c)
+        post_lg = lg_update(bel_lg, spec, [xs[t_out]], [ys[t_out]])
+        post_w = wolf_update(bel_w, spec, [xs[t_out]], [ys[t_out]], c)
         d_lg = abs(post_lg.mean[0] - bel_lg.mean[0])
         d_w = abs(post_w.mean[0] - bel_w.mean[0])
         displacement_ok += d_w < 0.1 * d_lg
@@ -353,7 +353,7 @@ def test_10_limit_behaviors():
     got = preds(cfg)
     exact_a = got[0] == 0.0
     for t in range(1, T):
-        one_shot, _ = lg_update(base, spec, X[t - 1], [y[t - 1]])
+        one_shot = lg_update(base, spec, X[t - 1], [y[t - 1]])
         exact_a = exact_a and got[t] == float(X[t] @ one_shot.mean)
 
     # (b) C-OU with gamma = 1 equals C-Static, exactly

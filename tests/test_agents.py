@@ -13,7 +13,7 @@ from bone.agents import (
     thompson_action,
 )
 from bone.core import ConfigError, GaussBelief
-from bone.measurement import MeasurementSpec, SegmentAnchor, link_mean
+from bone.measurement import MeasurementSpec, link_mean
 from bone.priors import PriorPolicy
 from bone.weighting import HazardSpec, HypothesisBank
 from oracles import batch_linreg_posterior
@@ -111,7 +111,7 @@ class TestBoneStep:
         from bone.posterior import lg_update
 
         for t in range(1, 30):
-            one_shot, _ = lg_update(BASE2, LINEAR, X[t - 1], [y[t - 1]])
+            one_shot = lg_update(BASE2, LINEAR, X[t - 1], [y[t - 1]])
             assert preds[t] == pytest.approx(X[t] @ one_shot.mean, abs=1e-12)
         assert state.bank.runlengths[0] == 0
 
@@ -122,10 +122,12 @@ class TestBoneStep:
         cfg = method("RL-PR[inf]", hazard=HazardSpec(0.2))
         state = init_agent(cfg)
         for t in range(25):
-            state, yhat, per_hyp = bone_step(state, cfg, X[t], [y[t]], x_next=X[(t + 1) % 25])
-            parts = np.array([float(np.asarray(p).ravel()[0]) for _, p in per_hyp])
-            weights = np.array([w for w, _ in per_hyp])
+            state, yhat, yhats = bone_step(state, cfg, X[t], [y[t]], x_next=X[(t + 1) % 25])
+            assert yhats.shape == (state.bank.size, 1)
+            parts = yhats[:, 0]
+            weights = state.bank.weights
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_array_equal(yhat, weights @ yhats)
             val = float(np.asarray(yhat).ravel()[0])
             assert parts.min() - 1e-12 <= val <= parts.max() + 1e-12
 
@@ -168,12 +170,25 @@ class TestPredictWeighted:
         bank = state.bank
         w = bank.weights
         parts = [link_mean(cfg.spec, bank.means[i], x, bank.anchor(i)) for i in range(bank.size)]
-        yhat, per_hyp = predict_weighted(state, cfg, x)
+        yhat, yhats = predict_weighted(state, cfg, x)
         np.testing.assert_allclose(yhat, sum(wi * p for wi, p in zip(w, parts)), rtol=1e-14)
-        assert [wi for wi, _ in per_hyp] == w.tolist()
-        for (_, got), want in zip(per_hyp, parts):
+        assert yhats.shape == (bank.size, parts[0].size)
+        for got, want in zip(yhats, parts):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
         return yhat
+
+    def test_stack_is_the_link_mean_of_the_bank(self):
+        spec = MeasurementSpec("segment-poly-gaussian", obs_noise=[[1.0]])
+        base = GaussBelief(np.zeros(3), np.eye(3))
+        cfg = method("RL-PR[inf]", spec=spec, base=base, hazard=HazardSpec(0.1))
+        rng = np.random.default_rng(8)
+        state = self.bank_state(rng.normal(size=(4, 3)), anchors=rng.normal(size=4))
+        bank = state.bank
+        yhat, yhats = predict_weighted(state, cfg, [0.4])
+        assert yhats.shape == (4, 1)
+        np.testing.assert_array_equal(yhats, link_mean(spec, bank.means, [0.4], bank.anchors))
+        np.testing.assert_array_equal(yhat, bank.weights @ yhats)
+        assert bone_step(state, cfg, [0.4], [1.0])[1:] == (None, None)
 
     def test_segment_poly_bank_with_distinct_anchors(self):
         spec = MeasurementSpec("segment-poly-gaussian", obs_noise=[[1.0]])
@@ -223,11 +238,12 @@ class TestBankInvariants:
         cfg = method(name, **kw)
         state = init_agent(cfg)
         for t, (x0, x1, y) in enumerate(stream, start=1):
-            state, _, per_hyp = bone_step(state, cfg, [x0, x1], [y], x_next=[x1, x0])
+            state, yhat, yhats = bone_step(state, cfg, [x0, x1], [y], x_next=[x1, x0])
             bank = state.bank
             assert bank.timestep == t
             assert bank.weights.sum() == pytest.approx(1.0, abs=1e-12)
-            assert sum(w for w, _ in per_hyp) == pytest.approx(1.0, abs=1e-12)
+            assert yhats.shape == (bank.size, 1)
+            np.testing.assert_array_equal(yhat, bank.weights @ yhats)
             np.testing.assert_array_equal(bank.covs, bank.covs.transpose(0, 2, 1))
             traces = np.einsum("kii->k", bank.covs)
             assert (np.linalg.eigvalsh(bank.covs).min(axis=1) >= -1e-9 * np.maximum(1.0, traces)).all()

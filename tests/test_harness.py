@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bone.harness
 from bone.cli import main as cli_main
 from bone.core import ConfigError
 from bone.harness import (
@@ -85,6 +86,12 @@ def bandit_config(**method_extra):
 
 NAN = float("nan")
 INF = float("inf")
+# (method, prior kind, prior numbers, method keys) for the zero-density stream
+ZERO_DENSITY_METHODS = [
+    ("RL-OUPR", "rl-oupr", {"epsilon": 0.5}, {}),
+    ("RL-PR[inf]", "rl-prior-reset", {}, {}),
+    ("RL-PR[K]", "rl-prior-reset", {}, {"K": 3}),
+]
 # (key the ConfigError names, config) for method values of the wrong JSON type
 BAD_METHOD_TYPES = [
     ("obs_noise", model_config(family="linear-gaussian", obs_noise="x", feature_map="poly2")),
@@ -366,6 +373,38 @@ class TestRunPrequential:
         for a, b in zip(serial, par):
             np.testing.assert_array_equal(a.losses, b.losses)
 
+    @pytest.mark.parametrize("parallel,trials,workers", [(8, 2, 2), (2, 3, 2), (8, 1, None), (1, 3, None)])
+    def test_workers_bounded_by_trials(self, monkeypatch, parallel, trials, workers):
+        started = []
+
+        class FakePool:  # runs the trials in this process, starts none
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bone.harness, "ProcessPoolExecutor", FakePool)
+        traces = run_experiment(parse_config(static_config(trials=trials, horizon=5)), parallel)
+        assert [tr.trial for tr in traces] == list(range(trials))
+        assert started == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("parallel", [0, -2, 1.5, True, "2"])
+    def test_parallel_must_be_a_positive_integer(self, tmp_path, parallel):
+        cfg = parse_config(static_config(trials=2, horizon=5))
+        with pytest.raises(ConfigError, match="parallel must be an integer >= 1"):
+            run_experiment(cfg, parallel)
+        sweep = parse_config(static_config(horizon=5, sweep={"method.prior.base_cov_scale": [1.0, 2.0]}))
+        with pytest.raises(ConfigError, match="parallel"):
+            run_sweep(sweep, tmp_path / "grid", parallel)
+        assert not (tmp_path / "grid").exists()
+
 
 class TestMetrics:
     def test_constant_error_rmse_mae(self):
@@ -478,6 +517,35 @@ class TestExportAndCli:
         # the same failure in a worker process
         argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv"), "--trials", "2"]
         assert cli_main(argv + ["--parallel", "2"]) == 3
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_cli_exits_2_on_parallel_zero(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(static_config(horizon=5, sweep={"seed": [0, 1]})))
+        out = tmp_path / ("o.csv" if command == "run" else "grid")
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(out), "--parallel", "0"]) == 2
+        assert "parallel must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,kind,prior_extra,extra", ZERO_DENSITY_METHODS, ids=[row[0] for row in ZERO_DENSITY_METHODS])
+    def test_cli_exits_3_on_zero_predictive_density(self, tmp_path, capsys, name, kind, prior_extra, extra):
+        # the 4th target is so far out that every hypothesis gives it zero density
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in enumerate([0.1, 0.3, -0.2, 1e200, 0.5, 0.0])))
+        method = {
+            "name": name,
+            "model": {"family": "linear-gaussian", "obs_noise": 1.0, "feature_map": "bias"},
+            "prior": {"kind": kind, "base_mean": [0, 0], "base_cov_scale": 1.0, **prior_extra},
+            "hazard": 0.1,
+            **extra,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "csv-stream", "data_path": str(data), "method": method}))
+        out = tmp_path / "o.csv"
+        with np.errstate(over="ignore"):
+            assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", [-1, "abc", 1.5])
     def test_cli_exits_2_on_bad_seed(self, tmp_path, seed):

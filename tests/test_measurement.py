@@ -4,7 +4,6 @@ import pytest
 from bone.core import GaussBelief, gaussian_log_pdf
 from bone.measurement import (
     MeasurementSpec,
-    SegmentAnchor,
     apply_h,
     expfam_moments,
     linearize_bank,
@@ -29,7 +28,7 @@ class TestApplyH:
         np.testing.assert_allclose(jac, [[1.0, 3.0]])
 
     def test_segment_poly_at_anchor(self):
-        yhat, jac = apply_h(SEGMENT, [2.0, -1.0, 3.0], [5.0], SegmentAnchor(5.0))
+        yhat, jac = apply_h(SEGMENT, [2.0, -1.0, 3.0], [5.0], 5.0)
         assert yhat == pytest.approx([2.0])
         np.testing.assert_allclose(jac, [[1.0, 0.0, 0.0]])
 
@@ -59,7 +58,7 @@ class TestApplyH:
         rng = np.random.default_rng(42)
         for _ in range(100):
             x = rng.normal(size=q)
-            anchor = SegmentAnchor(float(rng.normal())) if spec is SEGMENT else None
+            anchor = float(rng.normal()) if spec is SEGMENT else None
             m = spec.param_count(x)
             theta = rng.normal(size=m)
             _, jac = apply_h(spec, theta, x, anchor)
@@ -150,7 +149,7 @@ class TestLinearizeBank:
         yhats, jacs, Rs = linearize_bank(spec, means, x, anchors)
         probs = link_mean(spec, means, x, anchors)
         for i in range(k):
-            anchor = SegmentAnchor(anchors[i]) if anchors is not None else None
+            anchor = float(anchors[i]) if anchors is not None else None
             yh, jc, R = moments_for_update(spec, means[i], x, anchor)
             assert (yhats[i].shape, jacs[i].shape, Rs[i].shape) == (yh.shape, jc.shape, R.shape)
             np.testing.assert_allclose(yhats[i], yh, rtol=0, atol=1e-14)

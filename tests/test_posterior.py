@@ -3,7 +3,14 @@ import pytest
 
 from bone.core import GaussBelief
 from bone.measurement import MeasurementSpec
-from bone.posterior import innovation_arrays, lg_update, lg_update_arrays, wolf_update
+from bone.posterior import (
+    _imq_weights,
+    innovation_arrays,
+    lg_update,
+    lg_update_arrays,
+    robust_noise,
+    wolf_update,
+)
 from oracles import batch_linreg_posterior
 
 LINEAR = MeasurementSpec("linear-gaussian", obs_noise=[[1.0]])
@@ -11,15 +18,17 @@ LINEAR = MeasurementSpec("linear-gaussian", obs_noise=[[1.0]])
 
 class TestLgUpdate:
     def test_equal_precision_average(self):
-        post, diag = lg_update(GaussBelief([0.0], [[1.0]]), LINEAR, [1.0], [1.0])
+        post = lg_update(GaussBelief([0.0], [[1.0]]), LINEAR, [1.0], [1.0])
         assert post.mean == pytest.approx([0.5])
         np.testing.assert_allclose(post.cov, [[0.5]])
-        assert diag.wolf_weight == 1.0
-        assert diag.innovation == pytest.approx([1.0])
-        np.testing.assert_allclose(diag.innovation_cov, [[2.0]])
+        one = np.ones((1, 1, 1))
+        means, covs, S = lg_update_arrays(np.zeros((1, 1)), one, one, np.zeros((1, 1)), np.ones(1), one)
+        np.testing.assert_array_equal(means, [post.mean])
+        np.testing.assert_array_equal(covs, [post.cov])
+        np.testing.assert_allclose(S, [[[2.0]]])
 
     def test_zero_jacobian_keeps_prior(self):
-        post, _ = lg_update(GaussBelief([0.7], [[2.0]]), LINEAR, [0.0], [5.0])
+        post = lg_update(GaussBelief([0.7], [[2.0]]), LINEAR, [0.0], [5.0])
         assert post.mean == pytest.approx([0.7])
         np.testing.assert_allclose(post.cov, [[2.0]])
 
@@ -32,7 +41,7 @@ class TestLgUpdate:
         belief = GaussBelief(mu0, Sigma0)
         spec = MeasurementSpec("linear-gaussian", obs_noise=[[1.0]])
         for t in range(20):
-            belief, _ = lg_update(belief, spec, X[t], [y[t]])
+            belief = lg_update(belief, spec, X[t], [y[t]])
         mu_b, Sigma_b = batch_linreg_posterior(X, y, mu0, Sigma0, 1.0)
         np.testing.assert_allclose(belief.mean, mu_b, atol=1e-8)
         np.testing.assert_allclose(belief.cov, Sigma_b, atol=1e-8)
@@ -48,7 +57,7 @@ class TestLgUpdate:
             perm = np.random.default_rng(seed).permutation(15)
             belief = GaussBelief(mu0, Sigma0)
             for t in perm:
-                belief, _ = lg_update(belief, spec, X[t], [y[t]])
+                belief = lg_update(belief, spec, X[t], [y[t]])
             np.testing.assert_allclose(belief.mean, mu_b, atol=1e-8)
             np.testing.assert_allclose(belief.cov, Sigma_b, atol=1e-8)
 
@@ -60,16 +69,17 @@ class TestLgUpdate:
             prior = GaussBelief(rng.normal(size=m), a @ a.T + 0.1 * np.eye(m))
             spec = MeasurementSpec("linear-gaussian", obs_noise=[[rng.uniform(0.1, 2.0)]])
             x = rng.normal(size=m)
-            post, _ = lg_update(prior, spec, x, [rng.normal()])
+            post = lg_update(prior, spec, x, [rng.normal()])
             assert np.trace(post.cov) <= np.trace(prior.cov) + 1e-10
 
     def test_expfam_route(self):
         spec = MeasurementSpec("bernoulli-logit")
         prior = GaussBelief([0.0, 0.0], np.eye(2))
-        post, diag = lg_update(prior, spec, [1.0, -1.0], 1.0)
+        post = lg_update(prior, spec, [1.0, -1.0], 1.0)
         # observing class 1 at logit 0 pulls the mean toward positive logits
         assert post.mean @ np.array([1.0, -1.0]) > 0.0
-        assert diag.innovation == pytest.approx([0.5])
+        # innovation 1 - sigmoid(0) = 0.5, S = J Sigma J^T + 1/4 = 2.25
+        assert post.mean == pytest.approx([0.5 / 2.25, -0.5 / 2.25])
 
 
 class TestLgUpdateArrays:
@@ -116,7 +126,8 @@ class TestLgUpdateArrays:
     @pytest.mark.parametrize("d", [1, 2])
     def test_update_matches_the_textbook_form(self, d):
         means, covs, jacs, yhats, y, Rs = self.stack(6, 4, d, seed=2)
-        new_means, new_covs, e, S, _ = lg_update_arrays(means, covs, jacs, yhats, y, Rs)
+        new_means, new_covs, S = lg_update_arrays(means, covs, jacs, yhats, y, Rs)
+        e = y[None, :] - yhats
         PHt = np.einsum("kmn,kdn->kmd", covs, jacs)
         if d == 1:
             s = S[:, 0, 0]
@@ -131,12 +142,17 @@ class TestLgUpdateArrays:
         np.testing.assert_array_equal(new_means, want_means)
 
 
+def imq(e, c):
+    """IMQ weight of residual e under unit observation noise."""
+    return float(_imq_weights(np.array([[e]]), np.ones((1, 1, 1)), c)[0])
+
+
 class TestWolfUpdate:
     def test_zero_residual_matches_lg(self):
         prior = GaussBelief([1.0], [[2.0]])
-        post_w, diag = wolf_update(prior, LINEAR, [1.0], [1.0], c=4.0)
-        post_l, _ = lg_update(prior, LINEAR, [1.0], [1.0])
-        assert diag.wolf_weight == pytest.approx(1.0)
+        post_w = wolf_update(prior, LINEAR, [1.0], [1.0], c=4.0)
+        post_l = lg_update(prior, LINEAR, [1.0], [1.0])
+        assert imq(0.0, 4.0) == 1.0
         np.testing.assert_allclose(post_w.mean, post_l.mean)
         np.testing.assert_allclose(post_w.cov, post_l.cov)
 
@@ -144,17 +160,27 @@ class TestWolfUpdate:
         # e = c with R = 1 gives weight 2^(-1/2) and effective noise 2
         c = 3.0
         prior = GaussBelief([0.0], [[1.0]])
-        _, diag = wolf_update(prior, LINEAR, [1.0], [c], c=c)
-        assert diag.wolf_weight == pytest.approx(2.0**-0.5)
+        assert imq(c, c) == pytest.approx(2.0**-0.5)
+        y, yhats, one = np.array([c]), np.zeros((1, 1)), np.ones((1, 1, 1))
+        Rs = robust_noise(LINEAR, y, yhats, one, c)
+        np.testing.assert_allclose(Rs, [[[2.0]]])
         # S = H Sigma H^T + R/W^2 = 1 + 2
-        np.testing.assert_allclose(diag.innovation_cov, [[3.0]])
+        means, covs, S = lg_update_arrays(np.zeros((1, 1)), one, one, yhats, y, Rs)
+        np.testing.assert_allclose(S, [[[3.0]]])
+        post = wolf_update(prior, LINEAR, [1.0], [c], c=c)
+        np.testing.assert_array_equal(means, [post.mean])
+        np.testing.assert_array_equal(covs, [post.cov])
+        assert post.mean == pytest.approx([c / 3.0])
 
     def test_outlier_influence_bounded(self):
         # settled-in prior: variance 0.25 after a stretch of clean data
         prior = GaussBelief([0.0], [[0.25]])
-        post_w, diag = wolf_update(prior, LINEAR, [1.0], [40.0], c=4.0)
-        post_l, _ = lg_update(prior, LINEAR, [1.0], [40.0])
-        assert diag.wolf_weight == pytest.approx((1.0 + 1600.0 / 16.0) ** -0.5, rel=1e-9)
+        post_w = wolf_update(prior, LINEAR, [1.0], [40.0], c=4.0)
+        post_l = lg_update(prior, LINEAR, [1.0], [40.0])
+        w = imq(40.0, 4.0)
+        assert w == pytest.approx((1.0 + 1600.0 / 16.0) ** -0.5, rel=1e-9)
+        # the update runs at noise R / W^2 = 101
+        assert post_w.mean == pytest.approx([0.25 * 40.0 / (0.25 + 1.0 / w**2)], rel=1e-12)
         move_w = abs(post_w.mean[0] - prior.mean[0])
         move_l = abs(post_l.mean[0] - prior.mean[0])
         assert move_w < 0.015 * move_l
@@ -162,12 +188,12 @@ class TestWolfUpdate:
     def test_weight_monotone_and_vanishing(self):
         prior = GaussBelief([0.0], [[1.0]])
         residuals = [0.0, 1.0, 2.0, 5.0, 10.0, 100.0, 1e4]
-        weights = [
-            wolf_update(prior, LINEAR, [1.0], [e], c=2.0)[1].wolf_weight
-            for e in residuals
-        ]
+        weights = [imq(e, 2.0) for e in residuals]
         assert all(w1 >= w2 for w1, w2 in zip(weights, weights[1:]))
         assert weights[-1] < 1e-3
+        for e, w in zip(residuals, weights):
+            post = wolf_update(prior, LINEAR, [1.0], [e], c=2.0)
+            assert post.mean == pytest.approx([e / (1.0 + 1.0 / w**2)], rel=1e-12)
 
     def test_requires_gaussian_family(self):
         with pytest.raises(ValueError):

@@ -66,7 +66,7 @@ class TestConditionalPrior:
         out = rl_step(bank, HazardSpec(0.1), spec, pol, x, y)
         np.testing.assert_array_equal(out.runlengths, [4, 0])
         for i, prior in enumerate((PREV, BASE)):
-            post, _ = lg_update(prior, spec, x, y)
+            post = lg_update(prior, spec, x, y)
             np.testing.assert_allclose(out.means[i], post.mean, rtol=1e-12)
             np.testing.assert_allclose(out.covs[i], post.cov, rtol=1e-12)
 

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 import bone.measurement
 import bone.weighting
-from bone.core import GaussBelief, gaussian_log_pdf_batch, logsumexp
+from bone.core import GaussBelief, NumericDomainError, gaussian_log_pdf_batch, logsumexp
 from bone.measurement import (
     MeasurementSpec,
-    SegmentAnchor,
     _free_obs,
     linearize_bank,
     predictive_log_density,
@@ -85,7 +84,7 @@ def _search_case(seed, spec, x_dim):
         y = [float(rng.integers(spec.out_dim))]
     else:
         y = [2.0 * rng.normal()]
-    anchor = SegmentAnchor(float(rng.normal())) if spec.family == "segment-poly-gaussian" else None
+    anchor = float(rng.normal()) if spec.family == "segment-poly-gaussian" else None
     return belief(), belief(), x, y, anchor
 
 
@@ -104,7 +103,7 @@ def _reference_rl_step(bank, hazard, spec, policy, x, y, wolf_c=None):
     if wolf_c is not None:
         W = _imq_weights(yv[None, :] - yhats, np.ascontiguousarray(Rs), wolf_c)
         Rs = Rs / (W * W)[:, None, None]
-    new_means, new_covs, _, S, _ = lg_update_arrays(means, covs, jacs, yhats, yv, Rs)
+    new_means, new_covs, S = lg_update_arrays(means, covs, jacs, yhats, yv, Rs)
     log_preds = gaussian_log_pdf_batch(yv, yhats, S)
     grow_joints = bank.log_joints + log_preds[:-1] + np.log1p(-pi)
     reset_joint = log_preds[-1] + logsumexp(bank.log_joints + np.log(pi))
@@ -315,6 +314,12 @@ class TestRlStep:
         assert out.size == 10
         assert peak - base < 3 * bank.covs.nbytes
 
+    @pytest.mark.parametrize("capacity", [None, 2])
+    def test_zero_density_everywhere_is_a_numeric_failure(self, capacity):
+        bank = run_bank([0.5, 1.0], [0.2, -0.1], 0.1, capacity)
+        with pytest.raises(NumericDomainError, match="zero density"), np.errstate(over="ignore"):
+            rl_step(bank, HazardSpec(0.1), LINEAR, RLPR, [1.0], [1e200])
+
     def test_empty_bank_rejected(self):
         with pytest.raises(Exception):
             rl_step(
@@ -390,7 +395,7 @@ class TestGreedyRatio:
         assert all(a > b for a, b in zip(nus_pi, nus_pi[1:]))
 
     def test_double_zero_mass_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericDomainError, match="both predictive densities are zero"):
             greedy_ratio(-np.inf, -np.inf, HazardSpec(0.5))
 
 
@@ -458,7 +463,7 @@ class TestCppEmpiricalBayes:
         # y is far under prev and likely under base, so the search leaves u = 1
         prev = GaussBelief([0.0, 0.0, 0.0], 0.01 * np.eye(3))
         base = GaussBelief([10.0, 0.0, 0.0], 4.0 * np.eye(3))
-        anchor, x, y = SegmentAnchor(1.0), [1.5], [10.0]
+        anchor, x, y = 1.0, [1.5], [10.0]
         star = self.grid_argmax(prev, base, x, y, SEGMENT, anchor)
         got = cpp_empirical_bayes(prev, base, SEGMENT, x, y, steps=200, lr=0.02, anchor=anchor)
         assert got < 0.5
