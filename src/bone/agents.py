@@ -5,7 +5,9 @@ weighting rule implied by the name, and optional hazard / capacity /
 robustness knobs.  Every method's state is a hypothesis bank (a singleton
 for the single-hypothesis methods), so one step is: build the conditional
 prior per hypothesis, update it against (x, y), refresh the weights, and
-optionally emit the weighted one-step-ahead prediction.
+optionally emit the weighted one-step-ahead prediction.  The bank holds
+hypotheses only; ``bone_step`` passes the method's capacity K to
+``rl_step``, and a single-hypothesis step replaces the bank's columns.
 
 Per-hypothesis results are arrays over the bank: a prediction is the
 weighted mean with the (k, d) stack of per-hypothesis predictions (read
@@ -15,7 +17,7 @@ hypothesis of a single-hypothesis method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,7 +110,7 @@ def init_agent(cfg: MethodConfig, anchor_x: float | None = None) -> AgentState:
     """Fresh state at the base prior, runlength 0, unit mass."""
     if cfg.spec.family == "segment-poly-gaussian" and anchor_x is None:
         anchor_x = 0.0
-    bank = HypothesisBank.root(cfg.policy.base_prior, cfg.capacity, anchor_x)
+    bank = HypothesisBank.root(cfg.policy.base_prior, anchor_x)
     return AgentState(bank=bank)
 
 
@@ -122,19 +124,6 @@ def predict_weighted(state: AgentState, cfg: MethodConfig, x):
     bank = state.bank
     yhats = link_mean(cfg.spec, bank.means, x, bank.anchors)
     return bank.weights @ yhats, yhats
-
-
-def _singleton_state(belief, runlength, t, anchor=None):
-    bank = HypothesisBank(
-        runlengths=np.array([runlength]),
-        log_joints=np.array([0.0]),
-        means=belief.mean[None, :],
-        covs=belief.cov[None, :, :],
-        anchors=None if anchor is None else np.array([anchor]),
-        capacity=None,
-        timestep=t,
-    )
-    return AgentState(bank=bank)
 
 
 def _step_single(state: AgentState, cfg: MethodConfig, x, y) -> AgentState:
@@ -167,7 +156,14 @@ def _step_single(state: AgentState, cfg: MethodConfig, x, y) -> AgentState:
         post = wolf_update(prior, cfg.spec, x, y, cfg.wolf_c, anchor)
     else:
         post = lg_update(prior, cfg.spec, x, y, anchor)
-    return _singleton_state(post, runlength, t, anchor)
+    return AgentState(bank=replace(
+        bank,
+        runlengths=np.array([runlength]),
+        means=post.mean[None, :],
+        covs=post.cov[None, :, :],
+        anchors=None if anchor is None else np.array([anchor]),
+        timestep=t,
+    ))
 
 
 def bone_step(state: AgentState, cfg: MethodConfig, x, y, x_next=None):
@@ -180,7 +176,8 @@ def bone_step(state: AgentState, cfg: MethodConfig, x, y, x_next=None):
     """
     if cfg.is_rl_bank:
         bank = rl_step(
-            state.bank, cfg.hazard, cfg.spec, cfg.policy, x, y, wolf_c=cfg.wolf_c
+            state.bank, cfg.hazard, cfg.spec, cfg.policy, x, y,
+            wolf_c=cfg.wolf_c, capacity=cfg.capacity,
         )
         new_state = AgentState(bank=bank)
     else:
@@ -202,7 +199,9 @@ def drift_unobserved(state: AgentState, cfg: MethodConfig) -> AgentState:
         return state
     bank = state.bank
     belief = conditional_prior(cfg.policy, bank.belief(0))
-    return _singleton_state(belief, int(bank.runlengths[0]), bank.timestep, bank.anchor(0))
+    return AgentState(bank=replace(
+        bank, means=belief.mean[None, :], covs=belief.cov[None, :, :]
+    ))
 
 
 def thompson_action(

@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from pathlib import Path
 
 from .core import ConfigError, NumericDomainError
 from .datagen import GENERATORS, stream_to_rows
@@ -75,8 +76,12 @@ def _cmd_run(args) -> int:
     if isinstance(raw, dict):  # parse_config rejects any other document
         raw.update((key, value) for key, value in overrides.items() if value is not None)
     cfg = parse_config(raw)
+    out = Path(cfg.output_path or "results.csv")
+    if cfg.runlength_output_path and Path(cfg.runlength_output_path).resolve() in {
+        out.resolve(), out.with_suffix(".summary.json").resolve()
+    }:
+        raise ConfigError(f"runlength_output_path would overwrite the results file {out}")
     traces = run_experiment(cfg, parallel=args.parallel)
-    out = cfg.output_path or "results.csv"
     path = export_results(traces, out, config_echo=raw)
     print(path)
     return 0

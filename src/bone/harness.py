@@ -34,7 +34,7 @@ from .agents import (
     predict_weighted,
     thompson_action,
 )
-from .core import ConfigError, GaussBelief, is_finite_number, is_integer
+from .core import ConfigError, GaussBelief, NumericDomainError, is_finite_number, is_integer
 from .datagen import GENERATORS, StreamRecord
 from .measurement import MeasurementSpec
 from .priors import PriorPolicy
@@ -322,7 +322,6 @@ class MetricTrace:
     experiment: str
     errors: np.ndarray | None = None
     mode_runlengths: np.ndarray | None = None
-    regret: np.ndarray | None = None
     predictions: np.ndarray | None = None
     finals: dict = field(default_factory=dict)
 
@@ -339,19 +338,23 @@ def rolling_mean(values: np.ndarray, window: int) -> np.ndarray:
 
 def compute_metrics(trace: MetricTrace) -> dict:
     """Final scalars for a trace: RMSE, MAE, misclassification, regret,
-    changepoint count, as applicable to the trace kind."""
+    changepoint count, as applicable to the trace kind.  A scalar that
+    overflows is a NumericDomainError."""
     finals: dict = {}
     if trace.losses.size == 0:
         return finals
-    if trace.kind == "regression":
-        e = trace.errors if trace.errors is not None else np.sqrt(trace.losses)
-        finals["rmse"] = float(np.sqrt(np.mean(e**2)))
-        finals["mae"] = float(np.mean(np.abs(e)))
-    elif trace.kind == "classification":
-        finals["misclassification_rate"] = float(np.mean(trace.losses))
-    elif trace.kind == "bandit":
-        reg = trace.regret if trace.regret is not None else trace.losses
-        finals["cumulative_regret"] = float(np.sum(reg))
+    with np.errstate(over="ignore"):  # an overflow is raised below
+        if trace.kind == "regression":
+            e = trace.errors if trace.errors is not None else np.sqrt(trace.losses)
+            finals["rmse"] = float(np.sqrt(np.mean(e**2)))
+            finals["mae"] = float(np.mean(np.abs(e)))
+        elif trace.kind == "classification":
+            finals["misclassification_rate"] = float(np.mean(trace.losses))
+        elif trace.kind == "bandit":  # a bandit's losses are its per-step regret
+            finals["cumulative_regret"] = float(np.sum(trace.losses))
+    for name, value in finals.items():
+        if not math.isfinite(value):
+            raise NumericDomainError(f"{name} of trial {trace.trial} is {value}")
     if trace.mode_runlengths is not None and trace.mode_runlengths.size:
         finals["changepoint_count"] = int(np.sum(trace.mode_runlengths == 0))
     return finals
@@ -484,7 +487,8 @@ def _classify_loss(yhat, y) -> float:
 
 def _run_prequential_trial(cfg: ExperimentConfig, trial: int) -> MetricTrace:
     """One prequential trial; trial 0 also writes the runlength CSV when
-    ``runlength_output_path`` is set, whichever process runs it."""
+    ``runlength_output_path`` is set, whichever process runs it.  A
+    non-finite prediction or loss is a NumericDomainError at its step."""
     kind = EXPERIMENT_KIND[cfg.experiment]
     records = _make_stream(cfg, trial)
     method = cfg.method
@@ -497,7 +501,8 @@ def _run_prequential_trial(cfg: ExperimentConfig, trial: int) -> MetricTrace:
     errors = np.zeros(n) if kind == "regression" else None
     preds = np.zeros(n)
     modes = np.zeros(n, dtype=int)
-    banks = [] if cfg.runlength_output_path and trial == 0 else None
+    # trial 0's runlength posterior, one (t, runlengths, log_weights) per step
+    posterior = [] if cfg.runlength_output_path and trial == 0 else None
     for t, rec in enumerate(records):
         try:
             yhat, _ = predict_weighted(state, method, rec.x)
@@ -505,15 +510,21 @@ def _run_prequential_trial(cfg: ExperimentConfig, trial: int) -> MetricTrace:
             preds[t] = yhat_scalar
             if kind == "regression":
                 errors[t] = float(rec.y) - yhat_scalar
-                losses[t] = errors[t] ** 2
+                with np.errstate(over="ignore"):  # an infinite loss is raised below
+                    losses[t] = errors[t] ** 2
             else:
                 losses[t] = _classify_loss(yhat, rec.y)
+            if not (np.isfinite(yhat).all() and math.isfinite(losses[t])):
+                raise NumericDomainError(
+                    f"loss {float(losses[t])} of prediction {yhat_scalar!r} is not finite"
+                )
             state, _, _ = bone_step(state, method, rec.x, rec.y)
         except Exception as err:  # noqa: BLE001 - surfaced with the step index
             raise TrialError(trial, t, err) from err
-        modes[t] = state.bank.map_runlength
-        if banks is not None:
-            banks.append(state.bank)
+        bank = state.bank
+        modes[t] = bank.map_runlength
+        if posterior is not None:
+            posterior.append((bank.timestep, bank.runlengths, bank.log_weights))
     window = cfg.rolling_window
     roll_base = np.abs(errors) if kind == "regression" else losses
     trace = MetricTrace(
@@ -529,8 +540,8 @@ def _run_prequential_trial(cfg: ExperimentConfig, trial: int) -> MetricTrace:
         predictions=preds,
     )
     trace.finals = compute_metrics(trace)
-    if banks is not None:
-        _write_runlength_csv(banks, cfg.runlength_output_path)
+    if posterior is not None:
+        _write_runlength_csv(posterior, cfg.runlength_output_path)
     return trace
 
 
@@ -563,7 +574,6 @@ def _run_bandit_trial(cfg: ExperimentConfig, trial: int) -> MetricTrace:
         seed=cfg.seed,
         method=method.name,
         experiment=cfg.experiment,
-        regret=regret,
     )
     trace.finals = compute_metrics(trace)
     return trace
@@ -603,11 +613,11 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _write_runlength_csv(banks, path: str):
+def _write_runlength_csv(posterior, path: str):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "r", "log_posterior"])
-        for t, r, lp in runlength_posterior_rows(banks):
+        for t, r, lp in runlength_posterior_rows(posterior):
             writer.writerow([t, r, _fmt(lp)])
 
 
@@ -645,7 +655,7 @@ def export_results(traces: list[MetricTrace], path: str, config_echo: dict | Non
     }
     spath = path.with_suffix(".summary.json")
     with open(spath, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -656,7 +666,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, parallel: int = 1) -> dict:
     Each grid point runs all trials on the warmup prefix (when configured)
     and writes its own CSV/JSON pair under out_dir.  The index maps every
     (grid point, trial) to its final scalars and names the best point by
-    mean primary metric.
+    mean primary metric.  A point without one (horizon 0) is never best;
+    with no such point, the best point and its mean are null.
     """
     if not cfg.sweep:
         raise ConfigError("config has no sweep stanza")
@@ -677,24 +688,20 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, parallel: int = 1) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     metric = PRIMARY_METRIC[EXPERIMENT_KIND[cfg.experiment]]
     rows = []
-    best = None
+    best = {"point": None, "mean": None}
     for idx, (combo, point_cfg) in enumerate(zip(combos, point_cfgs)):
         traces = run_experiment(point_cfg, parallel)
         export_results(traces, out / f"point_{idx:04d}.csv", config_echo=point_cfg.raw)
-        values = [tr.finals.get(metric, np.nan) for tr in traces]
-        mean_val = float(np.mean(values))
+        values = [tr.finals.get(metric) for tr in traces]
+        mean_val = None if None in values else float(np.mean(values))
         point = dict(zip(keys, combo))
         for tr in traces:
             rows.append({"point": point, "trial": tr.trial, "finals": tr.finals})
-        if best is None or mean_val < best[1]:
-            best = (point, mean_val)
-        log.info("sweep point %s -> mean %s = %.6g", point, metric, mean_val)
-    index = {
-        "metric": metric,
-        "rows": rows,
-        "best": {"point": best[0], "mean": best[1]},
-    }
+        if mean_val is not None and (best["mean"] is None or mean_val < best["mean"]):
+            best = {"point": point, "mean": mean_val}
+        log.info("sweep point %s -> mean %s = %s", point, metric, mean_val)
+    index = {"metric": metric, "rows": rows, "best": best}
     with open(out / "index.json", "w") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True, default=str)
+        json.dump(index, fh, indent=2, sort_keys=True, default=str, allow_nan=False)
         fh.write("\n")
     return index

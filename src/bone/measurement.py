@@ -110,12 +110,6 @@ class MeasurementSpec:
     def is_gaussian(self) -> bool:
         return self.family in GAUSSIAN_FAMILIES
 
-    @property
-    def n_classes(self) -> int:
-        if self.family != "categorical-softmax":
-            raise ValueError("n_classes only defined for categorical-softmax")
-        return self.out_dim
-
     def phi(self, x) -> np.ndarray:
         fn = FEATURE_MAPS[self.feature_map or "identity"]
         return fn(x)

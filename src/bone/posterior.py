@@ -34,11 +34,18 @@ def _imq_weights(errors: np.ndarray, Rs: np.ndarray, c: float) -> np.ndarray:
 
 def robust_noise(spec: MeasurementSpec, y, yhats, Rs, c: float) -> np.ndarray:
     """Observation covariances R / W^2 inflated by the IMQ weight W of each
-    residual y - yhat; yhats (k, d), Rs (k, d, d)."""
+    residual y - yhat; yhats (k, d), Rs (k, d, d).  A weight too small for a
+    finite R / W^2 is a NumericDomainError naming the hypothesis."""
     if not spec.is_gaussian:
         raise ConfigError("robust updates require a Gaussian-likelihood family")
-    W = _imq_weights(y[None, :] - yhats, np.ascontiguousarray(Rs), c)
-    return Rs / (W * W)[:, None, None]
+    with np.errstate(over="ignore", divide="ignore"):  # checked below
+        W = _imq_weights(y[None, :] - yhats, np.ascontiguousarray(Rs), c)
+        noise = Rs / (W * W)[:, None, None]
+    finite = np.isfinite(noise).all(axis=(1, 2))
+    if not finite.all():
+        k = int(np.argmin(finite))  # the first False
+        raise NumericDomainError(f"robust weight {W[k]:.3e} of hypothesis {k} is too small")
+    return noise
 
 
 def innovation_arrays(covs: np.ndarray, jacs: np.ndarray, Rs: np.ndarray):

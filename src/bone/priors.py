@@ -106,15 +106,13 @@ def conditional_prior(
     raise ConfigError(f"prior kind {kind!r} is built by rl_step, not conditional_prior")
 
 
-def mmpr_prior(bank: "HypothesisBank", hazard: float) -> GaussBelief:
+def mmpr_prior(bank: "HypothesisBank") -> GaussBelief:
     """Gaussian matching the first two moments of the reset mixture.
 
     The mixture runs over last step's hypotheses with weights proportional
     to their normalized masses times the (constant) hazard, which cancels to
-    the normalized weights themselves.
+    the normalized weights themselves, so the hazard is not an argument.
     """
-    if not 0.0 < hazard < 1.0:
-        raise ValueError(f"hazard must be in (0, 1), got {hazard}")
     if bank.size == 0:
         raise ValueError("mmpr_prior of an empty hypothesis bank")
     w = bank.weights  # (k,)

@@ -6,11 +6,15 @@ likelihood ratio, and the empirical-Bayes changepoint-probability estimate.
 
 Joint masses are kept unnormalized in log space; weights are normalized
 only at read-out.  The bank stores hypotheses columnar (stacked arrays) so
-a step over k hypotheses is a handful of batched matrix operations.
+a step over k hypotheses is a handful of batched matrix operations.  It
+holds hypotheses only: the capacity K is a method setting that rl_step and
+prune_topk take as an argument, and both keep survivors by one rule
+(``_top_k``, which ``HypothesisBank.map_index`` also uses).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +52,7 @@ class HypothesisBank:
 
     Stored columnar: runlengths (k,), log_joints (k,), means (k, m),
     covs (k, m, m), and per-hypothesis segment anchors (k,) when the
-    measurement family needs them.  capacity None means unbounded.
+    measurement family needs them.
     """
 
     runlengths: np.ndarray
@@ -56,7 +60,6 @@ class HypothesisBank:
     means: np.ndarray
     covs: np.ndarray
     anchors: np.ndarray | None = None
-    capacity: int | None = None
     timestep: int = 0
 
     def __post_init__(self):
@@ -73,11 +76,6 @@ class HypothesisBank:
             raise ValueError("runlength exceeds the current timestep")
         if np.isnan(lj).any():
             raise ValueError("log_joints contain NaN")
-        if self.capacity is not None:
-            if self.capacity < 1:
-                raise ValueError("capacity must be a positive integer")
-            if k > self.capacity:
-                raise ValueError(f"bank holds {k} hypotheses, capacity {self.capacity}")
         anchors = self.anchors
         if anchors is not None:
             anchors = np.asarray(anchors, dtype=float)
@@ -90,12 +88,7 @@ class HypothesisBank:
         object.__setattr__(self, "anchors", anchors)
 
     @classmethod
-    def root(
-        cls,
-        belief: GaussBelief,
-        capacity: int | None = None,
-        anchor_x: float | None = None,
-    ) -> "HypothesisBank":
+    def root(cls, belief: GaussBelief, anchor_x: float | None = None) -> "HypothesisBank":
         """Initial bank: a single runlength-0 hypothesis with unit mass."""
         anchors = None if anchor_x is None else np.array([float(anchor_x)])
         return cls(
@@ -104,7 +97,6 @@ class HypothesisBank:
             means=belief.mean[None, :],
             covs=belief.cov[None, :, :],
             anchors=anchors,
-            capacity=capacity,
             timestep=0,
         )
 
@@ -124,8 +116,7 @@ class HypothesisBank:
     @property
     def map_index(self) -> int:
         """Index of the most likely hypothesis; ties go to the larger runlength."""
-        order = np.lexsort((-self.runlengths, -self.log_joints))
-        return int(order[0])
+        return int(_top_k(self.runlengths, self.log_joints, 1)[0])
 
     @property
     def map_runlength(self) -> int:
@@ -148,18 +139,13 @@ def _top_k(runlengths: np.ndarray, log_joints: np.ndarray, K: int) -> np.ndarray
 def prune_topk(bank: HypothesisBank, K: int) -> HypothesisBank:
     """Keep the K hypotheses of largest joint mass, ties toward larger runlength.
 
-    Survivors keep their relative order, so pruning with K >= size is a
-    bit-exact no-op apart from recording the capacity.
+    Survivors keep their relative order; a bank of at most K hypotheses is
+    returned as it is.
     """
     if K < 1:
         raise ValueError("K must be a positive integer")
     if bank.size <= K:
-        if bank.capacity == K:
-            return bank
-        return HypothesisBank(
-            bank.runlengths, bank.log_joints, bank.means, bank.covs,
-            anchors=bank.anchors, capacity=K, timestep=bank.timestep,
-        )
+        return bank
     keep = _top_k(bank.runlengths, bank.log_joints, K)
     return HypothesisBank(
         bank.runlengths[keep],
@@ -167,14 +153,13 @@ def prune_topk(bank: HypothesisBank, K: int) -> HypothesisBank:
         bank.means[keep],
         bank.covs[keep],
         anchors=None if bank.anchors is None else bank.anchors[keep],
-        capacity=K,
         timestep=bank.timestep,
     )
 
 
-def _reset_prior(bank: HypothesisBank, policy: PriorPolicy, pi: float) -> GaussBelief:
+def _reset_prior(bank: HypothesisBank, policy: PriorPolicy) -> GaussBelief:
     if policy.kind == "rl-mmpr":
-        return mmpr_prior(bank, pi)
+        return mmpr_prior(bank)
     return policy.base_prior
 
 
@@ -186,8 +171,10 @@ def rl_step(
     x,
     y,
     wolf_c: float | None = None,
+    capacity: int | None = None,
 ) -> HypothesisBank:
-    """One joint-recursion step: grow every hypothesis, add the reset, keep the top K.
+    """One joint-recursion step: grow every hypothesis, add the reset, keep the
+    top ``capacity`` (None keeps all).
 
     Growth branch k: runlength + 1, log-joint += log p(y | hypothesis k)
     + log(1 - pi); belief updated on its conditional prior.  Reset branch:
@@ -199,8 +186,8 @@ def rl_step(
     trigger spurious resets.
 
     The log-joints need only the predictive densities, which come from the
-    priors, so a full bank of capacity K selects its K survivors (the
-    prune_topk rule) before any posterior is computed, and only the
+    priors, so a full bank (``capacity`` hypotheses) selects its survivors
+    (the prune_topk rule) before any posterior is computed, and only the
     survivors are updated: their prior covariances are gathered from
     ``bank.covs`` and the reset prior into one new stack, and no (k + 1)
     stack is built.  An unbounded or not yet full bank updates all k + 1
@@ -209,10 +196,12 @@ def rl_step(
     """
     if bank.size == 0:
         raise ValueError("rl_step on an empty hypothesis bank")
+    if capacity is not None and capacity < 1:
+        raise ValueError("capacity must be a positive integer")
     if policy.kind not in RL_KINDS:
         raise ConfigError(f"rl_step requires a runlength prior policy, got {policy.kind!r}")
     pi = hazard.pi
-    reset = _reset_prior(bank, policy, pi)
+    reset = _reset_prior(bank, policy)
 
     # candidates: the growth priors (tracked beliefs), then the reset prior
     means = np.concatenate([bank.means, reset.mean[None, :]])
@@ -228,8 +217,7 @@ def rl_step(
     yv = _free_obs(spec, y)
     if wolf_c is not None:
         Rs = robust_noise(spec, yv, yhats, Rs, wolf_c)
-    K = bank.capacity
-    prune = K is not None and bank.size >= K
+    prune = capacity is not None and bank.size >= capacity
     if prune:
         grow = innovation_arrays(bank.covs, jacs[:-1], Rs[:-1])
         fresh = innovation_arrays(reset.cov[None], jacs[-1:], Rs[-1:])
@@ -245,7 +233,7 @@ def rl_step(
         raise NumericDomainError("every hypothesis gives the observation zero density")
 
     if prune:
-        keep = _top_k(runlengths, log_joints, K)
+        keep = _top_k(runlengths, log_joints, capacity)
         grown = keep[:-1] if keep[-1] == bank.size else keep
         covs = np.empty((keep.size,) + bank.covs.shape[1:])
         np.take(bank.covs, grown, axis=0, out=covs[: grown.size], mode="clip")
@@ -263,7 +251,6 @@ def rl_step(
         means=new_means,
         covs=new_covs,
         anchors=anchors,
-        capacity=K,
         timestep=bank.timestep + 1,
     )
 
@@ -332,11 +319,9 @@ def cpp_empirical_bayes(
     return u
 
 
-def runlength_posterior_rows(banks) -> list[tuple[int, int, float]]:
-    """(t, r, log_posterior) rows over a sequence of banks, for CSV export."""
-    rows = []
-    for bank in banks:
-        lw = bank.log_weights
-        for i in range(bank.size):
-            rows.append((int(bank.timestep), int(bank.runlengths[i]), float(lw[i])))
-    return rows
+def runlength_posterior_rows(posterior) -> Iterator[tuple[int, int, float]]:
+    """(t, r, log_posterior) rows, for CSV export, over a sequence of
+    (timestep, runlengths, log_weights) triples, one per bank."""
+    for t, runlengths, log_weights in posterior:
+        for r, lw in zip(runlengths, log_weights):
+            yield int(t), int(r), float(lw)

@@ -101,10 +101,10 @@ def test_03_topk_agreement_with_unbounded():
     y = rng.normal(size=T)
     hazard = HazardSpec(0.05)
     bank_inf = HypothesisBank.root(base)
-    bank_k = HypothesisBank.root(base, capacity=T + 1)
+    bank_k = HypothesisBank.root(base)
     for t in range(T):
         bank_inf = rl_step(bank_inf, hazard, spec, policy, X[t], [y[t]])
-        bank_k = rl_step(bank_k, hazard, spec, policy, X[t], [y[t]])
+        bank_k = rl_step(bank_k, hazard, spec, policy, X[t], [y[t]], capacity=T + 1)
     same = (
         np.array_equal(bank_inf.runlengths, bank_k.runlengths)
         and np.array_equal(bank_inf.log_joints, bank_k.log_joints)
@@ -310,7 +310,7 @@ def test_09_mmpr_moment_fidelity():
             runlengths=np.arange(k), log_joints=logw,
             means=means, covs=covs, timestep=k,
         )
-        out = mmpr_prior(bank, 0.05)
+        out = mmpr_prior(bank)
         w = np.exp(logw - logw.max())
         w = w / w.sum()
         comps = rng.choice(k, p=w, size=n)

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,35 @@ def bandit_config(**method_extra):
     }
 
 
+# the 4th target's squared error is not finite, and no hypothesis gives it
+# a nonzero density
+BIG_TARGETS = [0.1, 0.3, -0.2, 1e200, 0.5, 0.0]
+
+
+def stream_config(tmp_path, name, kind, prior_extra, targets=BIG_TARGETS, **extra):
+    """A config file running ``name`` with a bias feature on a csv-stream of
+    ``targets`` at x = 0, 1, ..."""
+    data = tmp_path / "d.csv"
+    data.write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in enumerate(targets)))
+    method = {
+        "name": name,
+        "model": {"family": "linear-gaussian", "obs_noise": 1.0, "feature_map": "bias"},
+        "prior": {"kind": kind, "base_mean": [0, 0], "base_cov_scale": 1.0, **prior_extra},
+        **extra,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "csv-stream", "data_path": str(data), "method": method}))
+    return cfg_path
+
+
+def strict_json(path):
+    """The JSON document at ``path``, refusing NaN and Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 NAN = float("nan")
 INF = float("inf")
 # (method, prior kind, prior numbers, method keys) for the zero-density stream
@@ -91,6 +121,13 @@ ZERO_DENSITY_METHODS = [
     ("RL-OUPR", "rl-oupr", {"epsilon": 0.5}, {}),
     ("RL-PR[inf]", "rl-prior-reset", {}, {}),
     ("RL-PR[K]", "rl-prior-reset", {}, {"K": 3}),
+]
+# (method, prior kind, prior numbers) of the single-hypothesis methods
+SINGLE_HYPOTHESIS_METHODS = [
+    ("C-Static", "static", {}),
+    ("C-OU", "ou", {"gamma": 0.9}),
+    ("C-ACI", "aci", {"alpha": 0.1}),
+    ("CPP-OU", "cpp-ou", {}),
 ]
 # (key the ConfigError names, config) for method values of the wrong JSON type
 BAD_METHOD_TYPES = [
@@ -527,25 +564,49 @@ class TestExportAndCli:
         assert "parallel must be an integer >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("name,kind,prior_extra,extra", ZERO_DENSITY_METHODS, ids=[row[0] for row in ZERO_DENSITY_METHODS])
     def test_cli_exits_3_on_zero_predictive_density(self, tmp_path, capsys, name, kind, prior_extra, extra):
-        # the 4th target is so far out that every hypothesis gives it zero density
-        data = tmp_path / "d.csv"
-        data.write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in enumerate([0.1, 0.3, -0.2, 1e200, 0.5, 0.0])))
-        method = {
-            "name": name,
-            "model": {"family": "linear-gaussian", "obs_noise": 1.0, "feature_map": "bias"},
-            "prior": {"kind": kind, "base_mean": [0, 0], "base_cov_scale": 1.0, **prior_extra},
-            "hazard": 0.1,
-            **extra,
-        }
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"experiment": "csv-stream", "data_path": str(data), "method": method}))
+        # the 4th target is so far out that every hypothesis would give it
+        # zero density; its infinite loss is caught first, before the update
+        cfg_path = stream_config(tmp_path, name, kind, prior_extra, hazard=0.1, **extra)
         out = tmp_path / "o.csv"
-        with np.errstate(over="ignore"):
-            assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
         assert "numeric failure" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name,kind,prior_extra", SINGLE_HYPOTHESIS_METHODS, ids=[row[0] for row in SINGLE_HYPOTHESIS_METHODS])
+    def test_cli_exits_3_on_non_finite_loss(self, tmp_path, capsys, name, kind, prior_extra):
+        cfg_path = stream_config(tmp_path, name, kind, prior_extra)
+        out = tmp_path / "o.csv"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert "numeric failure: trial 0 failed at step 3: loss inf" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".summary.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cli_exits_3_when_a_metric_overflows(self, tmp_path, capsys):
+        # each squared error is finite, but their sum is not
+        cfg_path = stream_config(tmp_path, "C-Static", "static", {}, targets=[1.2e154, 1.3e154, 1.1e154])
+        out = tmp_path / "o.csv"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert "numeric failure: rmse of trial 0 is inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cli_sweep_at_horizon_zero_writes_json(self, tmp_path, capsys):
+        # no grid point has a primary metric, so none is best
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(static_config(horizon=0, sweep={"seed": [0, 1]})))
+        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "grid")]) == 0
+        assert json.loads(capsys.readouterr().out) == {"point": None, "mean": None}
+        assert strict_json(tmp_path / "grid" / "index.json")["best"] == {"point": None, "mean": None}
+
+    def test_export_refuses_non_finite_finals(self, tmp_path):
+        trace = trace_of([1.0])
+        trace.finals = {"rmse": INF}
+        with pytest.raises(ValueError, match="JSON"):
+            export_results([trace], tmp_path / "o.csv")
 
     @pytest.mark.parametrize("seed", [-1, "abc", 1.5])
     def test_cli_exits_2_on_bad_seed(self, tmp_path, seed):
@@ -653,15 +714,16 @@ class TestExportAndCli:
         assert len(out.read_text().strip().splitlines()) == 1 + 30
 
     @pytest.mark.parametrize("name,kind", [("C-Static", "static"), ("RL-PR[inf]", "rl-prior-reset")])
-    def test_cli_exits_3_on_non_finite_covariance(self, tmp_path, name, kind):
-        # x = 1e200 overflows the poly2 feature x^2 to inf, so the updated
+    def test_cli_exits_3_on_non_finite_covariance(self, tmp_path, capsys, name, kind):
+        # x = 0 leaves the slope's mean at 0, so the prediction at x = 1e200
+        # is finite, but its innovation variance overflows and the updated
         # covariance is not finite
         data = tmp_path / "d.csv"
-        data.write_text("x,y\n1,2\n1e200,2.0\n3,4\n")
+        data.write_text("x,y\n0,2\n1e200,2.0\n3,4\n")
         method = {
             "name": name,
-            "model": {"family": "linear-gaussian", "obs_noise": 1.0, "feature_map": "poly2"},
-            "prior": {"kind": kind, "base_mean": [0, 0, 0], "base_cov_scale": 1.0},
+            "model": {"family": "linear-gaussian", "obs_noise": 1.0, "feature_map": "bias"},
+            "prior": {"kind": kind, "base_mean": [0, 0], "base_cov_scale": 1.0},
         }
         if kind != "static":
             method["hazard"] = 0.01
@@ -670,6 +732,7 @@ class TestExportAndCli:
         cfg_path.write_text(json.dumps(raw))
         with np.errstate(over="ignore", invalid="ignore"):
             assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 3
+        assert "step 1: matrix 0 of batch is not finite" in capsys.readouterr().err
 
     def test_cli_gen(self, tmp_path):
         out = tmp_path / "stream.csv"
@@ -725,6 +788,12 @@ class TestSweep:
             run_sweep(parse_config(raw), tmp_path / "grid")
         assert not (tmp_path / "grid").exists()
 
+    def test_point_without_metric_is_never_best(self, tmp_path):
+        raw = static_config(trials=1, horizon=5, sweep={"horizon": [0, 5]})
+        index = run_sweep(parse_config(raw), tmp_path / "grid")
+        assert index["best"]["point"] == {"horizon": 5}
+        assert index == strict_json(tmp_path / "grid" / "index.json")
+
     def test_warmup_prefix_controls_sweep_horizon(self, tmp_path):
         raw = static_config(trials=1, horizon=50, warmup=10)
         raw["sweep"] = {"method.prior.base_cov_scale": [1.0, 2.0]}
@@ -755,6 +824,47 @@ class TestRunlengthExport:
             run_experiment(parse_config(dict(raw, runlength_output_path=str(out))), parallel)
             digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
+
+
+    @pytest.mark.parametrize(
+        "out_args,dump",
+        [(["--out", "res.csv"], "res.csv"), ([], "results.csv"), (["--out", "res.csv"], "res.summary.json")],
+    )
+    def test_cli_exits_2_when_the_dump_is_a_results_file(self, tmp_path, monkeypatch, capsys, out_args, dump):
+        monkeypatch.chdir(tmp_path)
+        raw = method_config("RL-PR[inf]", "rl-prior-reset", hazard=0.05)
+        raw.update(horizon=5, runlength_output_path=str(tmp_path / dump))
+        Path("cfg.json").write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", "cfg.json", *out_args]) == 2
+        assert "runlength_output_path would overwrite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_dump_keeps_the_posterior_not_the_banks(self, tmp_path):
+        # a full bank of this 97-parameter MLP holds 10 covariances of 75 KB
+        # each; keeping 60 of them would cost 45 MB
+        base_mean = np.random.default_rng(0).normal(scale=0.5, size=97).tolist()
+        raw = {
+            "experiment": "dependent-segments",
+            "horizon": 60,
+            "method": {
+                "name": "RL-PR[K]",
+                "K": 10,
+                "hazard": 0.01,
+                "model": {"family": "mlp-gaussian", "in_dim": 1, "hidden": [8, 8], "obs_noise": 0.01},
+                "prior": {"kind": "rl-prior-reset", "base_mean": base_mean, "base_cov_scale": 1.0},
+            },
+        }
+        peaks = []
+        for dump in (None, str(tmp_path / "rl.csv")):
+            cfg = parse_config(dict(raw, runlength_output_path=dump))
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len((tmp_path / "rl.csv").read_text().splitlines()) > 60
+        assert peaks[1] - peaks[0] < 5 * 2**20
 
 
 class TestCsvIngestion:

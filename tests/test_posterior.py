@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bone.core import GaussBelief
+from bone.core import GaussBelief, NumericDomainError
 from bone.measurement import MeasurementSpec
 from bone.posterior import (
     _imq_weights,
@@ -11,6 +11,8 @@ from bone.posterior import (
     robust_noise,
     wolf_update,
 )
+from bone.priors import PriorPolicy
+from bone.weighting import HazardSpec, HypothesisBank, rl_step
 from oracles import batch_linreg_posterior
 
 LINEAR = MeasurementSpec("linear-gaussian", obs_noise=[[1.0]])
@@ -148,6 +150,22 @@ def imq(e, c):
 
 
 class TestWolfUpdate:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("entry", ["wolf_update", "rl_step"])
+    def test_zero_robust_weight_names_its_cause(self, entry):
+        # the Mahalanobis term of a 1e200 residual overflows, so W = 0 and
+        # R / W^2 has no finite value
+        spec = MeasurementSpec("linear-gaussian", obs_noise=[[1.0]], feature_map="bias")
+        base = GaussBelief([0.0, 0.0], np.eye(2))
+        x, y = [3.0], [1e200]
+        with pytest.raises(NumericDomainError, match=r"robust weight 0\.000e\+00 of hypothesis 0"):
+            if entry == "wolf_update":
+                wolf_update(base, spec, x, y, c=2.0)
+            else:
+                policy = PriorPolicy("rl-prior-reset", base)
+                bank = HypothesisBank.root(base)
+                rl_step(bank, HazardSpec(0.1), spec, policy, x, y, wolf_c=2.0, capacity=4)
+
     def test_zero_residual_matches_lg(self):
         prior = GaussBelief([1.0], [[2.0]])
         post_w = wolf_update(prior, LINEAR, [1.0], [1.0], c=4.0)

@@ -113,21 +113,21 @@ class TestConditionalPrior:
 class TestMmprPrior:
     def test_single_hypothesis_is_identity(self):
         bank = make_bank([PREV.mean], [PREV.cov], [0.0])
-        out = mmpr_prior(bank, 0.1)
+        out = mmpr_prior(bank)
         np.testing.assert_allclose(out.mean, PREV.mean)
         np.testing.assert_allclose(out.cov, PREV.cov)
 
     def test_two_identical_hypotheses(self):
         bank = make_bank([PREV.mean, PREV.mean], [PREV.cov, PREV.cov],
                          [np.log(0.5), np.log(0.5)])
-        out = mmpr_prior(bank, 0.1)
+        out = mmpr_prior(bank)
         np.testing.assert_allclose(out.mean, PREV.mean)
         np.testing.assert_allclose(out.cov, PREV.cov)
 
     def test_symmetric_univariate_mixture(self):
         bank = make_bank([[-1.0], [1.0]], [[[1.0]], [[1.0]]],
                          [np.log(0.5), np.log(0.5)])
-        out = mmpr_prior(bank, 0.1)
+        out = mmpr_prior(bank)
         assert out.mean == pytest.approx([0.0])
         np.testing.assert_allclose(out.cov, [[2.0]])
 
@@ -141,7 +141,7 @@ class TestMmprPrior:
                 a = rng.normal(size=(2, 2))
                 covs[i] = a @ a.T + 0.1 * np.eye(2)
             bank = make_bank(means, covs, rng.normal(size=k))
-            out = mmpr_prior(bank, 0.05)
+            out = mmpr_prior(bank)
             assert np.trace(out.cov) >= min(np.trace(c) for c in covs) - 1e-9
 
     def test_moments_match_monte_carlo(self):
@@ -150,7 +150,7 @@ class TestMmprPrior:
         covs = np.stack([np.diag([0.5, 1.0]), np.diag([2.0, 0.2]), np.eye(2)])
         log_joints = np.log([0.5, 0.3, 0.2])
         bank = make_bank(means, covs, log_joints)
-        out = mmpr_prior(bank, 0.1)
+        out = mmpr_prior(bank)
         n = 10**6
         comps = rng.choice(3, p=np.exp(log_joints) / np.exp(log_joints).sum(), size=n)
         draws = np.empty((n, 2))
@@ -165,6 +165,6 @@ class TestMmprPrior:
         assert (np.abs(prods.mean(axis=0) - out.cov) < 3 * se_cov).all()
 
     def test_empty_bank_rejected(self):
-        bank = make_bank([[0.0]], [[[1.0]]], [0.0])
-        with pytest.raises(ValueError):
-            mmpr_prior(bank, 1.5)  # hazard out of range
+        bank = make_bank(np.zeros((0, 1)), np.zeros((0, 1, 1)), [])
+        with pytest.raises(ValueError, match="empty hypothesis bank"):
+            mmpr_prior(bank)

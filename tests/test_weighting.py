@@ -88,10 +88,11 @@ def _search_case(seed, spec, x_dim):
     return belief(), belief(), x, y, anchor
 
 
-def _reference_rl_step(bank, hazard, spec, policy, x, y, wolf_c=None):
-    """Reference step: update all k + 1 candidates as one stack, then prune_topk."""
+def _reference_rl_step(bank, hazard, spec, policy, x, y, wolf_c=None, capacity=None):
+    """Reference step: update all k + 1 candidates as one stack, then prune_topk
+    to ``capacity`` (None keeps all)."""
     pi = hazard.pi
-    reset = mmpr_prior(bank, pi) if policy.kind == "rl-mmpr" else policy.base_prior
+    reset = mmpr_prior(bank) if policy.kind == "rl-mmpr" else policy.base_prior
     means = np.concatenate([bank.means, reset.mean[None, :]])
     covs = np.concatenate([bank.covs, reset.cov[None, :, :]])
     anchors = None
@@ -113,12 +114,9 @@ def _reference_rl_step(bank, hazard, spec, policy, x, y, wolf_c=None):
         means=new_means,
         covs=new_covs,
         anchors=anchors,
-        capacity=None,
         timestep=bank.timestep + 1,
     )
-    if bank.capacity is not None:
-        return prune_topk(out, bank.capacity)
-    return out
+    return out if capacity is None else prune_topk(out, capacity)
 
 
 # (spec, feature dimension) per family for the select-then-update oracle
@@ -130,7 +128,7 @@ ORACLE_SPECS = {
 }
 
 
-def _random_bank(rng, m, size, capacity, tied, segmental):
+def _random_bank(rng, m, size, tied, segmental):
     """A bank of ``size`` distinct runlengths with random SPD beliefs; when
     ``tied`` every hypothesis shares one belief and one log-joint."""
     timestep = size + int(rng.integers(0, 4))
@@ -149,14 +147,13 @@ def _random_bank(rng, m, size, capacity, tied, segmental):
         means=means,
         covs=covs,
         anchors=rng.normal(size=size) if segmental else None,
-        capacity=capacity,
         timestep=timestep,
     )
 
 
 def _bank_fields(bank):
     return (bank.runlengths, bank.log_joints, bank.means, bank.covs, bank.anchors,
-            bank.capacity, bank.timestep)
+            bank.timestep)
 
 
 def _assert_same_bank(got, want):
@@ -169,10 +166,10 @@ def _assert_same_bank(got, want):
 
 
 def run_bank(xs, ys, pi, capacity=None, base=BASE, wolf_c=None):
-    bank = HypothesisBank.root(base, capacity)
+    bank = HypothesisBank.root(base)
     hazard = HazardSpec(pi)
     for x, y in zip(xs, ys):
-        bank = rl_step(bank, hazard, LINEAR, RLPR, [x], [y], wolf_c=wolf_c)
+        bank = rl_step(bank, hazard, LINEAR, RLPR, [x], [y], wolf_c=wolf_c, capacity=capacity)
     return bank
 
 
@@ -244,7 +241,7 @@ class TestRlStep:
 
     @given(
         st.sampled_from(sorted(ORACLE_SPECS)),
-        st.integers(min_value=1, max_value=6),
+        st.sampled_from([None, 1, 2, 3, 4, 5, 6]),
         st.integers(min_value=1, max_value=6),
         st.sampled_from(["rl-prior-reset", "rl-mmpr"]),
         st.booleans(),
@@ -256,7 +253,8 @@ class TestRlStep:
         self, family, K, size, kind, robust, tied, seed
     ):
         """rl_step gives the bits of updating all k + 1 candidates and then
-        pruning, whether the bank is full (select first) or not yet full."""
+        pruning, whether the bank is full (select first), not yet full, or
+        unbounded (K None)."""
         spec, x_dim = ORACLE_SPECS[family]
         rng = np.random.default_rng(seed)
         m = spec.param_count(np.zeros(x_dim))
@@ -265,7 +263,7 @@ class TestRlStep:
         policy = PriorPolicy(kind, base)
         wolf_c = 1.5 if robust and spec.is_gaussian else None
         hazard = HazardSpec(float(rng.uniform(0.01, 0.5)))
-        bank = _random_bank(rng, m, min(size, K), K, tied, segmental)
+        bank = _random_bank(rng, m, size if K is None else min(size, K), tied, segmental)
         want = bank
         for _ in range(4):
             x = 1.5 * rng.normal(size=x_dim)
@@ -274,10 +272,10 @@ class TestRlStep:
             else:
                 y = [float(2.0 * rng.normal())]
             before = [np.copy(f) for f in _bank_fields(bank)[:5] if f is not None]
-            got = rl_step(bank, hazard, spec, policy, x, y, wolf_c=wolf_c)
+            got = rl_step(bank, hazard, spec, policy, x, y, wolf_c=wolf_c, capacity=K)
             for f, b in zip([f for f in _bank_fields(bank)[:5] if f is not None], before):
                 np.testing.assert_array_equal(f, b)  # the input bank is not written
-            want = _reference_rl_step(want, hazard, spec, policy, x, y, wolf_c=wolf_c)
+            want = _reference_rl_step(want, hazard, spec, policy, x, y, wolf_c, K)
             _assert_same_bank(got, want)
             bank = got
 
@@ -286,11 +284,11 @@ class TestRlStep:
         # reset prior is their belief and the hazard is high, so the reset
         # outweighs both and one tied candidate must go
         rng = np.random.default_rng(4)
-        bank = _random_bank(rng, 1, 2, 2, tied=True, segmental=False)
+        bank = _random_bank(rng, 1, 2, tied=True, segmental=False)
         policy = PriorPolicy("rl-prior-reset", bank.belief(0))
         hazard = HazardSpec(0.9)
-        got = rl_step(bank, hazard, LINEAR, policy, [1.0], [0.2])
-        want = _reference_rl_step(bank, hazard, LINEAR, policy, [1.0], [0.2])
+        got = rl_step(bank, hazard, LINEAR, policy, [1.0], [0.2], capacity=2)
+        want = _reference_rl_step(bank, hazard, LINEAR, policy, [1.0], [0.2], capacity=2)
         _assert_same_bank(got, want)
         assert got.runlengths.tolist() == [bank.runlengths.max() + 1, 0]
 
@@ -299,15 +297,15 @@ class TestRlStep:
         spec = MeasurementSpec("mlp-gaussian", obs_noise=[[0.01]], in_dim=1, hidden=(8, 8))
         m = spec.param_count()
         rng = np.random.default_rng(0)
-        bank = _random_bank(rng, m, 10, 10, tied=False, segmental=False)
+        bank = _random_bank(rng, m, 10, tied=False, segmental=False)
         policy = PriorPolicy("rl-prior-reset", GaussBelief(rng.normal(size=m), np.eye(m)))
         hazard = HazardSpec(0.01)
         assert bank.covs.shape == (10, 97, 97)
-        rl_step(bank, hazard, spec, policy, [0.3], [0.1])  # warm caches
+        rl_step(bank, hazard, spec, policy, [0.3], [0.1], capacity=10)  # warm caches
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()
-            out = rl_step(bank, hazard, spec, policy, [0.3], [0.1])
+            out = rl_step(bank, hazard, spec, policy, [0.3], [0.1], capacity=10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -319,6 +317,11 @@ class TestRlStep:
         bank = run_bank([0.5, 1.0], [0.2, -0.1], 0.1, capacity)
         with pytest.raises(NumericDomainError, match="zero density"), np.errstate(over="ignore"):
             rl_step(bank, HazardSpec(0.1), LINEAR, RLPR, [1.0], [1e200])
+
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(ValueError, match="capacity must be a positive integer"):
+            rl_step(HypothesisBank.root(BASE), HazardSpec(0.1), LINEAR, RLPR, [0.0], [0.0],
+                    capacity=0)
 
     def test_empty_bank_rejected(self):
         with pytest.raises(Exception):
@@ -344,9 +347,8 @@ class TestPruneTopk:
 
     def test_large_k_is_noop(self):
         bank = self.bank3()
-        out = prune_topk(bank, 5)
-        np.testing.assert_array_equal(out.runlengths, bank.runlengths)
-        np.testing.assert_array_equal(out.log_joints, bank.log_joints)
+        assert prune_topk(bank, 3) is bank
+        assert prune_topk(bank, 5) is bank
 
     def test_keeps_top_two_and_renormalizes(self):
         out = prune_topk(self.bank3(), 2)
@@ -531,14 +533,14 @@ class TestBankSurface:
     def test_posterior_rows_export(self):
         from bone.weighting import runlength_posterior_rows
 
-        banks = []
+        posterior = []
         bank = HypothesisBank.root(BASE)
         hazard = HazardSpec(0.2)
         rng = np.random.default_rng(0)
         for _ in range(4):
             bank = rl_step(bank, hazard, LINEAR, RLPR, [rng.normal()], [rng.normal()])
-            banks.append(bank)
-        rows = runlength_posterior_rows(banks)
+            posterior.append((bank.timestep, bank.runlengths, bank.log_weights))
+        rows = list(runlength_posterior_rows(posterior))
         assert len(rows) == 2 + 3 + 4 + 5
         by_t = {}
         for t, r, lp in rows:
