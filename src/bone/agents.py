@@ -17,14 +17,14 @@ hypothesis of a single-hypothesis method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, is_finite_number, is_integer
+from .core import ConfigError, is_finite_number, is_integer, reject_nan_belief
 from .measurement import MeasurementSpec, link_mean, predictive_log_density
 from .posterior import lg_update, wolf_update
-from .priors import PriorPolicy, conditional_prior
+from .priors import PriorPolicy, conditional_prior, data_free_prior
 from .weighting import (
     RL_KINDS,
     HazardSpec,
@@ -156,9 +156,9 @@ def _step_single(state: AgentState, cfg: MethodConfig, x, y) -> AgentState:
         post = wolf_update(prior, cfg.spec, x, y, cfg.wolf_c, anchor)
     else:
         post = lg_update(prior, cfg.spec, x, y, anchor)
-    return AgentState(bank=replace(
-        bank,
+    return AgentState(bank=HypothesisBank(
         runlengths=np.array([runlength]),
+        log_joints=bank.log_joints,
         means=post.mean[None, :],
         covs=post.cov[None, :, :],
         anchors=None if anchor is None else np.array([anchor]),
@@ -192,15 +192,16 @@ def drift_unobserved(state: AgentState, cfg: MethodConfig) -> AgentState:
 
     OU and ACI beliefs diffuse without an observation; data-dependent kinds
     (cpp-ou, rl-*) are left unchanged because their auxiliary value needs
-    the current observation.
+    the current observation.  A drifted belief holding NaN is a ValueError.
     """
     kind = cfg.policy.kind
     if kind not in DRIFT_KINDS or not cfg.drift_unpulled:
         return state
     bank = state.bank
-    belief = conditional_prior(cfg.policy, bank.belief(0))
-    return AgentState(bank=replace(
-        bank, means=belief.mean[None, :], covs=belief.cov[None, :, :]
+    mean, cov = data_free_prior(cfg.policy, bank.means[0], bank.covs[0])
+    reject_nan_belief(mean, cov)
+    return AgentState(bank=HypothesisBank(
+        bank.runlengths, bank.log_joints, mean[None], cov[None], bank.anchors, bank.timestep
     ))
 
 
@@ -212,19 +213,25 @@ def thompson_action(
 ) -> int:
     """Sample a parameter draw per arm from its modal-hypothesis belief and
     act greedily on the sampled expected rewards.  Ties break to the lowest
-    arm index."""
-    thetas, anchors = [], []
-    for st in states:
-        bank = st.bank
-        i = bank.map_index
-        mean, cov = bank.means[i], bank.covs[i]
-        z = rng.standard_normal(mean.size)
-        if mean.size == 1:
-            thetas.append(mean + np.sqrt(max(cov[0, 0], 0.0)) * z)
-        else:
-            chol = np.linalg.cholesky(cov + 1e-12 * np.eye(mean.size))
-            thetas.append(mean + chol @ z)
-        if bank.anchors is not None:
-            anchors.append(bank.anchors[i])
-    rewards = link_mean(cfg.spec, np.stack(thetas), x, np.array(anchors) if anchors else None)
+    arm index.
+
+    One standard-normal draw of shape (arms, m) gives every arm's draw in arm
+    order.  A draw is mu + sqrt(max(Sigma, 0)) z for m = 1, and mu + L z with
+    L the Cholesky factor of Sigma + 1e-12 I otherwise.
+    """
+    banks = [st.bank for st in states]
+    rows = [bank.map_index for bank in banks]
+    means = np.concatenate([bank.means[i : i + 1] for bank, i in zip(banks, rows)])
+    covs = np.concatenate([bank.covs[i : i + 1] for bank, i in zip(banks, rows)])
+    m = means.shape[1]
+    z = rng.standard_normal(means.shape)
+    if m == 1:
+        thetas = means + np.sqrt(np.maximum(covs[:, 0], 0.0)) * z
+    else:
+        chol = np.linalg.cholesky(covs + 1e-12 * np.eye(m))
+        thetas = means + np.stack([c @ v for c, v in zip(chol, z)])
+    anchors = None
+    if banks[0].anchors is not None:
+        anchors = np.array([bank.anchors[i] for bank, i in zip(banks, rows)])
+    rewards = link_mean(cfg.spec, thetas, x, anchors)
     return int(np.argmax(rewards[:, 0]))

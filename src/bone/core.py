@@ -50,6 +50,12 @@ def is_finite_number(v) -> bool:
         return False
 
 
+def reject_nan_belief(mean: np.ndarray, cov: np.ndarray) -> None:
+    """Raise ValueError when a belief's mean or covariance holds NaN."""
+    if np.isnan(mean).any() or np.isnan(cov).any():
+        raise ValueError("belief contains NaN")
+
+
 @dataclass(frozen=True)
 class GaussBelief:
     """Gaussian belief over model parameters: mean vector and covariance matrix."""
@@ -66,8 +72,7 @@ class GaussBelief:
             raise ValueError(
                 f"cov shape {cov.shape} inconsistent with mean length {mean.size}"
             )
-        if np.isnan(mean).any() or np.isnan(cov).any():
-            raise ValueError("belief contains NaN")
+        reject_nan_belief(mean, cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 

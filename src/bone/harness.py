@@ -322,18 +322,15 @@ class MetricTrace:
     experiment: str
     errors: np.ndarray | None = None
     mode_runlengths: np.ndarray | None = None
-    predictions: np.ndarray | None = None
     finals: dict = field(default_factory=dict)
 
 
 def rolling_mean(values: np.ndarray, window: int) -> np.ndarray:
     """Trailing mean with partial windows at the start."""
-    out = np.empty_like(values, dtype=float)
     c = np.concatenate([[0.0], np.cumsum(values, dtype=float)])
-    for t in range(values.size):
-        lo = max(0, t + 1 - window)
-        out[t] = (c[t + 1] - c[lo]) / (t + 1 - lo)
-    return out
+    end = np.arange(1, values.size + 1)
+    lo = np.maximum(0, end - window)
+    return (c[end] - c[lo]) / (end - lo)
 
 
 def compute_metrics(trace: MetricTrace) -> dict:
@@ -499,7 +496,6 @@ def _run_prequential_trial(cfg: ExperimentConfig, trial: int) -> MetricTrace:
     n = len(records)
     losses = np.zeros(n)
     errors = np.zeros(n) if kind == "regression" else None
-    preds = np.zeros(n)
     modes = np.zeros(n, dtype=int)
     # trial 0's runlength posterior, one (t, runlengths, log_weights) per step
     posterior = [] if cfg.runlength_output_path and trial == 0 else None
@@ -507,7 +503,6 @@ def _run_prequential_trial(cfg: ExperimentConfig, trial: int) -> MetricTrace:
         try:
             yhat, _ = predict_weighted(state, method, rec.x)
             yhat_scalar = float(np.asarray(yhat).ravel()[0])
-            preds[t] = yhat_scalar
             if kind == "regression":
                 errors[t] = float(rec.y) - yhat_scalar
                 with np.errstate(over="ignore"):  # an infinite loss is raised below
@@ -537,7 +532,6 @@ def _run_prequential_trial(cfg: ExperimentConfig, trial: int) -> MetricTrace:
         experiment=cfg.experiment,
         errors=errors,
         mode_runlengths=modes,
-        predictions=preds,
     )
     trace.finals = compute_metrics(trace)
     if posterior is not None:
@@ -664,18 +658,21 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, parallel: int = 1) -> dict:
     """Visit the full hyperparameter grid and report the grid argmin.
 
     Each grid point runs all trials on the warmup prefix (when configured)
-    and writes its own CSV/JSON pair under out_dir.  The index maps every
-    (grid point, trial) to its final scalars and names the best point by
-    mean primary metric.  A point without one (horizon 0) is never best;
-    with no such point, the best point and its mean are null.
+    and writes its own CSV/JSON pair under out_dir.  With
+    ``runlength_output_path`` set, each point also writes its own runlength
+    dump, ``point_<idx>.runlength.csv``, beside them in place of that path.
+    The index maps every (grid point, trial) to its final scalars and names
+    the best point by mean primary metric.  A point without one (horizon 0)
+    is never best; with no such point, the best point and its mean are null.
     """
     if not cfg.sweep:
         raise ConfigError("config has no sweep stanza")
     _check_parallel(parallel)
     keys = sorted(cfg.sweep)
     combos = list(itertools.product(*(cfg.sweep[k] for k in keys)))
+    out = Path(out_dir)
     point_cfgs = []  # every grid point is parsed before any runs, so a bad one writes nothing
-    for combo in combos:
+    for idx, combo in enumerate(combos):
         raw = copy.deepcopy(cfg.raw)
         raw.pop("sweep", None)
         raw.pop("output_path", None)
@@ -683,8 +680,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, parallel: int = 1) -> dict:
             _set_by_path(raw, k, v)
         if cfg.warmup:
             raw["horizon"] = cfg.warmup
+        if cfg.runlength_output_path:
+            raw["runlength_output_path"] = str(out / f"point_{idx:04d}.runlength.csv")
         point_cfgs.append(parse_config(raw))
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     metric = PRIMARY_METRIC[EXPERIMENT_KIND[cfg.experiment]]
     rows = []

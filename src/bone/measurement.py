@@ -49,7 +49,8 @@ def _phi_poly2(x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != 1:
         raise ValueError("poly2 basis expects a scalar feature")
-    return np.array([1.0, x[0], x[0] ** 2])
+    with np.errstate(over="ignore"):  # an infinite feature fails the step downstream
+        return np.array([1.0, x[0], x[0] ** 2])
 
 
 FEATURE_MAPS = {
@@ -133,8 +134,12 @@ class MeasurementSpec:
 
 
 def _per_row(a: np.ndarray, batch: tuple) -> np.ndarray:
-    """a repeated over the leading batch shape (a read-only view), or a itself."""
-    return np.broadcast_to(a, batch + a.shape) if batch else a
+    """a repeated over the leading batch shape (a new array), or a itself."""
+    if not batch:
+        return a
+    out = np.empty(batch + a.shape)
+    out[...] = a
+    return out
 
 
 def _mlp_forward_jac(spec: MeasurementSpec, theta: np.ndarray, x: np.ndarray):

@@ -63,14 +63,29 @@ class PriorPolicy:
                 raise ConfigError(f"prior kind {self.kind!r} does not take {name}")
 
 
-def _ou_blend(prev: GaussBelief, base: GaussBelief, rate: float) -> GaussBelief:
+def data_free_prior(policy: PriorPolicy, mean: np.ndarray, cov: np.ndarray, rate=None):
+    """Mean and covariance of the prior that needs no observation, from last
+    step's mean (m,) and covariance (m, m).
+
+    aci adds alpha I to the covariance.  The other kinds blend toward the
+    base prior at ``rate`` (gamma when not given): (r mu + (1-r) mu0,
+    r^2 Sigma + (1-r^2) Sigma0), which is the OU prior and, at the rate its
+    auxiliary value gives, the cpp-ou and rl-oupr prior.  Rate 1 returns the
+    inputs and rate 0 the base prior's arrays, unchanged; conditional_prior
+    settles both rates before calling this, so it hands back the belief it
+    was given or the base prior itself.
+    """
+    if policy.kind == "aci":
+        return mean, cov + policy.alpha * np.eye(mean.size)
+    if rate is None:
+        rate = policy.gamma
     if rate == 1.0:
-        return prev
+        return mean, cov
+    base = policy.base_prior
     if rate == 0.0:
-        return base
-    mean = rate * prev.mean + (1.0 - rate) * base.mean
-    cov = rate * rate * prev.cov + (1.0 - rate * rate) * base.cov
-    return GaussBelief(mean, symmetrize_psd(cov))
+        return base.mean, base.cov
+    blend = rate * rate * cov + (1.0 - rate * rate) * base.cov
+    return rate * mean + (1.0 - rate) * base.mean, symmetrize_psd(blend)
 
 
 def conditional_prior(
@@ -85,25 +100,28 @@ def conditional_prior(
     continuation probability nu for rl-oupr.  The rl-prior-reset and rl-mmpr
     priors are built by ``weighting.rl_step``.
     """
-    base = policy.base_prior
     kind = policy.kind
     if kind == "static":
         return prev
+    if kind == "aci":
+        return GaussBelief(*data_free_prior(policy, prev.mean, prev.cov))
     if kind == "ou":
-        return _ou_blend(prev, base, policy.gamma)
-    if kind == "cpp-ou":
+        rate = policy.gamma
+    elif kind == "cpp-ou":
         if aux is None or not 0.0 <= aux <= 1.0:
             raise ConfigError(f"cpp-ou needs a changepoint probability in [0, 1], got {aux}")
-        return _ou_blend(prev, base, float(aux))
-    if kind == "aci":
-        return GaussBelief(prev.mean, prev.cov + policy.alpha * np.eye(prev.dim))
-    if kind == "rl-oupr":
+        rate = float(aux)
+    elif kind == "rl-oupr":
         if weight is None or not 0.0 <= weight <= 1.0:
             raise ConfigError(f"rl-oupr needs a continuation weight in [0, 1], got {weight}")
-        if weight > policy.epsilon:
-            return _ou_blend(prev, base, weight)
-        return base
-    raise ConfigError(f"prior kind {kind!r} is built by rl_step, not conditional_prior")
+        rate = weight if weight > policy.epsilon else 0.0
+    else:
+        raise ConfigError(f"prior kind {kind!r} is built by rl_step, not conditional_prior")
+    if rate == 1.0:
+        return prev
+    if rate == 0.0:
+        return policy.base_prior
+    return GaussBelief(*data_free_prior(policy, prev.mean, prev.cov, rate))
 
 
 def mmpr_prior(bank: "HypothesisBank") -> GaussBelief:

@@ -70,8 +70,10 @@ class HypothesisBank:
         k = r.size
         if lj.shape != (k,) or means.shape[0] != k or covs.shape[0] != k:
             raise ValueError("inconsistent bank column lengths")
-        if np.unique(r).size != k:
-            raise ValueError(f"runlengths must be distinct, got {r}")
+        if k > 1:
+            s = np.sort(r)
+            if (s[1:] == s[:-1]).any():
+                raise ValueError(f"runlengths must be distinct, got {r}")
         if (r > self.timestep).any():
             raise ValueError("runlength exceeds the current timestep")
         if np.isnan(lj).any():
@@ -116,6 +118,8 @@ class HypothesisBank:
     @property
     def map_index(self) -> int:
         """Index of the most likely hypothesis; ties go to the larger runlength."""
+        if self.size == 1:
+            return 0
         return int(_top_k(self.runlengths, self.log_joints, 1)[0])
 
     @property
@@ -297,6 +301,7 @@ def cpp_empirical_bayes(
         raise ValueError("learning rate must be positive")
     yv = _free_obs(spec, y)
     anchors = None if anchor is None else np.full(2, anchor)
+    pm, pc, bm, bc = prev.mean, prev.cov, base.mean, base.cov
     u = 1.0
     h = 1e-4
     for _ in range(steps):
@@ -304,10 +309,10 @@ def cpp_empirical_bayes(
         lo = max(u - h, 0.0)
         if hi == lo:
             break
-        pts = np.array([hi, lo])
-        sq = (pts * pts)[:, None, None]
-        means = pts[:, None] * prev.mean + (1.0 - pts)[:, None] * base.mean
-        covs = sq * prev.cov + (1.0 - sq) * base.cov
+        pts = np.array([[hi], [lo]])
+        sq = (pts * pts)[:, :, None]
+        means = pts * pm + (1.0 - pts) * bm
+        covs = sq * pc + (1.0 - sq) * bc
         yhats, jacs, Rs = linearize_bank(spec, means, x, anchors)
         S = (jacs @ covs) @ jacs.transpose(0, 2, 1) + Rs
         dens = gaussian_log_pdf_batch(yv, yhats, S)

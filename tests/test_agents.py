@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bone.agents
 from bone.agents import (
+    DRIFT_KINDS,
     AgentState,
     MethodConfig,
     bone_step,
@@ -12,7 +16,7 @@ from bone.agents import (
     predict_weighted,
     thompson_action,
 )
-from bone.core import ConfigError, GaussBelief
+from bone.core import ConfigError, GaussBelief, symmetrize_psd
 from bone.measurement import MeasurementSpec, link_mean
 from bone.priors import PriorPolicy
 from bone.weighting import HazardSpec, HypothesisBank
@@ -252,6 +256,13 @@ class TestBankInvariants:
             cap = {"RL-PR[K]": K, "RL-PR[inf]": t + 1, "WoLF+RL-PR": t + 1, "RL-MMPR": t + 1}
             assert bank.size <= cap.get(name, 1)
 
+    @pytest.mark.parametrize("runlengths", [[1, 1], [2, 0, 2], [3, 0, 1, 0], [5, 3, 5, 1]])
+    def test_bank_rejects_duplicate_unsorted_runlengths(self, runlengths):
+        k = len(runlengths)
+        with pytest.raises(ValueError, match="runlengths must be distinct"):
+            HypothesisBank(np.array(runlengths), np.zeros(k), np.zeros((k, 1)), np.ones((k, 1, 1)), timestep=5)
+        HypothesisBank(np.arange(k)[::-1], np.zeros(k), np.zeros((k, 1)), np.ones((k, 1, 1)), timestep=5)
+
 
 class TestThompson:
     def bern_cfg(self):
@@ -315,3 +326,132 @@ class TestDriftUnobserved:
         cfg = method("C-ACI", alpha=0.2, drift_unpulled=False)
         st = init_agent(cfg)
         assert drift_unobserved(st, cfg) is st
+
+    @pytest.mark.parametrize("name,kw", [("C-ACI", {"alpha": 0.2}), ("C-OU", {"gamma": 0.5})])
+    def test_nan_belief_raises(self, name, kw):
+        cfg = method(name, base=GaussBelief(np.zeros(1), np.eye(1)), **kw)
+        bank = HypothesisBank(np.array([0]), np.zeros(1), np.array([[np.nan]]), np.ones((1, 1, 1)))
+        with pytest.raises(ValueError, match="belief contains NaN"):
+            drift_unobserved(AgentState(bank=bank), cfg)
+
+
+def reference_thompson_action(states, cfg, x, rng):
+    """thompson_action as a loop over the arms: one draw of size m per arm,
+    then a Cholesky factor per arm for m > 1.  Returns the arm and the
+    (thetas, anchors) it scored."""
+    thetas, anchors = [], []
+    for state in states:
+        bank = state.bank
+        i = bank.map_index
+        mean, cov = bank.means[i], bank.covs[i]
+        z = rng.standard_normal(mean.size)
+        if mean.size == 1:
+            thetas.append(mean + np.sqrt(max(cov[0, 0], 0.0)) * z)
+        else:
+            chol = np.linalg.cholesky(cov + 1e-12 * np.eye(mean.size))
+            thetas.append(mean + chol @ z)
+        if bank.anchors is not None:
+            anchors.append(bank.anchors[i])
+    thetas, anchors = np.stack(thetas), np.array(anchors) if anchors else None
+    rewards = link_mean(cfg.spec, thetas, x, anchors)
+    return int(np.argmax(rewards[:, 0])), (thetas, anchors)
+
+
+def reference_drift_unobserved(state, cfg):
+    """drift_unobserved through a GaussBelief, with the ACI inflation and the
+    OU blend written out."""
+    policy = cfg.policy
+    if policy.kind not in DRIFT_KINDS or not cfg.drift_unpulled:
+        return state
+    bank = state.bank
+    prev, base = bank.belief(0), policy.base_prior
+    if policy.kind == "aci":
+        belief = GaussBelief(prev.mean, prev.cov + policy.alpha * np.eye(prev.dim))
+    elif policy.gamma == 1.0:
+        belief = prev
+    elif policy.gamma == 0.0:
+        belief = base
+    else:
+        r = policy.gamma
+        belief = GaussBelief(
+            r * prev.mean + (1.0 - r) * base.mean,
+            symmetrize_psd(r * r * prev.cov + (1.0 - r * r) * base.cov),
+        )
+    return AgentState(bank=replace(bank, means=belief.mean[None, :], covs=belief.cov[None, :, :]))
+
+
+def assert_same_bank(got, want):
+    """The two banks hold the same columns, bit for bit."""
+    assert got.timestep == want.timestep
+    for name in ("runlengths", "log_joints", "means", "covs", "anchors"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+
+# family -> (measurement spec, parameter count)
+BANDIT_FAMILIES = {
+    "bernoulli-m1": (MeasurementSpec("bernoulli-logit"), 1),
+    "bernoulli-m3": (MeasurementSpec("bernoulli-logit", feature_map="poly2"), 3),
+    "segment-poly": (MeasurementSpec("segment-poly-gaussian", obs_noise=[[0.5]]), 3),
+}
+# (method name, method and prior keywords)
+BANDIT_METHODS = [
+    ("C-Static", {}),
+    ("C-ACI", {"alpha": 0.05}),
+    ("C-OU", {"gamma": 0.0}),
+    ("C-OU", {"gamma": 0.5}),
+    ("C-OU", {"gamma": 1.0}),
+    ("CPP-OU", {}),
+    ("RL-OUPR", {"hazard": HazardSpec(0.2), "epsilon": 0.5}),
+    ("RL-PR[inf]", {"hazard": HazardSpec(0.2)}),
+    ("RL-PR[K]", {"hazard": HazardSpec(0.2), "capacity": 3}),
+]
+
+
+class TestBanditStepAgainstPerArmReference:
+    @given(
+        family=st.sampled_from(sorted(BANDIT_FAMILIES)),
+        row=st.sampled_from(range(len(BANDIT_METHODS))),
+        arms=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_arms_draws_and_banks(self, family, row, arms, seed):
+        spec, m = BANDIT_FAMILIES[family]
+        name, kw = BANDIT_METHODS[row]
+        cfg = method(name, spec=spec, base=GaussBelief(np.zeros(m), 2.0 * np.eye(m)), **kw)
+        data = np.random.default_rng(seed)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        states = [init_agent(cfg) for _ in range(arms)]
+        sizes, scored = [], []
+
+        def recorded_link_mean(spec, theta, x, anchor=None):
+            scored.append((theta, anchor))
+            return link_mean(spec, theta, x, anchor)
+
+        for _ in range(12):
+            x = [data.uniform(-2.0, 2.0)]
+            scored.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(bone.agents, "link_mean", recorded_link_mean)
+                a = thompson_action(states, cfg, x, rng)
+            want, (thetas, anchors) = reference_thompson_action(states, cfg, x, ref_rng)
+            assert a == want
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            [(got_thetas, got_anchors)] = scored
+            assert got_thetas.tobytes() == thetas.tobytes()
+            assert (got_anchors is None) == (anchors is None)
+            if anchors is not None:
+                assert got_anchors.tobytes() == anchors.tobytes()
+            states[a], _, _ = bone_step(states[a], cfg, x, float(data.random() < 0.6))
+            sizes.append(states[a].bank.size)
+            for j in range(arms):
+                if j != a:
+                    got = drift_unobserved(states[j], cfg)
+                    assert_same_bank(got.bank, reference_drift_unobserved(states[j], cfg).bank)
+                    states[j] = got
+        if cfg.is_rl_bank:
+            assert max(sizes) > 1  # the modal hypothesis is picked from a bank

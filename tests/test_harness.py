@@ -397,11 +397,13 @@ class TestRunPrequential:
                 "hazard": 0.05,
             },
         }
-        p1 = run_experiment(parse_config(raw))[0].predictions
+        e1 = run_experiment(parse_config(raw))[0].errors
         raw["data_path"] = str(b)
-        p2 = run_experiment(parse_config(raw))[0].predictions
-        np.testing.assert_array_equal(p1[:31], p2[:31])  # prediction at 30 uses y[:30]
-        assert not np.array_equal(p1[31:], p2[31:])
+        e2 = run_experiment(parse_config(raw))[0].errors
+        # the error at t is y[t] minus the prediction from y[:t]
+        np.testing.assert_array_equal(e1[:30], e2[:30])
+        assert e2[30] - e1[30] == pytest.approx(100.0, abs=1e-9)  # same prediction
+        assert not np.allclose(e2[31:] - e1[31:], 100.0)  # the predictions moved
 
     def test_parallel_matches_serial(self):
         cfg = parse_config(static_config(trials=3, horizon=40))
@@ -734,6 +736,23 @@ class TestExportAndCli:
             assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 3
         assert "step 1: matrix 0 of batch is not finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cli_exits_3_when_a_poly2_feature_overflows(self, tmp_path, capsys):
+        # the square of 1e200 is infinite: the prediction is not finite
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n1,2\n1e200,2.0\n")
+        method = {
+            "name": "C-Static",
+            "model": {"family": "linear-gaussian", "obs_noise": 1.0, "feature_map": "poly2"},
+            "prior": {"kind": "static", "base_mean": [0, 0, 0], "base_cov_scale": 1.0},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "csv-stream", "data_path": str(data), "method": method}))
+        out = tmp_path / "o.csv"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert "numeric failure: trial 0 failed at step 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cli_gen(self, tmp_path):
         out = tmp_path / "stream.csv"
         assert cli_main(["gen", "--experiment", "heavy-tail", "--out", str(out), "--horizon", "7"]) == 0
@@ -793,6 +812,23 @@ class TestSweep:
         index = run_sweep(parse_config(raw), tmp_path / "grid")
         assert index["best"]["point"] == {"horizon": 5}
         assert index == strict_json(tmp_path / "grid" / "index.json")
+
+    def test_each_point_writes_its_own_runlength_dump(self, tmp_path):
+        raw = method_config("RL-PR[inf]", "rl-prior-reset", hazard=0.1)
+        raw.update(horizon=15, runlength_output_path=str(tmp_path / "rl.csv"))
+        raw["sweep"] = {"method.hazard": [0.1, 0.5]}
+        run_sweep(parse_config(raw), tmp_path / "grid")
+        dumps = [tmp_path / "grid" / f"point_{i:04d}.runlength.csv" for i in range(2)]
+        texts = [d.read_text() for d in dumps]
+        assert texts[0] != texts[1]
+        for idx, text in enumerate(texts):
+            assert text.splitlines()[0] == "t,r,log_posterior"
+            hazard = raw["sweep"]["method.hazard"][idx]
+            alone = tmp_path / f"alone{idx}.csv"
+            run_experiment(parse_config(dict(raw, sweep=None, method=dict(raw["method"], hazard=hazard),
+                                             runlength_output_path=str(alone))))
+            assert text == alone.read_text()
+        assert not (tmp_path / "rl.csv").exists()
 
     def test_warmup_prefix_controls_sweep_horizon(self, tmp_path):
         raw = static_config(trials=1, horizon=50, warmup=10)
