@@ -117,7 +117,7 @@ SCHEMA = {
     "horizon": (_count(0), True),
     "trials": (_count(1), False),
     "seed": (_count(0), True),
-    "warmup": (_nullable(_count(0)), False),
+    "warmup": (_nullable(_count(1)), False),
     "rolling_window": (_count(1), False),
     "output_path": (_nullable(_STRING), False),
     "runlength_output_path": (_nullable(_STRING), False),
@@ -278,6 +278,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     top = given[""]
     if "horizon" not in top and params:
         top["horizon"] = params["T"].default
+    warmup, horizon = top.get("warmup"), top.get("horizon")
+    if warmup and horizon and warmup > horizon:
+        raise ConfigError(f"warmup {warmup} exceeds the horizon {horizon}")
     experiment = top["experiment"]
     if experiment == "csv-stream" and not top.get("data_path"):
         raise ConfigError("csv-stream requires data_path")
@@ -432,8 +435,10 @@ def load_csv_stream(
         if header is None:
             raise ConfigError(f"{path}: empty CSV, header row required")
         rows = [_csv_row(path, reader.line_num, header, row) for row in reader if row]
+    if not rows:
+        raise ConfigError(f"{path}: no data rows after the header")
     data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] < 2:
+    if data.shape[1] < 2:
         raise ConfigError(f"{path}: need at least one feature column and a target")
     X, y = data[:, :-1], data[:, -1]
     if ewma_target_half_life is not None:

@@ -17,6 +17,7 @@ from bone.measurement import MeasurementSpec, apply_h
 from bone.posterior import lg_update, wolf_update
 from bone.priors import PriorPolicy
 from bone.weighting import HazardSpec, HypothesisBank, rl_step
+from experiments import configs
 from oracles import (
     batch_linreg_posterior,
     finite_diff_jacobian,
@@ -135,69 +136,31 @@ def test_04_mlp_jacobian_correctness():
     )
 
 
-def _periodic_drift_cfg(name, seeds):
-    method = {
-        "name": name,
-        "model": {"family": "bernoulli-logit"},
-        "prior": {"kind": "rl-oupr" if name == "RL-OUPR" else "rl-prior-reset",
-                  "base_mean": [0, 0], "base_cov_scale": 10.0},
-        "hazard": 0.1,
-    }
-    if name == "RL-OUPR":
-        method["prior"]["epsilon"] = 0.5
-    else:
-        method["K"] = 1
-    return parse_config(
-        {"experiment": "periodic-drift", "horizon": 720, "trials": seeds,
-         "seed": 0, "method": method}
-    )
-
-
 def test_05_periodic_drift_reproduction():
     start = time.perf_counter()
-    seeds = 20
+    raws = configs("periodic_drift")
     mis = {}
-    for name in ("RL-OUPR", "RL-PR[K]"):
-        traces = run_experiment(_periodic_drift_cfg(name, seeds))
-        mis[name] = np.array([t.finals["misclassification_rate"] for t in traces])
-    diff = mis["RL-PR[K]"] - mis["RL-OUPR"]
-    se = diff.std(ddof=1) / np.sqrt(seeds)
+    for label in ("RL-OUPR", "RL-PR[1]"):
+        traces = run_experiment(parse_config(raws[label]))
+        mis[label] = np.array([t.finals["misclassification_rate"] for t in traces])
+    diff = mis["RL-PR[1]"] - mis["RL-OUPR"]
+    se = diff.std(ddof=1) / np.sqrt(diff.size)
     elapsed = time.perf_counter() - start
     _report(
         5,
         "periodic drift: RL-OUPR beats RL-PR[1] by >= 2 SE (< 1 min)",
         diff.mean() > 0 and diff.mean() >= 2 * se and elapsed < 60.0,
-        f"oupr={mis['RL-OUPR'].mean():.3f} rlpr1={mis['RL-PR[K]'].mean():.3f} "
+        f"oupr={mis['RL-OUPR'].mean():.3f} rlpr1={mis['RL-PR[1]'].mean():.3f} "
         f"diff={diff.mean():.3f} se={se:.3f} time={elapsed:.1f}s",
-    )
-
-
-def _heavy_tail_cfg(name, wolf_c=None, seeds=30):
-    method = {
-        "name": name,
-        "model": {"family": "linear-gaussian", "obs_noise": 1.0, "feature_map": "poly2"},
-        "prior": {"kind": "rl-prior-reset" if "RL" in name else "static",
-                  "base_mean": [0, 0, 0], "base_cov_scale": 3.0},
-    }
-    if "RL" in name:
-        method["hazard"] = 0.01
-    if wolf_c is not None:
-        method["wolf_c"] = wolf_c
-    return parse_config(
-        {"experiment": "heavy-tail", "horizon": 500, "trials": seeds, "seed": 0,
-         "generator": {"p_eps": 0.01}, "method": method}
     )
 
 
 def test_06_heavy_tail_reproduction():
     start = time.perf_counter()
+    raws = configs("heavy_tail")
     med = {}
-    for tag, cfg in [
-        ("wolf", _heavy_tail_cfg("WoLF+RL-PR", wolf_c=4.0)),
-        ("lg", _heavy_tail_cfg("RL-PR[inf]")),
-        ("static", _heavy_tail_cfg("C-Static")),
-    ]:
-        traces = run_experiment(cfg)
+    for tag, label in [("wolf", "WoLF-RL-PR"), ("lg", "RL-PR"), ("static", "C-Static")]:
+        traces = run_experiment(parse_config(raws[label]))
         med[tag] = float(np.median([t.finals["rmse"] for t in traces]))
     elapsed = time.perf_counter() - start
     _report(
@@ -248,30 +211,12 @@ def test_07_robust_weight_outlier_contrast():
     )
 
 
-def _bandit_cfg(name, sims=20, T=2000):
-    prior = {"kind": {"C-Static": "static", "C-ACI": "aci", "CPP-OU": "cpp-ou",
-                      "RL-OUPR": "rl-oupr"}[name],
-             "base_mean": [0], "base_cov_scale": 1.0}
-    method = {"name": name, "model": {"family": "bernoulli-logit"}, "prior": prior}
-    if name == "C-ACI":
-        prior["alpha"] = 0.01
-    elif name == "CPP-OU":
-        method["cpp"] = {"steps": 10, "lr": 0.05}
-    elif name == "RL-OUPR":
-        prior["epsilon"] = 0.5
-        method["hazard"] = 0.05
-    return parse_config(
-        {"experiment": "bandit", "horizon": T, "trials": sims, "seed": 0,
-         "generator": {"arms": 10}, "method": method}
-    )
-
-
 def test_08_bandit_reproduction():
     start = time.perf_counter()
     regrets = {}
-    for name in ("C-Static", "C-ACI", "CPP-OU", "RL-OUPR"):
-        traces = run_experiment(_bandit_cfg(name))
-        regrets[name] = np.array([t.finals["cumulative_regret"] for t in traces])
+    for label, raw in configs("bandit").items():
+        traces = run_experiment(parse_config(raw))
+        regrets[label] = np.array([t.finals["cumulative_regret"] for t in traces])
     static = regrets.pop("C-Static")
     ok = True
     parts = [f"static={static.mean():.0f}"]

@@ -278,10 +278,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(raw)
 
-    @pytest.mark.parametrize("key,value", [("rolling_window", 0), ("rolling_window", -1), ("trials", -1), ("trials", 0)])
+    @pytest.mark.parametrize("key,value", [("rolling_window", 0), ("rolling_window", -1), ("trials", -1), ("trials", 0),
+                                           ("warmup", 0), ("warmup", -1)])
     def test_nonpositive_counts_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             parse_config(static_config(**{key: value}))
+
+    @pytest.mark.parametrize("warmup", [0, 81])  # static_config's horizon is 80
+    def test_cli_exits_2_on_warmup_outside_the_horizon(self, tmp_path, warmup):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(static_config(warmup=warmup, sweep={"seed": [0, 1]})))
+        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 2
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("horizon", [80, 0])  # 0 bounds nothing (a csv-stream's whole file)
+    def test_warmup_up_to_a_nonzero_horizon_parses(self, horizon):
+        assert parse_config(static_config(warmup=80, horizon=horizon)).warmup == 80
 
     @pytest.mark.parametrize("seed", [-1, "abc", 1.5, True])
     def test_bad_seed_rejected(self, seed):
@@ -918,6 +930,12 @@ class TestCsvIngestion:
         with pytest.raises(ConfigError):
             load_csv_stream(str(path))
 
+    def test_header_only_csv_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,y\n")
+        with pytest.raises(ConfigError, match=r"d\.csv: no data rows after the header"):
+            load_csv_stream(str(path))
+
     @pytest.mark.parametrize("cell", ["abc", "nan", "inf", ""])
     def test_bad_cell_is_config_error_naming_row_and_column(self, tmp_path, cell):
         path = tmp_path / "d.csv"
@@ -931,10 +949,10 @@ class TestCsvIngestion:
         with pytest.raises(ConfigError, match="row 3"):
             load_csv_stream(str(path))
 
-    @pytest.mark.parametrize("cell", ["abc", "nan"])
+    @pytest.mark.parametrize("cell", ["abc", "nan", None])  # None: no data rows
     def test_cli_exits_2_on_bad_cell(self, tmp_path, cell):
         data = tmp_path / "d.csv"
-        data.write_text(f"x,y\n1,2\n{cell},3\n")
+        data.write_text("x,y\n" if cell is None else f"x,y\n1,2\n{cell},3\n")
         raw = {
             "experiment": "csv-stream",
             "data_path": str(data),
