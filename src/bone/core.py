@@ -8,6 +8,10 @@ each have one implementation, on a stack of matrices; ``symmetrize_psd`` and
 ``gaussian_log_pdf`` run it on a stack of one.  Both factor the stack with
 batched numpy Cholesky: a finite factor proves a matrix positive definite,
 and ``eigvalsh`` runs only when a factorization fails.
+
+Every covariance the engine holds is exactly symmetric, so
+``certify_psd_batch`` checks it as it stands; ``symmetrize_psd_batch``
+symmetrizes a stack from outside, then certifies it.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ import numpy as np
 PSD_TOL = 1e-9
 
 # Byte budget of one slice of a covariance stack: symmetrize_psd_batch
-# symmetrizes a larger stack in place and certifies it with Cholesky one
-# slice at a time, so its scratch stays bounded whatever the stack size.
+# symmetrizes a larger stack in place, and certify_psd_batch factors it with
+# Cholesky one slice at a time, so the scratch stays bounded whatever the
+# stack size.
 SLICE_BYTES = 1 << 17
 
 
@@ -58,7 +63,9 @@ def reject_nan_belief(mean: np.ndarray, cov: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class GaussBelief:
-    """Gaussian belief over model parameters: mean vector and covariance matrix."""
+    """Gaussian belief over model parameters: mean vector and covariance
+    matrix, stored as (cov + cov^T)/2, which is cov bit for bit when cov is
+    symmetric."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -73,6 +80,8 @@ class GaussBelief:
                 f"cov shape {cov.shape} inconsistent with mean length {mean.size}"
             )
         reject_nan_belief(mean, cov)
+        if mean.size > 1:  # a 1x1 matrix is symmetric already
+            cov = (cov + cov.T) / 2.0
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -110,44 +119,54 @@ def symmetrize_psd(cov: np.ndarray) -> np.ndarray:
 
 
 def symmetrize_psd_batch(covs: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """The symmetric parts of a (k, d, d) stack, repaired onto the PSD cone.
+    """The symmetric parts of a (k, d, d) stack, certified by certify_psd_batch.
 
     A stack of at most ``SLICE_BYTES`` is symmetrized into a new array.  A
     larger one is symmetrized in place one slice of at most ``SLICE_BYTES``
     at a time, in a copy of ``covs``, or in ``covs`` itself when
     ``overwrite`` is set (the caller owns it), so the scratch stays bounded.
-    ``covs`` is never written otherwise.
-
-    For d > 1 Cholesky factorizations of the same slices certify the stack,
-    so no factor of a large stack is built: when every slice factors with a
-    finite factor, every matrix is positive definite and the symmetrized
-    stack is returned as is.  A stack of 1x1 matrices is certified by
-    positive finite entries.  Only when a certificate fails does ``eigvalsh``
-    find the smallest eigenvalues of the whole stack: a negative one within
-    PSD_TOL * max(1, |trace|) is repaired by a diagonal shift that lifts it
-    to zero, in a new stack, and one beyond raises NumericDomainError naming
-    the matrix.  A matrix with a non-finite entry raises NumericDomainError.
+    ``covs`` is never written otherwise.  The symmetric part of a symmetric
+    matrix is the matrix itself, bit for bit, unless an entry lies beyond
+    half the float range, where A + A^T overflows.
     """
     k, d = covs.shape[:2]
     step = max(1, SLICE_BYTES // (covs.itemsize * d * d))
     if k <= step:
-        s = (covs + covs.transpose(0, 2, 1)) / 2.0
-        parts = (s,)
-    else:
-        s = covs if overwrite else covs.copy()
-        parts = [s[i : i + step] for i in range(0, k, step)]
-        for part in parts:
-            np.multiply(part + part.transpose(0, 2, 1), 0.5, out=part)  # == / 2 exactly
+        return certify_psd_batch((covs + covs.transpose(0, 2, 1)) / 2.0)
+    s = covs if overwrite else covs.copy()
+    for i in range(0, k, step):
+        part = s[i : i + step]
+        np.multiply(part + part.transpose(0, 2, 1), 0.5, out=part)  # == / 2 exactly
+    return certify_psd_batch(s)
+
+
+def certify_psd_batch(s: np.ndarray) -> np.ndarray:
+    """A (k, d, d) stack of exactly symmetric matrices, repaired onto the PSD
+    cone where needed; ``s`` itself when every matrix is positive definite.
+
+    For d > 1 Cholesky factorizations of slices of at most ``SLICE_BYTES``
+    certify the stack, so no factor of a large stack is built: when every
+    slice factors with a finite factor, every matrix is positive definite.
+    A stack of 1x1 matrices is certified by positive finite entries.  Only
+    when a certificate fails does ``eigvalsh`` find the smallest eigenvalues
+    of the whole stack: a negative one within PSD_TOL * max(1, |trace|) is
+    repaired by a diagonal shift that lifts it to zero, in a new stack, and
+    one beyond raises NumericDomainError naming the matrix.  A matrix with a
+    non-finite entry raises NumericDomainError.  ``s`` is never written, and
+    its symmetry is not checked (Cholesky and ``eigvalsh`` read one triangle).
+    """
+    k, d = s.shape[:2]
     if d == 1:
         # a 1x1 matrix with a positive finite entry is positive definite
         v = s[:, 0, 0]
         if ((v > 0.0) & (v < np.inf)).all():
             return s
     else:
+        step = max(1, SLICE_BYTES // (s.itemsize * d * d))
         try:
-            for part in parts:
+            for i in range(0, k, step):
                 # numpy returns a NaN factor, not an error, for a NaN matrix
-                traces = np.einsum("kii->k", np.linalg.cholesky(part))
+                traces = np.einsum("kii->k", np.linalg.cholesky(s[i : i + step]))
                 if not np.isfinite(traces).all():
                     break
             else:

@@ -217,6 +217,9 @@ def _method(given: dict) -> MethodConfig:
     cov = prior.pop("base_cov", None)
     if cov is None:
         cov = prior.pop("base_cov_scale", 1.0) * np.eye(mean.size)
+    elif np.ndim(cov) == 2 and not np.array_equal(cov, np.transpose(cov)):
+        # checked as given: GaussBelief would store the symmetric part
+        raise ConfigError(f"method.prior.base_cov must be a symmetric matrix, got {cov!r}")
     prior["base_prior"] = _make(GaussBelief, "method.prior", {"mean": mean, "cov": cov})
     method = given.get("method", {})
     if "hazard" in method:
@@ -281,6 +284,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     warmup, horizon = top.get("warmup"), top.get("horizon")
     if warmup and horizon and warmup > horizon:
         raise ConfigError(f"warmup {warmup} exceeds the horizon {horizon}")
+    if warmup and "horizon" in (top.get("sweep") or {}):
+        raise ConfigError(
+            "sweep over horizon with a warmup: every grid point would run the warmup prefix"
+        )
     experiment = top["experiment"]
     if experiment == "csv-stream" and not top.get("data_path"):
         raise ConfigError("csv-stream requires data_path")

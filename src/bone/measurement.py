@@ -142,16 +142,13 @@ def _per_row(a: np.ndarray, batch: tuple) -> np.ndarray:
     return out
 
 
-def _mlp_forward_jac(spec: MeasurementSpec, theta: np.ndarray, x: np.ndarray):
-    """Forward pass plus reverse-accumulated Jacobian d out / d theta.
-
-    theta is (..., m); out is (..., d) and the Jacobian (..., d, m).  ReLU
-    subgradient at exactly 0 is taken as 0.
+def _mlp_forward(spec: MeasurementSpec, theta: np.ndarray, x):
+    """Forward pass of the MLP at theta (..., m): the output (..., d) and the
+    layer weights, activations and pre-activations that _mlp_jacobian reads.
     """
     batch = theta.shape[:-1]
-    shapes = spec.layer_shapes()
     Ws, bs, pos = [], [], 0
-    for o, i in shapes:
+    for o, i in spec.layer_shapes():
         Ws.append(theta[..., pos : pos + o * i].reshape(batch + (o, i)))
         pos += o * i
         bs.append(theta[..., pos : pos + o])
@@ -164,8 +161,18 @@ def _mlp_forward_jac(spec: MeasurementSpec, theta: np.ndarray, x: np.ndarray):
         z = (W @ acts[-1][..., None])[..., 0] + b
         pre.append(z)
         acts.append(np.maximum(z, 0.0) if li < len(Ws) - 1 else z)
-    out = acts[-1]
-    d = out.shape[-1]
+    return acts[-1], (Ws, acts, pre)
+
+
+def _mlp_jacobian(spec: MeasurementSpec, theta: np.ndarray, layers) -> np.ndarray:
+    """Reverse-accumulated Jacobian d out / d theta, (..., d, m), from the
+    layers _mlp_forward returned for the same theta.  ReLU subgradient at
+    exactly 0 is taken as 0.
+    """
+    Ws, acts, pre = layers
+    shapes = spec.layer_shapes()
+    batch, pos = theta.shape[:-1], theta.shape[-1]
+    d = acts[-1].shape[-1]
     jac = np.empty(batch + (d, pos))
     # delta = d out / d z_l, propagated backwards
     delta = np.eye(d)
@@ -178,7 +185,7 @@ def _mlp_forward_jac(spec: MeasurementSpec, theta: np.ndarray, x: np.ndarray):
         jac[..., pos : pos + o * i] = outer.reshape(batch + (d, o * i))
         if li > 0:
             delta = (delta @ Ws[li]) * (pre[li - 1] > 0.0)[..., None, :]
-    return out, jac
+    return jac
 
 
 def apply_h(
@@ -213,7 +220,8 @@ def apply_h(
     if anchor is not None:
         raise ValueError(f"{spec.family} does not take an anchor")
     if spec.family == "mlp-gaussian":
-        return _mlp_forward_jac(spec, theta, x)
+        out, layers = _mlp_forward(spec, theta, x)
+        return out, _mlp_jacobian(spec, theta, layers)
     phi = spec.phi(x)
     if spec.family == "categorical-softmax":
         free = spec.out_dim - 1
@@ -321,7 +329,10 @@ def link_mean(
     anchor: float | np.ndarray | None = None,
 ) -> np.ndarray:
     """Predictive mean on the observation scale (probabilities for classifiers),
-    for one theta (m,) or a stack (k, m)."""
+    for one theta (m,) or a stack (k, m).  The MLP runs its forward pass
+    only; every other family takes apply_h's output."""
+    if spec.family == "mlp-gaussian" and anchor is None:
+        return _mlp_forward(spec, np.atleast_1d(np.asarray(theta, dtype=float)), x)[0]
     out, _ = apply_h(spec, theta, x, anchor)
     if spec.is_gaussian:
         return out

@@ -10,15 +10,17 @@ Everything is written over a stack of k hypotheses (``lg_update_arrays``,
 ``robust_noise``); ``lg_update`` and ``wolf_update`` update one belief as a
 stack of one and return only the posterior.
 
-The covariance update is Sigma - K S K^T followed by PSD symmetrization;
-the Joseph form is deliberately not used.
+The covariance update is Sigma - K S K^T, PSD-certified as it stands for
+d = 1 and after symmetrization for d > 1; the Joseph form is deliberately
+not used.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import ConfigError, GaussBelief, NumericDomainError, symmetrize_psd_batch
+from .core import ConfigError, GaussBelief, NumericDomainError
+from .core import certify_psd_batch, symmetrize_psd_batch
 from .measurement import MeasurementSpec, _free_obs, moments_for_update
 
 
@@ -70,6 +72,11 @@ def lg_update_arrays(
     Rs (k, d, d); ``innovations`` is (Sigma H^T, S) from innovation_arrays
     when the caller has it already.  Returns (new_means, new_covs, S).
 
+    ``covs`` must be exactly symmetric, and the result is.  For d = 1,
+    Sigma - s k k^T is symmetric bit for bit (k_i k_j == k_j k_i), so
+    certify_psd_batch checks it as it stands; for d > 1, K S K^T is not, so
+    the result goes through symmetrize_psd_batch.
+
     No input is written.  The covariance update K S K^T is formed in one
     owned (k, m, m) buffer and subtracted from covs into that same buffer,
     which symmetrize_psd_batch may then symmetrize in place, so a large
@@ -99,8 +106,9 @@ def lg_update_arrays(
         KS = np.einsum("kmd,kde->kme", K, S)
         new_covs = np.einsum("kme,kne->kmn", KS, K)
     np.subtract(covs, new_covs, out=new_covs)
-    new_covs = symmetrize_psd_batch(new_covs, overwrite=True)
-    return new_means, new_covs, S
+    if d == 1:
+        return new_means, certify_psd_batch(new_covs), S
+    return new_means, symmetrize_psd_batch(new_covs, overwrite=True), S
 
 
 def _update(

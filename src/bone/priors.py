@@ -41,7 +41,8 @@ _RANGES = {
 
 @dataclass(frozen=True)
 class PriorPolicy:
-    """Conditional-prior kind plus the one number that kind reads, if any."""
+    """Conditional-prior kind plus the one number that kind reads, if any,
+    over a base prior whose covariance is PSD within ``core.PSD_TOL``."""
 
     kind: str
     base_prior: GaussBelief
@@ -52,6 +53,7 @@ class PriorPolicy:
     def __post_init__(self):
         if self.kind not in PRIOR_KINDS:
             raise ConfigError(f"unknown prior kind {self.kind!r}")
+        symmetrize_psd(self.base_prior.cov)  # validates PSD
         for name, (lo, hi, text) in _RANGES.items():
             value = getattr(self, name)
             if name == _REQUIRED.get(self.kind):

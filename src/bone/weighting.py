@@ -52,7 +52,10 @@ class HypothesisBank:
 
     Stored columnar: runlengths (k,), log_joints (k,), means (k, m),
     covs (k, m, m), and per-hypothesis segment anchors (k,) when the
-    measurement family needs them.
+    measurement family needs them.  The public constructor validates the
+    columns and stores (C + C^T)/2 for each covariance C (C bit for bit when
+    symmetric); ``rl_step``, whose columns hold by construction, builds its
+    bank with the trusted ``_trusted``, which does neither.
     """
 
     runlengths: np.ndarray
@@ -67,6 +70,8 @@ class HypothesisBank:
         lj = np.asarray(self.log_joints, dtype=float)
         means = np.atleast_2d(np.asarray(self.means, dtype=float))
         covs = np.asarray(self.covs, dtype=float)
+        if covs.ndim == 3 and covs.shape[-1] > 1:  # a 1x1 matrix is symmetric already
+            covs = (covs + covs.transpose(0, 2, 1)) / 2.0
         k = r.size
         if lj.shape != (k,) or means.shape[0] != k or covs.shape[0] != k:
             raise ValueError("inconsistent bank column lengths")
@@ -88,6 +93,17 @@ class HypothesisBank:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
         object.__setattr__(self, "anchors", anchors)
+
+    @classmethod
+    def _trusted(cls, runlengths, log_joints, means, covs, anchors, timestep) -> "HypothesisBank":
+        """A bank of columns that already hold every invariant the public
+        constructor checks or establishes, taken as they are."""
+        bank = object.__new__(cls)
+        bank.__dict__.update(  # bypasses the frozen __setattr__, as __post_init__ does
+            runlengths=runlengths, log_joints=log_joints, means=means, covs=covs,
+            anchors=anchors, timestep=timestep,
+        )
+        return bank
 
     @classmethod
     def root(cls, belief: GaussBelief, anchor_x: float | None = None) -> "HypothesisBank":
@@ -196,7 +212,8 @@ def rl_step(
     ``bank.covs`` and the reset prior into one new stack, and no (k + 1)
     stack is built.  An unbounded or not yet full bank updates all k + 1
     candidates as one stack.  The input bank is never written.  An
-    observation of zero density under every candidate is a NumericDomainError.
+    observation of zero density under every candidate, or a NaN log-joint,
+    is a NumericDomainError.
     """
     if bank.size == 0:
         raise ValueError("rl_step on an empty hypothesis bank")
@@ -235,6 +252,8 @@ def rl_step(
     log_joints = np.concatenate([grow_joints, [reset_joint]])
     if np.isneginf(log_joints).all():
         raise NumericDomainError("every hypothesis gives the observation zero density")
+    if np.isnan(log_joints).any():  # inf - inf from an overflowing density
+        raise NumericDomainError("log_joints contain NaN")
 
     if prune:
         keep = _top_k(runlengths, log_joints, capacity)
@@ -249,13 +268,8 @@ def rl_step(
         )
         runlengths, log_joints = runlengths[keep], log_joints[keep]
         anchors = None if anchors is None else anchors[keep]
-    return HypothesisBank(
-        runlengths=runlengths,
-        log_joints=log_joints,
-        means=new_means,
-        covs=new_covs,
-        anchors=anchors,
-        timestep=bank.timestep + 1,
+    return HypothesisBank._trusted(
+        runlengths, log_joints, new_means, new_covs, anchors, bank.timestep + 1
     )
 
 

@@ -324,3 +324,10 @@ class TestTypes:
             GaussBelief([np.nan], [[1.0]])
         b = GaussBelief([0.0, 0.0], np.eye(2))
         assert b.dim == 2
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_belief_stores_the_symmetric_part(self, m):
+        a = np.random.default_rng(m).normal(size=(m, m))
+        sym = (a + a.T) / 2.0
+        np.testing.assert_array_equal(GaussBelief(np.zeros(m), a).cov, sym)
+        assert GaussBelief(np.zeros(m), sym).cov.tobytes() == sym.tobytes()

@@ -188,6 +188,9 @@ BAD_NUMBERS = [
     ("base_cov", method_config("C-Static", "static", {"base_cov": np.diag([1, INF, 1]).tolist()})),
     *BAD_METHOD_TYPES,
     *BAD_METHOD_KEYS,
+    ("not PSD", method_config("C-Static", "static", {"base_cov": [[1, 2, 0], [2, 1, 0], [0, 0, 1]]})),
+    ("base_cov must be a symmetric matrix",
+     method_config("C-Static", "static", {"base_cov": [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]})),
 ]
 
 
@@ -289,6 +292,14 @@ class TestConfig:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(static_config(warmup=warmup, sweep={"seed": [0, 1]})))
         assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 2
+        assert not (tmp_path / "s").exists()
+
+    def test_cli_exits_2_on_a_horizon_sweep_with_warmup(self, tmp_path, capsys):
+        # every point would run the warmup prefix, whatever its horizon
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(static_config(warmup=10, sweep={"horizon": [20, 30]})))
+        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 2
+        assert "sweep over horizon" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("horizon", [80, 0])  # 0 bounds nothing (a csv-stream's whole file)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bone.measurement
 from bone.core import GaussBelief, gaussian_log_pdf
 from bone.measurement import (
     MeasurementSpec,
@@ -169,6 +170,16 @@ class TestLinkMean:
         probs = link_mean(CAT3, [1.0, 0.0, 0.0, 1.0], [0.5, 0.5])
         assert probs.shape == (3,)
         assert probs.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("batch", [(), (5,)])
+    def test_mlp_runs_the_forward_pass_alone(self, monkeypatch, batch):
+        rng = np.random.default_rng(1)
+        theta = rng.normal(size=batch + (MLP.param_count(),))
+        x = rng.normal(size=2)
+        want = apply_h(MLP, theta, x)[0]
+        monkeypatch.setattr(bone.measurement, "apply_h", None)  # no Jacobian is built
+        got = link_mean(MLP, theta, x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_spec_validation(self):
         with pytest.raises(Exception):

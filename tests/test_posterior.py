@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bone.core import GaussBelief, NumericDomainError
+from bone.core import PSD_TOL, GaussBelief, NumericDomainError, symmetrize_psd_batch
 from bone.measurement import MeasurementSpec
 from bone.posterior import (
     _imq_weights,
@@ -142,6 +144,45 @@ class TestLgUpdateArrays:
             want_means = means + np.einsum("kmd,kd->km", K, e)
         np.testing.assert_array_equal(new_covs, (want + want.transpose(0, 2, 1)) / 2.0)
         np.testing.assert_array_equal(new_means, want_means)
+
+    # One matrix of the stack may be pushed off the PSD cone by a negative
+    # observation variance R = -eta s0 (s0 = h Sigma h^T), which leaves the
+    # whitened update the eigenvalue -eta / (1 - eta): 1e-11 lies inside
+    # PSD_TOL and far above rounding, 1e-2 far beyond PSD_TOL.
+    @given(
+        st.sampled_from([1, 10, 200]),
+        st.sampled_from([1, 3, 97]),
+        st.sampled_from(["pd", "within-tol", "beyond-tol"]),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_scalar_update_keeps_symmetry_and_the_certificate(self, k, m, kind, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(k, m, m)))
+        a = (q * rng.uniform(0.5, 2.0, (k, 1, m))) @ q.transpose(0, 2, 1)
+        covs = (a + a.transpose(0, 2, 1)) / 2.0  # exactly symmetric PSD
+        jacs = rng.normal(size=(k, 1, m))
+        s0 = np.einsum("kdm,kmn,kdn->k", jacs, covs, jacs)
+        Rs = rng.uniform(0.1, 2.0, (k, 1, 1))
+        j = int(rng.integers(k))
+        if kind != "pd":
+            Rs[j] = -(1e-11 if kind == "within-tol" else 1e-2) * s0[j]
+        means, yhats, y = rng.normal(size=(k, m)), rng.normal(size=(k, 1)), rng.normal(size=1)
+        PHt, S = innovation_arrays(covs, jacs, Rs)
+        K = PHt[:, :, 0] / S[:, 0, 0, None]
+        updated = covs - np.einsum("km,kn->kmn", K, K) * S[:, 0, 0, None, None]
+        if kind == "beyond-tol":
+            with pytest.raises(NumericDomainError, match=f"matrix {j} of batch is not PSD"):
+                lg_update_arrays(means, covs, jacs, yhats, y, Rs)
+            with pytest.raises(NumericDomainError, match=f"matrix {j} of batch is not PSD"):
+                symmetrize_psd_batch(updated)
+            return
+        _, new_covs, _ = lg_update_arrays(means, covs, jacs, yhats, y, Rs)
+        np.testing.assert_array_equal(new_covs, new_covs.transpose(0, 2, 1))
+        np.testing.assert_array_equal(new_covs, symmetrize_psd_batch(updated))
+        if kind == "within-tol":  # repaired by a diagonal shift, within the tolerance
+            lift = np.trace(new_covs[j]) - np.trace(updated[j])
+            assert 0.0 < lift <= PSD_TOL * max(1.0, abs(np.trace(updated[j]))) * m
 
 
 def imq(e, c):

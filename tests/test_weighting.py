@@ -530,6 +530,39 @@ class TestBankSurface:
                 covs=np.ones((1, 1, 1)),
             )
 
+    def test_public_constructor_stores_symmetric_covariances(self):
+        a = np.random.default_rng(0).normal(size=(4, 3, 3))
+        sym = (a + a.transpose(0, 2, 1)) / 2.0
+        columns = (np.arange(4), np.zeros(4), np.zeros((4, 3)))
+        np.testing.assert_array_equal(HypothesisBank(*columns, a, timestep=3).covs, sym)
+        assert HypothesisBank(*columns, sym, timestep=3).covs.tobytes() == sym.tobytes()
+
+    def test_rl_step_builds_its_bank_without_the_public_constructor(self, monkeypatch):
+        checked = []
+        post_init = HypothesisBank.__post_init__
+        monkeypatch.setattr(
+            HypothesisBank, "__post_init__", lambda bank: checked.append(bank) or post_init(bank)
+        )
+        bank = HypothesisBank.root(BASE)
+        rng = np.random.default_rng(4)
+        for _ in range(6):  # two steps that grow the bank, then full-bank steps at K = 3
+            bank = rl_step(bank, HazardSpec(0.2), LINEAR, RLPR, [1.0], [rng.normal()], capacity=3)
+        assert len(checked) == 1  # root() alone
+        public = HypothesisBank(
+            bank.runlengths, bank.log_joints, bank.means, bank.covs, bank.anchors, bank.timestep
+        )
+        for name in ("runlengths", "log_joints", "means", "covs"):
+            got, want = getattr(bank, name), getattr(public, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_rl_step_rejects_a_nan_log_joint(self, monkeypatch):
+        def nan_density(y, means, covs):
+            return np.full(means.shape[0], np.nan)
+
+        monkeypatch.setattr(bone.weighting, "gaussian_log_pdf_batch", nan_density)
+        with pytest.raises(NumericDomainError, match="log_joints contain NaN"):
+            rl_step(HypothesisBank.root(BASE), HazardSpec(0.2), LINEAR, RLPR, [1.0], [0.5])
+
     def test_posterior_rows_export(self):
         from bone.weighting import runlength_posterior_rows
 
