@@ -8,6 +8,9 @@ prior per hypothesis, update it against (x, y), refresh the weights, and
 optionally emit the weighted one-step-ahead prediction.  The bank holds
 hypotheses only; ``bone_step`` passes the method's capacity K to
 ``rl_step``, and a single-hypothesis step replaces the bank's columns.
+Both, and ``drift_unobserved``, build the new bank with the trusted
+``HypothesisBank._trusted``: their columns hold its invariants by
+construction.
 
 Per-hypothesis results are arrays over the bank: a prediction is the
 weighted mean with the (k, d) stack of per-hypothesis predictions (read
@@ -156,13 +159,13 @@ def _step_single(state: AgentState, cfg: MethodConfig, x, y) -> AgentState:
         post = wolf_update(prior, cfg.spec, x, y, cfg.wolf_c, anchor)
     else:
         post = lg_update(prior, cfg.spec, x, y, anchor)
-    return AgentState(bank=HypothesisBank(
-        runlengths=np.array([runlength]),
-        log_joints=bank.log_joints,
-        means=post.mean[None, :],
-        covs=post.cov[None, :, :],
-        anchors=None if anchor is None else np.array([anchor]),
-        timestep=t,
+    return AgentState(bank=HypothesisBank._trusted(
+        np.array([runlength]),
+        bank.log_joints,
+        post.mean[None, :],
+        post.cov[None, :, :],
+        None if anchor is None else np.array([anchor]),
+        t,
     ))
 
 
@@ -200,7 +203,7 @@ def drift_unobserved(state: AgentState, cfg: MethodConfig) -> AgentState:
     bank = state.bank
     mean, cov = data_free_prior(cfg.policy, bank.means[0], bank.covs[0])
     reject_nan_belief(mean, cov)
-    return AgentState(bank=HypothesisBank(
+    return AgentState(bank=HypothesisBank._trusted(
         bank.runlengths, bank.log_joints, mean[None], cov[None], bank.anchors, bank.timestep
     ))
 

@@ -226,10 +226,11 @@ def gaussian_log_pdf_batch(y: np.ndarray, means: np.ndarray, covs: np.ndarray) -
 
     Every covariance must be PSD within tol = PSD_TOL * max(1, |trace|); one
     beyond raises NumericDomainError naming its item.  A variance (d == 1)
-    below tol is evaluated as tol.  For d > 1 one batched Cholesky
-    factorization scores the stack; when it fails, each item that does not
-    factor alone is evaluated on its matrix shifted by max(0, -min
-    eigenvalue) + tol, so a singular-but-PSD covariance gives a
+    below tol is evaluated as tol; a stack of variances that are all at
+    least PSD_TOL, which the clamp leaves as they are, skips it.  For d > 1
+    one batched Cholesky factorization scores the stack; when it fails, each
+    item that does not factor alone is evaluated on its matrix shifted by
+    max(0, -min eigenvalue) + tol, so a singular-but-PSD covariance gives a
     deterministic result and the other items keep the value they have when
     scored alone.
     """
@@ -237,11 +238,13 @@ def gaussian_log_pdf_batch(y: np.ndarray, means: np.ndarray, covs: np.ndarray) -
     d = y.size
     if d == 1:
         v = covs[:, 0, 0]
-        ta = np.maximum(1.0, np.abs(v)) * PSD_TOL
-        if (v < -ta).any():
-            k = int(np.flatnonzero(v < -ta)[0])
-            raise NumericDomainError(f"negative variance {v[k]:.3e} in batch item {k}")
-        v = np.maximum(v, ta)
+        # the clamp leaves every v >= PSD_TOL (+inf included) as it is; NaN takes it
+        if not (v >= PSD_TOL).all():
+            ta = np.maximum(1.0, np.abs(v)) * PSD_TOL
+            if (v < -ta).any():
+                k = int(np.flatnonzero(v < -ta)[0])
+                raise NumericDomainError(f"negative variance {v[k]:.3e} in batch item {k}")
+            v = np.maximum(v, ta)
         return -0.5 * (np.log(2.0 * np.pi * v) + e[:, 0] ** 2 / v)
     s = (covs + covs.transpose(0, 2, 1)) / 2.0
     try:

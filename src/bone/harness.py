@@ -494,12 +494,12 @@ def _classify_loss(yhat, y) -> float:
     return float(int(np.argmax(p)) != int(np.atleast_1d(y).argmax() if np.size(y) > 1 else y))
 
 
-def _run_prequential_trial(cfg: ExperimentConfig, trial: int) -> MetricTrace:
-    """One prequential trial; trial 0 also writes the runlength CSV when
-    ``runlength_output_path`` is set, whichever process runs it.  A
-    non-finite prediction or loss is a NumericDomainError at its step."""
+def _run_prequential_trial(cfg: ExperimentConfig, trial: int, records) -> MetricTrace:
+    """One prequential trial over ``records``; trial 0 also writes the
+    runlength CSV when ``runlength_output_path`` is set, whichever process
+    runs it.  A non-finite prediction or loss is a NumericDomainError at its
+    step."""
     kind = EXPERIMENT_KIND[cfg.experiment]
-    records = _make_stream(cfg, trial)
     method = cfg.method
     anchor0 = None
     if method.spec.family == "segment-poly-gaussian" and records:
@@ -551,8 +551,7 @@ def _run_prequential_trial(cfg: ExperimentConfig, trial: int) -> MetricTrace:
     return trace
 
 
-def _run_bandit_trial(cfg: ExperimentConfig, trial: int) -> MetricTrace:
-    records = _make_stream(cfg, trial)
+def _run_bandit_trial(cfg: ExperimentConfig, trial: int, records) -> MetricTrace:
     method = cfg.method
     agent_rng = _trial_rng(cfg.seed, trial, 1)
     reward_rng = _trial_rng(cfg.seed, trial, 2)
@@ -585,13 +584,13 @@ def _run_bandit_trial(cfg: ExperimentConfig, trial: int) -> MetricTrace:
     return trace
 
 
-def _run_trial(cfg: ExperimentConfig, trial: int) -> MetricTrace:
+def _run_trial(cfg: ExperimentConfig, trial: int, steps: int | None = None) -> MetricTrace:
     run = _run_bandit_trial if cfg.experiment == "bandit" else _run_prequential_trial
-    return run(cfg, trial)
+    return run(cfg, trial, _make_stream(cfg, trial)[:steps])
 
 
-def _worker(raw_json: str, trial: int) -> MetricTrace:
-    return _run_trial(parse_config(json.loads(raw_json)), trial)
+def _worker(raw_json: str, trial: int, steps: int | None) -> MetricTrace:
+    return _run_trial(parse_config(json.loads(raw_json)), trial, steps)
 
 
 def _check_parallel(parallel) -> None:
@@ -599,18 +598,24 @@ def _check_parallel(parallel) -> None:
         raise ConfigError(f"parallel must be an integer >= 1, got {parallel!r}")
 
 
-def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> list[MetricTrace]:
+def run_experiment(
+    cfg: ExperimentConfig, parallel: int = 1, steps: int | None = None
+) -> list[MetricTrace]:
     """Run every trial, in min(parallel, trials) worker processes when that is
-    above 1; the traces are ordered by trial and do not depend on ``parallel``."""
+    above 1; the traces are ordered by trial and do not depend on ``parallel``.
+    With ``steps`` set, each trial runs the first ``steps`` records of its
+    stream."""
     _check_parallel(parallel)
     workers = min(parallel, cfg.trials)
     if workers > 1:
         raw_json = json.dumps(cfg.raw)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_worker, itertools.repeat(raw_json), range(cfg.trials)))
+            return list(pool.map(
+                _worker, itertools.repeat(raw_json), range(cfg.trials), itertools.repeat(steps)
+            ))
     traces = []
     for trial in range(cfg.trials):
-        traces.append(_run_trial(cfg, trial))
+        traces.append(_run_trial(cfg, trial, steps))
         log.info("trial %d/%d done: %s", trial + 1, cfg.trials, traces[-1].finals)
     return traces
 
@@ -669,8 +674,9 @@ def export_results(traces: list[MetricTrace], path: str, config_echo: dict | Non
 def run_sweep(cfg: ExperimentConfig, out_dir: str, parallel: int = 1) -> dict:
     """Visit the full hyperparameter grid and report the grid argmin.
 
-    Each grid point runs all trials on the warmup prefix (when configured)
-    and writes its own CSV/JSON pair under out_dir.  With
+    Each grid point runs all trials on the first ``warmup`` records of the
+    horizon-length stream (when configured) and writes its own CSV/JSON pair
+    under out_dir, whose config echo gives the warmup as its horizon.  With
     ``runlength_output_path`` set, each point also writes its own runlength
     dump, ``point_<idx>.runlength.csv``, beside them in place of that path.
     The index maps every (grid point, trial) to its final scalars and names
@@ -690,8 +696,6 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, parallel: int = 1) -> dict:
         raw.pop("output_path", None)
         for k, v in zip(keys, combo):
             _set_by_path(raw, k, v)
-        if cfg.warmup:
-            raw["horizon"] = cfg.warmup
         if cfg.runlength_output_path:
             raw["runlength_output_path"] = str(out / f"point_{idx:04d}.runlength.csv")
         point_cfgs.append(parse_config(raw))
@@ -700,8 +704,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, parallel: int = 1) -> dict:
     rows = []
     best = {"point": None, "mean": None}
     for idx, (combo, point_cfg) in enumerate(zip(combos, point_cfgs)):
-        traces = run_experiment(point_cfg, parallel)
-        export_results(traces, out / f"point_{idx:04d}.csv", config_echo=point_cfg.raw)
+        traces = run_experiment(point_cfg, parallel, steps=cfg.warmup)
+        echo = dict(point_cfg.raw, horizon=cfg.warmup) if cfg.warmup else point_cfg.raw
+        export_results(traces, out / f"point_{idx:04d}.csv", config_echo=echo)
         values = [tr.finals.get(metric) for tr in traces]
         mean_val = None if None in values else float(np.mean(values))
         point = dict(zip(keys, combo))

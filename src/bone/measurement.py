@@ -263,6 +263,21 @@ def expfam_moments(spec: MeasurementSpec, eta):
     return p, np.eye(free) * pf[..., None, :] - pf[..., :, None] * pf[..., None, :]
 
 
+def scalar_moments(spec: MeasurementSpec, eta: float) -> tuple[float, float]:
+    """moments_for_update's (yhat, R) on Python floats, for one natural
+    parameter eta of a one-output linear-gaussian or bernoulli-logit model.
+
+    The operations are the array path's, in its order, with np.exp on a
+    scalar, so both values equal the array path's bit for bit.
+    """
+    if spec.family == "bernoulli-logit":
+        p = 1.0 / (1.0 + float(np.exp(-eta)))
+        return p, p * (1.0 - p)
+    if spec.family != "linear-gaussian":
+        raise ConfigError(f"scalar_moments unsupported for family {spec.family!r}")
+    return eta, float(spec.obs_noise[0, 0])
+
+
 def _free_obs(spec: MeasurementSpec, y) -> np.ndarray:
     """Observation in the coordinates the update operates on."""
     y = np.atleast_1d(np.asarray(y, dtype=float))

@@ -14,12 +14,14 @@ prune_topk take as an argument, and both keep survivors by one rule
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    PSD_TOL,
     ConfigError,
     GaussBelief,
     NumericDomainError,
@@ -27,7 +29,7 @@ from .core import (
     is_finite_number,
     logsumexp,
 )
-from .measurement import MeasurementSpec, _free_obs, linearize_bank
+from .measurement import MeasurementSpec, _free_obs, linearize_bank, scalar_moments
 from .posterior import innovation_arrays, lg_update_arrays, robust_noise
 from .priors import PriorPolicy, mmpr_prior
 
@@ -53,9 +55,11 @@ class HypothesisBank:
     Stored columnar: runlengths (k,), log_joints (k,), means (k, m),
     covs (k, m, m), and per-hypothesis segment anchors (k,) when the
     measurement family needs them.  The public constructor validates the
-    columns and stores (C + C^T)/2 for each covariance C (C bit for bit when
-    symmetric); ``rl_step``, whose columns hold by construction, builds its
-    bank with the trusted ``_trusted``, which does neither.
+    columns (their lengths and shapes, distinct runlengths, no NaN mass) and
+    stores (C + C^T)/2 for each covariance C (C bit for bit when symmetric).
+    The engine's steps (``rl_step``, and the single-hypothesis step and drift
+    in ``agents``), whose columns hold by construction, build their banks
+    with the trusted ``_trusted``, which does neither.
     """
 
     runlengths: np.ndarray
@@ -70,11 +74,17 @@ class HypothesisBank:
         lj = np.asarray(self.log_joints, dtype=float)
         means = np.atleast_2d(np.asarray(self.means, dtype=float))
         covs = np.asarray(self.covs, dtype=float)
-        if covs.ndim == 3 and covs.shape[-1] > 1:  # a 1x1 matrix is symmetric already
-            covs = (covs + covs.transpose(0, 2, 1)) / 2.0
         k = r.size
-        if lj.shape != (k,) or means.shape[0] != k or covs.shape[0] != k:
+        if lj.shape != (k,) or means.shape[0] != k or covs.shape[:1] != (k,):
             raise ValueError("inconsistent bank column lengths")
+        m = means.shape[-1]
+        if means.ndim != 2 or covs.shape != (k, m, m):
+            raise ValueError(
+                f"bank means of shape {means.shape} and covs of shape {covs.shape}"
+                " are not (k, m) and (k, m, m)"
+            )
+        if m > 1:  # a 1x1 matrix is symmetric already
+            covs = (covs + covs.transpose(0, 2, 1)) / 2.0
         if k > 1:
             s = np.sort(r)
             if (s[1:] == s[:-1]).any():
@@ -304,18 +314,43 @@ def cpp_empirical_bayes(
     conditional prior at rate upsilon is the blend
     (u mu + (1-u) mu0, u^2 Sigma + (1-u^2) Sigma0), and its predictive
     density is the linearized N(y | h(mean), J Sigma J^T + R), under the
-    segment ``anchor`` for segment models.  Both points of a difference are
-    scored as one 2-row stack.  An iteration depends on u alone, so the
-    search stops at the first iteration that leaves u unchanged (the fixed
-    point), which returns what the remaining iterations would.
+    segment ``anchor`` for segment models.  An iteration depends on u
+    alone, so the search stops at the first iteration that leaves u
+    unchanged (the fixed point), which returns what the remaining iterations
+    would.
+
+    One search loop takes one of two scorers of a (hi, lo) pair:
+
+    - the stacked scorer serves every model with more than one parameter or
+      output: it linearizes both points as one 2-row stack and scores them
+      with ``gaussian_log_pdf_batch``;
+    - the float scorer serves one-parameter, one-output linear-gaussian and
+      bernoulli-logit models: the same blend, link (``scalar_moments``),
+      innovation variance and log density, in the same order, on Python
+      floats, so the search returns the stacked scorer's u bit for bit.
+
+    When a float variance lies outside [PSD_TOL, inf) or a float density is
+    not finite, the search restarts on the stacked scorer, so the clamp, the
+    errors and the warnings stay those of ``gaussian_log_pdf_batch``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if lr <= 0:
         raise ValueError("learning rate must be positive")
     yv = _free_obs(spec, y)
-    anchors = None if anchor is None else np.full(2, anchor)
-    pm, pc, bm, bc = prev.mean, prev.cov, base.mean, base.cov
+    if spec.family in ("linear-gaussian", "bernoulli-logit") and anchor is None:
+        phi = spec.phi(x)
+        if prev.dim == base.dim == phi.size == yv.size == 1:
+            score = _float_scorer(prev, base, spec, float(phi[0]), float(yv[0]))
+            u = _rate_search(score, steps, lr)
+            if u is not None:
+                return u
+    return _rate_search(_stacked_scorer(prev, base, spec, x, yv, anchor), steps, lr)
+
+
+def _rate_search(score, steps: int, lr: float) -> float | None:
+    """Projected gradient ascent on u from 1, with the central difference of
+    ``score(hi, lo)``; None as soon as the scorer gives None."""
     u = 1.0
     h = 1e-4
     for _ in range(steps):
@@ -323,19 +358,59 @@ def cpp_empirical_bayes(
         lo = max(u - h, 0.0)
         if hi == lo:
             break
-        pts = np.array([[hi], [lo]])
-        sq = (pts * pts)[:, :, None]
-        means = pts * pm + (1.0 - pts) * bm
-        covs = sq * pc + (1.0 - sq) * bc
-        yhats, jacs, Rs = linearize_bank(spec, means, x, anchors)
-        S = (jacs @ covs) @ jacs.transpose(0, 2, 1) + Rs
-        dens = gaussian_log_pdf_batch(yv, yhats, S)
+        dens = score(hi, lo)
+        if dens is None:
+            return None
         g = (dens[0] - dens[1]) / (hi - lo)
         u_next = min(1.0, max(0.0, u + lr * g))
         if u_next == u:
             break
         u = u_next
     return u
+
+
+def _stacked_scorer(prev: GaussBelief, base: GaussBelief, spec: MeasurementSpec, x, yv, anchor):
+    """Log densities of the blends at (hi, lo), scored as one 2-row stack."""
+    anchors = None if anchor is None else np.full(2, anchor)
+    pm, pc, bm, bc = prev.mean, prev.cov, base.mean, base.cov
+
+    def score(hi, lo):
+        pts = np.array([[hi], [lo]])
+        sq = (pts * pts)[:, :, None]
+        means = pts * pm + (1.0 - pts) * bm
+        covs = sq * pc + (1.0 - sq) * bc
+        yhats, jacs, Rs = linearize_bank(spec, means, x, anchors)
+        S = (jacs @ covs) @ jacs.transpose(0, 2, 1) + Rs
+        return gaussian_log_pdf_batch(yv, yhats, S)
+
+    return score
+
+
+def _float_scorer(prev: GaussBelief, base: GaussBelief, spec: MeasurementSpec, f: float, y: float):
+    """The stacked scorer's arithmetic on Python floats, for the feature f and
+    observation y of a one-parameter, one-output model; None where a variance
+    would be clamped or a density is not finite."""
+    pm, pc = float(prev.mean[0]), float(prev.cov[0, 0])
+    bm, bc = float(base.mean[0]), float(base.cov[0, 0])
+    two_pi = 2.0 * np.pi
+
+    def density(p):
+        q = p * p
+        mean = p * pm + (1.0 - p) * bm
+        cov = q * pc + (1.0 - q) * bc
+        yhat, r = scalar_moments(spec, mean * f)
+        v = (f * cov) * f + r
+        if not PSD_TOL <= v < math.inf:
+            return None
+        e = y - yhat
+        dens = -0.5 * (float(np.log(two_pi * v)) + e * e / v)
+        return dens if math.isfinite(dens) else None
+
+    def score(hi, lo):
+        pair = density(hi), density(lo)
+        return None if None in pair else pair
+
+    return score
 
 
 def runlength_posterior_rows(posterior) -> Iterator[tuple[int, int, float]]:

@@ -335,6 +335,74 @@ class TestDriftUnobserved:
             drift_unobserved(AgentState(bank=bank), cfg)
 
 
+# family -> (spec, base prior, feature dimension) of the single-hypothesis bank test
+BANK_FAMILIES = {
+    "linear": (LINEAR, BASE2, 2),
+    "bernoulli": (MeasurementSpec("bernoulli-logit"), GaussBelief([0.0], [[1.0]]), 1),
+    "segment": (
+        MeasurementSpec("segment-poly-gaussian", obs_noise=[[0.5]]),
+        GaussBelief(np.zeros(3), np.eye(3)),
+        1,
+    ),
+}
+STEP_METHODS = {
+    "C-Static": {},
+    "C-ACI": {"alpha": 0.2},
+    "CPP-OU": {},
+    "RL-OUPR": {"hazard": HazardSpec(0.3), "epsilon": 0.5},
+}
+DRIFT_METHODS = {"C-ACI": {"alpha": 0.2}, "C-OU": {"gamma": 0.8}}
+
+
+class TestSingleHypothesisBanks:
+    """The single-hypothesis step and the drift build their banks without the
+    public constructor, and those banks equal what it would build."""
+
+    def run(self, monkeypatch, name, kw, family, drift):
+        spec, base, x_dim = BANK_FAMILIES[family]
+        cfg = method(name, spec=spec, base=base, **kw)
+        state = init_agent(cfg)
+        built = []
+        post_init = HypothesisBank.__post_init__
+        monkeypatch.setattr(
+            HypothesisBank, "__post_init__", lambda bank: built.append(bank) or post_init(bank)
+        )
+        rng = np.random.default_rng(11)
+        banks = []
+        for t in range(12):
+            x = 0.25 * t + rng.normal(size=x_dim)
+            y = float(rng.integers(2)) if family == "bernoulli" else 4.0 * rng.normal()
+            state, _, _ = bone_step(state, cfg, x, [y])
+            banks.append(state.bank)
+            if drift:
+                state = drift_unobserved(state, cfg)
+                banks.append(state.bank)
+        monkeypatch.undo()
+        assert built == []
+        for bank in banks:
+            public = HypothesisBank(
+                bank.runlengths, bank.log_joints, bank.means, bank.covs, bank.anchors, bank.timestep
+            )
+            assert bank.timestep == public.timestep
+            for column in ("runlengths", "log_joints", "means", "covs", "anchors"):
+                got, want = getattr(bank, column), getattr(public, column)
+                if want is None:
+                    assert got is None
+                    continue
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", sorted(BANK_FAMILIES))
+    @pytest.mark.parametrize("name", sorted(STEP_METHODS))
+    def test_step_banks_equal_the_public_constructors(self, monkeypatch, name, family):
+        self.run(monkeypatch, name, STEP_METHODS[name], family, drift=False)
+
+    @pytest.mark.parametrize("family", sorted(BANK_FAMILIES))
+    @pytest.mark.parametrize("name", sorted(DRIFT_METHODS))
+    def test_drifted_banks_equal_the_public_constructors(self, monkeypatch, name, family):
+        self.run(monkeypatch, name, DRIFT_METHODS[name], family, drift=True)
+
+
 def reference_thompson_action(states, cfg, x, rng):
     """thompson_action as a loop over the arms: one draw of size m per arm,
     then a Cholesky factor per arm for m > 1.  Returns the arm and the

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,10 @@ from bone.core import (
 )
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+# every variance v >= PSD_TOL, +inf included, is its own clamp
+SCALAR_VARIANCES = [
+    PSD_TOL, np.nextafter(PSD_TOL, 0.0), 0.5, 1.0, 1e300, np.inf, np.nan, -1e-12, -1.0
+]
 
 
 class TestGaussianLogPdf:
@@ -90,6 +95,33 @@ class TestGaussianLogPdf:
         covs = np.stack([np.eye(2), np.outer([1.0, 1.0], [1.0, 1.0]), np.diag([1.0, -1e-3])])
         with pytest.raises(NumericDomainError, match="covariance 2 of batch is not PSD"):
             gaussian_log_pdf_batch(np.zeros(2), np.zeros((3, 2)), covs)
+
+    @pytest.mark.parametrize("first", SCALAR_VARIANCES)
+    @pytest.mark.parametrize("second", SCALAR_VARIANCES)
+    def test_scalar_density_equals_the_clamped_formula(self, first, second):
+        # a pair holding NaN and a variance the clamp moves or rejects fails
+        # a guard that sends NaN past the clamp
+        y, means = np.array([0.3]), np.array([[0.1], [-0.2]])
+        covs = np.array([first, second])[:, None, None]
+        try:
+            want = _clamped_scalar_log_pdf(y, means, covs)
+        except NumericDomainError as err:
+            with pytest.raises(NumericDomainError, match=re.escape(str(err))):
+                gaussian_log_pdf_batch(y, means, covs)
+            return
+        assert gaussian_log_pdf_batch(y, means, covs).tobytes() == want.tobytes()
+
+
+def _clamped_scalar_log_pdf(y, means, covs):
+    """The d = 1 log density with the clamp-and-reject pass run on every stack."""
+    e = y[None, :] - means
+    v = covs[:, 0, 0]
+    ta = np.maximum(1.0, np.abs(v)) * PSD_TOL
+    if (v < -ta).any():
+        k = int(np.flatnonzero(v < -ta)[0])
+        raise NumericDomainError(f"negative variance {v[k]:.3e} in batch item {k}")
+    v = np.maximum(v, ta)
+    return -0.5 * (np.log(2.0 * np.pi * v) + e[:, 0] ** 2 / v)
 
 
 def test_import_loads_no_scipy():

@@ -860,6 +860,33 @@ class TestSweep:
         csv_lines = (tmp_path / "s2" / "point_0000.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 1 + 10  # header + warmup steps
 
+    def test_warmup_runs_the_prefix_of_the_horizon_stream(self, tmp_path):
+        # gen_dependent_segments spaces x over the whole horizon, so a stream
+        # generated at T = warmup is not a prefix of the horizon stream
+        raw = {
+            "experiment": "dependent-segments",
+            "horizon": 50,
+            "warmup": 10,
+            "trials": 2,
+            "method": {
+                "name": "C-Static",
+                "model": {"family": "segment-poly-gaussian", "obs_noise": 1.0},
+                "prior": {"kind": "static", "base_mean": [0, 0, 0], "base_cov_scale": 3.0},
+            },
+            "sweep": {"method.prior.base_cov_scale": [1.0, 3.0]},
+        }
+        run_sweep(parse_config(raw), tmp_path / "s")
+        for idx, scale in enumerate([1.0, 3.0]):
+            point = copy.deepcopy(raw)
+            del point["sweep"], point["warmup"]
+            point["method"]["prior"]["base_cov_scale"] = scale
+            with open(tmp_path / "s" / f"point_{idx:04d}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 2 * 10
+            for trace in run_experiment(parse_config(point)):
+                got = [float(r["loss"]) for r in rows if int(r["trial"]) == trace.trial]
+                assert got == trace.losses[:10].tolist()
+
 
 class TestRunlengthExport:
     def test_posterior_matrix_written(self, tmp_path):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bone.measurement
 import bone.weighting
 from bone.core import GaussBelief, NumericDomainError, gaussian_log_pdf_batch, logsumexp
 from bone.measurement import (
@@ -19,6 +18,9 @@ from bone.priors import PriorPolicy, mmpr_prior
 from bone.weighting import (
     HazardSpec,
     HypothesisBank,
+    _float_scorer,
+    _rate_search,
+    _stacked_scorer,
     cpp_empirical_bayes,
     greedy_ratio,
     prune_topk,
@@ -406,22 +408,68 @@ class TestCppEmpiricalBayes:
         out = cpp_empirical_bayes(BASE, BASE, LINEAR, [1.0], [0.3])
         assert out == 1.0
 
-    def test_fixed_point_stops_after_one_stacked_iteration(self, monkeypatch):
-        calls = {"linearize_bank": 0, "predictive_log_density": 0}
+    @pytest.mark.parametrize(
+        "scorer,spec,belief",
+        [
+            ("_float_scorer", LINEAR, BASE),
+            ("_stacked_scorer", STACKED_SPECS["poly2"][0], GaussBelief(np.zeros(3), np.eye(3))),
+        ],
+        ids=["float", "stacked"],
+    )
+    def test_fixed_point_scores_one_pair(self, monkeypatch, scorer, spec, belief):
+        # prev == base makes the density flat in u, so the first pair is the fixed point
+        calls = {"_float_scorer": 0, "_stacked_scorer": 0, "linearize_bank": 0}
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counting_scorer(name, make):
+            def made(*args):
+                score = make(*args)
 
-        for module, name in (
-            (bone.weighting, "linearize_bank"),
-            (bone.measurement, "predictive_log_density"),
-        ):
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        assert cpp_empirical_bayes(BASE, BASE, LINEAR, [1.0], [0.3]) == 1.0
-        assert calls == {"linearize_bank": 1, "predictive_log_density": 0}
+                def counted(hi, lo):
+                    calls[name] += 1
+                    return score(hi, lo)
+                return counted
+            return made
+
+        def counting_linearize(*args):
+            calls["linearize_bank"] += 1
+            return linearize_bank(*args)
+
+        for name in ("_float_scorer", "_stacked_scorer"):
+            monkeypatch.setattr(bone.weighting, name, counting_scorer(name, getattr(bone.weighting, name)))
+        monkeypatch.setattr(bone.weighting, "linearize_bank", counting_linearize)
+        assert cpp_empirical_bayes(belief, belief, spec, [1.0], [0.3]) == 1.0
+        linearized = 1 if scorer == "_stacked_scorer" else 0
+        assert calls == {"_float_scorer": 0, "_stacked_scorer": 0, scorer: 1, "linearize_bank": linearized}
+
+    @given(
+        st.sampled_from(sorted(ONE_PARAMETER_SPECS)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=20),
+        st.floats(min_value=0.01, max_value=2.0),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_float_scorer_gives_the_stacked_scorers_u(self, family, seed, steps, lr, tiny):
+        spec, x_dim = ONE_PARAMETER_SPECS[family]
+        prev, base, x, y, _ = _search_case(seed, spec, x_dim)
+        f = float(spec.phi(x)[0])
+        if tiny:  # innovation variances below PSD_TOL, which the stacked scorer clamps
+            if family == "linear":
+                spec = MeasurementSpec("linear-gaussian", obs_noise=[[0.0]])
+                means = prev.mean, base.mean
+            else:  # p (1 - p) < 1e-13 on every blend
+                means = [30.0 / f], [40.0 / f]
+            prev = GaussBelief(means[0], 1e-14 * prev.cov)
+            base = GaussBelief(means[1], 1e-14 * base.cov)
+        yv = _free_obs(spec, y)
+        stacked = _rate_search(_stacked_scorer(prev, base, spec, x, yv, None), steps, lr)
+        floats = _rate_search(_float_scorer(prev, base, spec, f, float(yv[0])), steps, lr)
+        got = cpp_empirical_bayes(prev, base, spec, x, y, steps=steps, lr=lr)
+        assert float(got).hex() == float(stacked).hex()
+        if tiny:
+            assert floats is None  # the search restarted on the stacked scorer
+        elif floats is not None:
+            assert float(floats).hex() == float(stacked).hex()
 
     @given(
         st.sampled_from(sorted(ONE_PARAMETER_SPECS)),
@@ -529,6 +577,19 @@ class TestBankSurface:
                 means=np.zeros((1, 1)),
                 covs=np.ones((1, 1, 1)),
             )
+
+    @pytest.mark.parametrize(
+        "means,covs",
+        [
+            (np.zeros((1, 3)), np.ones((1, 2, 2))),
+            (np.zeros((1, 2)), np.ones((1, 2, 3))),
+            (np.zeros((1, 2)), np.ones((1, 2))),
+            (np.zeros((1, 1, 1)), np.ones((1, 1, 1))),
+        ],
+    )
+    def test_public_constructor_rejects_covs_not_matching_means(self, means, covs):
+        with pytest.raises(ValueError, match=r"are not \(k, m\) and \(k, m, m\)"):
+            HypothesisBank([0], [0.0], means, covs)
 
     def test_public_constructor_stores_symmetric_covariances(self):
         a = np.random.default_rng(0).normal(size=(4, 3, 3))
