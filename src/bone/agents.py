@@ -24,10 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, is_finite_number, is_integer, reject_nan_belief
-from .measurement import MeasurementSpec, link_mean, predictive_log_density
+from .core import ConfigError, GaussBelief, is_finite_number, is_integer, reject_nan_belief
+from .measurement import (
+    MeasurementSpec,
+    link_mean,
+    predictive_log_density,
+    scalar_log_density,
+    scalar_point,
+)
 from .posterior import lg_update, wolf_update
-from .priors import PriorPolicy, conditional_prior, data_free_prior
+from .priors import PriorPolicy, conditional_prior, data_free_prior, scalar_data_free_prior
 from .weighting import (
     RL_KINDS,
     HazardSpec,
@@ -129,6 +135,28 @@ def predict_weighted(state: AgentState, cfg: MethodConfig, x):
     return bank.weights @ yhats, yhats
 
 
+def _greedy_log_densities(cfg: MethodConfig, belief: GaussBelief, x, y, anchor, reset_anchor):
+    """RL-OUPR's predictive log densities (p_grow, p_reset) of the tracked
+    belief and the base prior.
+
+    At a ``scalar_point`` both come from ``scalar_log_density`` on Python
+    floats, bit for bit as ``predictive_log_density`` gives them; when
+    either hands back, or the model has no scalar point, both come from
+    ``predictive_log_density``, with its clamps, errors and warnings.
+    """
+    spec, base = cfg.spec, cfg.policy.base_prior
+    point = scalar_point(spec, x, y, anchor, belief, base)
+    if point is not None:
+        p_grow = scalar_log_density(spec, float(belief.mean[0]), float(belief.cov[0, 0]), *point)
+        p_reset = scalar_log_density(spec, float(base.mean[0]), float(base.cov[0, 0]), *point)
+        if p_grow is not None and p_reset is not None:
+            return p_grow, p_reset
+    return (
+        predictive_log_density(spec, belief, x, y, anchor),
+        predictive_log_density(spec, base, x, y, reset_anchor),
+    )
+
+
 def _step_single(state: AgentState, cfg: MethodConfig, x, y) -> AgentState:
     bank = state.bank
     belief = bank.belief(0)
@@ -144,9 +172,8 @@ def _step_single(state: AgentState, cfg: MethodConfig, x, y) -> AgentState:
         )
         prior = conditional_prior(cfg.policy, belief, aux=ups)
     elif kind == "rl-oupr":
-        p_grow = predictive_log_density(cfg.spec, belief, x, y, anchor)
         reset_anchor = None if anchor is None else float(np.atleast_1d(x)[0])
-        p_reset = predictive_log_density(cfg.spec, cfg.policy.base_prior, x, y, reset_anchor)
+        p_grow, p_reset = _greedy_log_densities(cfg, belief, x, y, anchor, reset_anchor)
         nu = greedy_ratio(p_grow, p_reset, cfg.hazard)
         prior = conditional_prior(cfg.policy, belief, weight=nu)
         if nu <= cfg.policy.epsilon:  # hard reset branch
@@ -195,12 +222,24 @@ def drift_unobserved(state: AgentState, cfg: MethodConfig) -> AgentState:
 
     OU and ACI beliefs diffuse without an observation; data-dependent kinds
     (cpp-ou, rl-*) are left unchanged because their auxiliary value needs
-    the current observation.  A drifted belief holding NaN is a ValueError.
+    the current observation.  A one-parameter belief drifts on Python floats
+    (``priors.scalar_data_free_prior``), bit for bit as the arrays drift it;
+    a wider one, or one whose drifted mean is not finite or whose variance
+    lies outside [PSD_TOL, inf), drifts through ``data_free_prior``, where
+    a drifted belief holding NaN is a ValueError.
     """
     kind = cfg.policy.kind
     if kind not in DRIFT_KINDS or not cfg.drift_unpulled:
         return state
     bank = state.bank
+    if bank.means.shape == (1, 1):
+        mean, var = float(bank.means[0, 0]), float(bank.covs[0, 0, 0])
+        drifted = scalar_data_free_prior(cfg.policy, mean, var)
+        if drifted is not None:
+            means, covs = np.array([[drifted[0]]]), np.array([[[drifted[1]]]])
+            return AgentState(bank=HypothesisBank._trusted(
+                bank.runlengths, bank.log_joints, means, covs, bank.anchors, bank.timestep
+            ))
     mean, cov = data_free_prior(cfg.policy, bank.means[0], bank.covs[0])
     reject_nan_belief(mean, cov)
     return AgentState(bank=HypothesisBank._trusted(

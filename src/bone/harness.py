@@ -19,7 +19,6 @@ import itertools
 import json
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -608,6 +607,9 @@ def run_experiment(
     _check_parallel(parallel)
     workers = min(parallel, cfg.trials)
     if workers > 1:
+        # imported here: it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         raw_json = json.dumps(cfg.raw)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(

@@ -23,17 +23,23 @@ for one vector, a (k,) array for a stack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, GaussBelief, gaussian_log_pdf, symmetrize_psd
+from .core import PSD_TOL, ConfigError, GaussBelief, gaussian_log_pdf, symmetrize_psd
 
 GAUSSIAN_FAMILIES = ("linear-gaussian", "mlp-gaussian", "segment-poly-gaussian")
 EXPFAM_FAMILIES = ("bernoulli-logit", "categorical-softmax")
 FAMILIES = GAUSSIAN_FAMILIES + EXPFAM_FAMILIES
 # families whose link gives one output whatever the parameters
 _SCALAR_FAMILIES = ("linear-gaussian", "segment-poly-gaussian", "bernoulli-logit")
+# the families scalar_log_density scores on Python floats
+_FLOAT_FAMILIES = ("linear-gaussian", "bernoulli-logit")
+# np.exp overflows above about 709.78
+_EXP_SAFE = 700.0
+_TWO_PI = 2.0 * np.pi
 
 
 def _phi_identity(x):
@@ -263,21 +269,6 @@ def expfam_moments(spec: MeasurementSpec, eta):
     return p, np.eye(free) * pf[..., None, :] - pf[..., :, None] * pf[..., None, :]
 
 
-def scalar_moments(spec: MeasurementSpec, eta: float) -> tuple[float, float]:
-    """moments_for_update's (yhat, R) on Python floats, for one natural
-    parameter eta of a one-output linear-gaussian or bernoulli-logit model.
-
-    The operations are the array path's, in its order, with np.exp on a
-    scalar, so both values equal the array path's bit for bit.
-    """
-    if spec.family == "bernoulli-logit":
-        p = 1.0 / (1.0 + float(np.exp(-eta)))
-        return p, p * (1.0 - p)
-    if spec.family != "linear-gaussian":
-        raise ConfigError(f"scalar_moments unsupported for family {spec.family!r}")
-    return eta, float(spec.obs_noise[0, 0])
-
-
 def _free_obs(spec: MeasurementSpec, y) -> np.ndarray:
     """Observation in the coordinates the update operates on."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -335,6 +326,48 @@ def predictive_log_density(
     yhat, jac, R = moments_for_update(spec, prior.mean, x, anchor)
     S = jac @ prior.cov @ jac.T + R
     return gaussian_log_pdf(_free_obs(spec, y), yhat, S)
+
+
+def scalar_point(spec: MeasurementSpec, x, y, anchor, *beliefs: GaussBelief):
+    """The feature and observation (f, y) as Python floats when
+    ``scalar_log_density`` serves the model: a one-output linear-gaussian or
+    bernoulli-logit model without an anchor, one feature, one observation
+    and one-parameter ``beliefs``.  None for every other model."""
+    if spec.family not in _FLOAT_FAMILIES or anchor is not None:
+        return None
+    yv = _free_obs(spec, y)
+    phi = spec.phi(x)
+    if phi.size == yv.size == 1 and all(b.dim == 1 for b in beliefs):
+        return float(phi[0]), float(yv[0])
+    return None
+
+
+def scalar_log_density(spec: MeasurementSpec, mean: float, var: float, f: float, y: float):
+    """predictive_log_density on Python floats, for a one-parameter belief
+    (mean, var) at a ``scalar_point`` (f, y).
+
+    The link, the innovation variance f var f + R and the log density are
+    the array path's operations in its order, with np.exp and np.log on
+    scalars, so the value equals predictive_log_density's bit for bit.
+    None wherever the array checks would not pass trivially: a logit whose
+    np.exp would overflow, an innovation variance outside [PSD_TOL, inf), or
+    a density that is not finite.  The caller then hands the work back to
+    the arrays, so every clamp, error and RuntimeWarning stays theirs.
+    """
+    eta = mean * f
+    if spec.family == "bernoulli-logit":
+        if not eta > -_EXP_SAFE:  # np.exp(-eta) would overflow, or eta is NaN
+            return None
+        yhat = 1.0 / (1.0 + float(np.exp(-eta)))
+        r = yhat * (1.0 - yhat)
+    else:
+        yhat, r = eta, float(spec.obs_noise[0, 0])
+    v = (f * var) * f + r
+    if not PSD_TOL <= v < math.inf:
+        return None
+    e = y - yhat
+    dens = -0.5 * (float(np.log(_TWO_PI * v)) + e * e / v)
+    return dens if math.isfinite(dens) else None
 
 
 def link_mean(

@@ -18,12 +18,13 @@ rl-mmpr       moment-matched mixture over the hypothesis bank (mmpr_prior)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ConfigError, GaussBelief, is_finite_number, symmetrize_psd
+from .core import PSD_TOL, ConfigError, GaussBelief, is_finite_number, symmetrize_psd
 
 if TYPE_CHECKING:  # pragma: no cover
     from .weighting import HypothesisBank
@@ -88,6 +89,35 @@ def data_free_prior(policy: PriorPolicy, mean: np.ndarray, cov: np.ndarray, rate
         return base.mean, base.cov
     blend = rate * rate * cov + (1.0 - rate * rate) * base.cov
     return rate * mean + (1.0 - rate) * base.mean, symmetrize_psd(blend)
+
+
+def scalar_data_free_prior(policy: PriorPolicy, mean: float, var: float):
+    """data_free_prior on Python floats, at the policy's own rate, for a
+    one-parameter belief (mean, var).
+
+    The operations are data_free_prior's, in its order, down to
+    symmetrize_psd's (A + A^T)/2, so both values equal the array path's bit
+    for bit.  None unless the mean is finite and the variance lies in
+    [PSD_TOL, inf), where the array path's checks pass trivially; the caller
+    then hands the work back to data_free_prior, so every error and
+    RuntimeWarning stays the array path's.
+    """
+    if policy.kind == "aci":
+        out = mean, var + policy.alpha
+    else:
+        rate = policy.gamma
+        base = policy.base_prior
+        if rate == 1.0:
+            out = mean, var
+        elif rate == 0.0:
+            out = float(base.mean[0]), float(base.cov[0, 0])
+        else:
+            q = rate * rate
+            blend = q * var + (1.0 - q) * float(base.cov[0, 0])
+            out = rate * mean + (1.0 - rate) * float(base.mean[0]), (blend + blend) / 2.0
+    if math.isfinite(out[0]) and PSD_TOL <= out[1] < math.inf:
+        return out
+    return None
 
 
 def conditional_prior(

@@ -14,14 +14,12 @@ prune_topk take as an argument, and both keep survivors by one rule
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    PSD_TOL,
     ConfigError,
     GaussBelief,
     NumericDomainError,
@@ -29,7 +27,13 @@ from .core import (
     is_finite_number,
     logsumexp,
 )
-from .measurement import MeasurementSpec, _free_obs, linearize_bank, scalar_moments
+from .measurement import (
+    MeasurementSpec,
+    _free_obs,
+    linearize_bank,
+    scalar_log_density,
+    scalar_point,
+)
 from .posterior import innovation_arrays, lg_update_arrays, robust_noise
 from .priors import PriorPolicy, mmpr_prior
 
@@ -324,27 +328,27 @@ def cpp_empirical_bayes(
     - the stacked scorer serves every model with more than one parameter or
       output: it linearizes both points as one 2-row stack and scores them
       with ``gaussian_log_pdf_batch``;
-    - the float scorer serves one-parameter, one-output linear-gaussian and
-      bernoulli-logit models: the same blend, link (``scalar_moments``),
-      innovation variance and log density, in the same order, on Python
-      floats, so the search returns the stacked scorer's u bit for bit.
+    - the float scorer serves the one-parameter, one-output linear-gaussian
+      and bernoulli-logit models of ``measurement.scalar_point``: the same
+      blend on Python floats, scored by ``measurement.scalar_log_density``
+      (the float density RL-OUPR's greedy ratio shares), so the search
+      returns the stacked scorer's u bit for bit.
 
-    When a float variance lies outside [PSD_TOL, inf) or a float density is
-    not finite, the search restarts on the stacked scorer, so the clamp, the
-    errors and the warnings stay those of ``gaussian_log_pdf_batch``.
+    When that density hands back (a logit whose exp would overflow, a
+    variance outside [PSD_TOL, inf), a density that is not finite), the
+    search restarts on the stacked scorer, so the clamp, the errors and the
+    warnings stay those of ``gaussian_log_pdf_batch``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if lr <= 0:
         raise ValueError("learning rate must be positive")
+    point = scalar_point(spec, x, y, anchor, prev, base)
+    if point is not None:
+        u = _rate_search(_float_scorer(prev, base, spec, *point), steps, lr)
+        if u is not None:
+            return u
     yv = _free_obs(spec, y)
-    if spec.family in ("linear-gaussian", "bernoulli-logit") and anchor is None:
-        phi = spec.phi(x)
-        if prev.dim == base.dim == phi.size == yv.size == 1:
-            score = _float_scorer(prev, base, spec, float(phi[0]), float(yv[0]))
-            u = _rate_search(score, steps, lr)
-            if u is not None:
-                return u
     return _rate_search(_stacked_scorer(prev, base, spec, x, yv, anchor), steps, lr)
 
 
@@ -387,24 +391,15 @@ def _stacked_scorer(prev: GaussBelief, base: GaussBelief, spec: MeasurementSpec,
 
 
 def _float_scorer(prev: GaussBelief, base: GaussBelief, spec: MeasurementSpec, f: float, y: float):
-    """The stacked scorer's arithmetic on Python floats, for the feature f and
-    observation y of a one-parameter, one-output model; None where a variance
-    would be clamped or a density is not finite."""
+    """The stacked scorer's blend on Python floats, for the feature f and
+    observation y of a one-parameter, one-output model, scored by
+    ``scalar_log_density``; None where that density hands back."""
     pm, pc = float(prev.mean[0]), float(prev.cov[0, 0])
     bm, bc = float(base.mean[0]), float(base.cov[0, 0])
-    two_pi = 2.0 * np.pi
 
     def density(p):
         q = p * p
-        mean = p * pm + (1.0 - p) * bm
-        cov = q * pc + (1.0 - q) * bc
-        yhat, r = scalar_moments(spec, mean * f)
-        v = (f * cov) * f + r
-        if not PSD_TOL <= v < math.inf:
-            return None
-        e = y - yhat
-        dens = -0.5 * (float(np.log(two_pi * v)) + e * e / v)
-        return dens if math.isfinite(dens) else None
+        return scalar_log_density(spec, p * pm + (1.0 - p) * bm, q * pc + (1.0 - q) * bc, f, y)
 
     def score(hi, lo):
         pair = density(hi), density(lo)

@@ -97,3 +97,62 @@ def finite_diff_jacobian(fn, theta, step=1e-5):
         lo[j] -= step
         jac[:, j] = (np.atleast_1d(fn(hi)) - np.atleast_1d(fn(lo))) / (2.0 * step)
     return jac
+
+
+# -- one-parameter single-hypothesis steps ------------------------------------
+#
+# A belief is a (mean, variance) pair of Python floats over theta, for the
+# model eta = theta f with one feature f.  The families linearize at the prior
+# mean: linear-gaussian observes eta plus noise of variance R, bernoulli-logit
+# is moment-matched at p = sigmoid(eta) with noise variance p (1 - p).
+
+
+def scalar_moment_match(family, m, f, R):
+    """Predicted observation and its noise variance at the mean m."""
+    eta = m * f
+    if family == "bernoulli-logit":
+        p = 1.0 / (1.0 + math.exp(-eta))
+        return p, p * (1.0 - p)
+    return eta, R
+
+
+def scalar_filter_step(family, m, v, f, y, R):
+    """Log predictive density of y under the prior (m, v), and the posterior
+    (m', v') of one linearized update, written in information form."""
+    yhat, r = scalar_moment_match(family, m, f, R)
+    s = f * f * v + r
+    log_pred = -0.5 * (math.log(2.0 * math.pi * s) + (y - yhat) ** 2 / s)
+    v_post = 1.0 / (1.0 / v + f * f / r)
+    return log_pred, m + v_post * f * (y - yhat) / r, v_post
+
+
+def aci_drift(m, v, alpha):
+    """C-ACI's prior with no observation: the variance inflated by alpha."""
+    return m, v + alpha
+
+
+def ou_drift(m, v, m0, v0, gamma):
+    """C-OU's prior with no observation: the blend toward (m0, v0) at rate gamma."""
+    return gamma * m + (1.0 - gamma) * m0, gamma**2 * v + (1.0 - gamma**2) * v0
+
+
+def greedy_oupr_step(family, m, v, runlength, f, y, R, m0, v0, pi, eps):
+    """One RL-OUPR step from the belief (m, v) with base prior (m0, v0).
+
+    nu = P(no changepoint | y) from the grow and reset predictive densities
+    at hazard pi; above eps the prior blends toward the base at rate nu and
+    the runlength grows, at or below it the prior is the base and the
+    runlength restarts at 0.  Returns (m', v', runlength', nu).
+    """
+    grow, _, _ = scalar_filter_step(family, m, v, f, y, R)
+    reset, _, _ = scalar_filter_step(family, m0, v0, f, y, R)
+    # log odds of growth against reset
+    d = (grow + math.log(1.0 - pi)) - (reset + math.log(pi))
+    nu = 1.0 / (1.0 + math.exp(-d)) if d >= 0 else math.exp(d) / (1.0 + math.exp(d))
+    if nu > eps:
+        prior = nu * m + (1.0 - nu) * m0, nu**2 * v + (1.0 - nu**2) * v0
+        runlength += 1
+    else:
+        prior, runlength = (m0, v0), 0
+    _, m_post, v_post = scalar_filter_step(family, *prior, f, y, R)
+    return m_post, v_post, runlength, nu

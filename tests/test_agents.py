@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,10 +17,17 @@ from bone.agents import (
     predict_weighted,
     thompson_action,
 )
-from bone.core import ConfigError, GaussBelief, symmetrize_psd
-from bone.measurement import MeasurementSpec, link_mean
-from bone.priors import PriorPolicy
-from bone.weighting import HazardSpec, HypothesisBank
+from bone.core import ConfigError, GaussBelief, reject_nan_belief, symmetrize_psd
+from bone.measurement import (
+    MeasurementSpec,
+    link_mean,
+    predictive_log_density,
+    scalar_log_density,
+    scalar_point,
+)
+from bone.priors import PriorPolicy, data_free_prior, scalar_data_free_prior
+from bone.weighting import HazardSpec, HypothesisBank, greedy_ratio
+import oracles
 from oracles import batch_linreg_posterior
 
 LINEAR = MeasurementSpec("linear-gaussian", obs_noise=[[1.0]])
@@ -523,3 +531,223 @@ class TestBanditStepAgainstPerArmReference:
                     states[j] = got
         if cfg.is_rl_bank:
             assert max(sizes) > 1  # the modal hypothesis is picked from a bank
+
+
+# family -> (spec, observation noise R the oracle reads, RL-OUPR hazard) of the
+# one-parameter tests; a Bernoulli outcome is weak evidence, so only a hazard
+# above 1/2 makes RL-OUPR at eps = 0.5 take both of its branches
+ONE_PARAMETER = {
+    "bernoulli-logit": (MeasurementSpec("bernoulli-logit"), None, 0.55),
+    "linear-gaussian": (MeasurementSpec("linear-gaussian", obs_noise=[[0.5]]), 0.5, 0.1),
+}
+BASE1 = GaussBelief([0.3], [[1.5]])
+
+
+def one_parameter_stream(family, seed, T=50):
+    """T (x, y) pairs of a scalar model whose parameter jumps between +2 and
+    -2 every 10 steps, and a coin per step (the bandit's pull)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for t in range(T):
+        theta = 2.0 if (t // 10) % 2 == 0 else -2.0
+        x = float(rng.uniform(-2.0, 2.0))
+        if family == "bernoulli-logit":
+            y = float(rng.random() < 1.0 / (1.0 + np.exp(-theta * x)))
+        else:
+            y = theta * x + float(np.sqrt(0.5) * rng.normal())
+        out.append((x, y, bool(rng.random() < 0.5)))
+    return out
+
+
+def assert_belief(state, m, v, runlength, t):
+    bank = state.bank
+    assert bank.timestep == t and bank.runlengths.tolist() == [runlength]
+    np.testing.assert_allclose(bank.means[0, 0], m, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(bank.covs[0, 0, 0], v, rtol=1e-12, atol=0.0)
+
+
+class TestOneParameterStepsAgainstReference:
+    """Every step of a 50-step stream, against the plain-Python steps of
+    ``oracles``: the pulled arm's update and the unpulled arm's drift of the
+    data-free kinds, and RL-OUPR's greedy step at both of its branches."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("family", sorted(ONE_PARAMETER))
+    @pytest.mark.parametrize("name", ["C-ACI", "C-OU"])
+    def test_drift_and_update(self, name, family, seed):
+        spec, R, _ = ONE_PARAMETER[family]
+        m0, v0 = float(BASE1.mean[0]), float(BASE1.cov[0, 0])
+        if name == "C-ACI":
+            cfg = method(name, spec=spec, base=BASE1, alpha=0.05)
+            def drift(m, v):
+                return oracles.aci_drift(m, v, 0.05)
+        else:
+            cfg = method(name, spec=spec, base=BASE1, gamma=0.9)
+            def drift(m, v):
+                return oracles.ou_drift(m, v, m0, v0, 0.9)
+        state, m, v, runlength = init_agent(cfg), m0, v0, 0
+        pulls = []
+        for x, y, pulled in one_parameter_stream(family, seed):
+            if pulled:
+                state, _, _ = bone_step(state, cfg, [x], [y])
+                _, m, v = oracles.scalar_filter_step(family, *drift(m, v), x, y, R)
+                runlength += 1
+            else:
+                state = drift_unobserved(state, cfg)
+                m, v = drift(m, v)
+            pulls.append(pulled)
+            assert_belief(state, m, v, runlength, runlength)  # a drift keeps the timestep
+        assert 0 < sum(pulls) < len(pulls)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("family", sorted(ONE_PARAMETER))
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+    def test_rl_oupr_step(self, eps, family, seed):
+        spec, R, pi = ONE_PARAMETER[family]
+        m0, v0 = float(BASE1.mean[0]), float(BASE1.cov[0, 0])
+        cfg = method("RL-OUPR", spec=spec, base=BASE1, hazard=HazardSpec(pi), epsilon=eps)
+        state, m, v, runlength = init_agent(cfg), m0, v0, 0
+        stream = one_parameter_stream(family, seed)
+        resets = 0
+        for t, (x, y, _) in enumerate(stream, start=1):
+            state, _, _ = bone_step(state, cfg, [x], [y])
+            m, v, runlength, nu = oracles.greedy_oupr_step(
+                family, m, v, runlength, x, y, R, m0, v0, pi, eps
+            )
+            assert abs(nu - eps) > 1e-9  # the branch is not decided by rounding
+            resets += runlength == 0
+            assert_belief(state, m, v, runlength, t)
+        # eps 0 always blends, eps 1 always resets, eps 0.5 takes both branches
+        if eps == 0.0:
+            assert resets == 0
+        elif eps == 1.0:
+            assert resets == len(stream)
+        else:
+            assert 0 < resets < len(stream)
+
+
+class TestOneParameterFloatPaths:
+    """The float drift and RL-OUPR's float densities build the banks that
+    the array paths build, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("family", sorted(ONE_PARAMETER))
+    @pytest.mark.parametrize(
+        "name,kw",
+        [
+            ("C-ACI", {"alpha": 0.05}),
+            ("C-OU", {"gamma": 0.9}),
+            ("RL-OUPR", {"hazard": HazardSpec(0.3), "epsilon": 0.5}),
+        ],
+    )
+    def test_banks_equal_the_array_paths(self, monkeypatch, name, kw, family, seed):
+        spec = ONE_PARAMETER[family][0]
+        cfg = method(name, spec=spec, base=BASE1, **kw)
+        stream = one_parameter_stream(family, seed)
+
+        def run():
+            state, banks = init_agent(cfg), []
+            for x, y, pulled in stream:
+                if pulled or name == "RL-OUPR":
+                    state, _, _ = bone_step(state, cfg, [x], [y])
+                else:
+                    state = drift_unobserved(state, cfg)
+                banks.append(state.bank)
+            return banks
+
+        floats = run()
+        monkeypatch.setattr(bone.agents, "scalar_point", lambda *args: None)
+        monkeypatch.setattr(bone.agents, "scalar_data_free_prior", lambda *args: None)
+        for got, want in zip(floats, run(), strict=True):
+            assert_same_bank(got, want)
+
+
+def outcome(fn):
+    """fn's value, or the type and message of what it raised, and the
+    RuntimeWarnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = fn()
+        except Exception as exc:  # compared as a value
+            value = (type(exc), str(exc))
+    return value, [(w.category, str(w.message)) for w in caught if w.category is RuntimeWarning]
+
+
+NAN, HUGE = float("nan"), 1.7e308
+TINY_BASE = GaussBelief([0.3], [[1e-12]])
+# id -> (method, method and prior keywords, base prior, mean, variance)
+DRIFT_FALLBACKS = {
+    "aci-nan-mean": ("C-ACI", {"alpha": 0.2}, BASE1, NAN, 1.0),
+    "ou-nan-mean": ("C-OU", {"gamma": 0.5}, BASE1, NAN, 1.0),
+    "aci-tiny-variance": ("C-ACI", {"alpha": 0.0}, BASE1, 0.1, 1e-12),
+    "ou-tiny-variance": ("C-OU", {"gamma": 0.5}, TINY_BASE, 0.1, 1e-12),
+    "aci-overflowing-inflation": ("C-ACI", {"alpha": 1e308}, BASE1, 0.1, HUGE),
+    "ou-overflowing-blend": ("C-OU", {"gamma": 0.9}, BASE1, 0.1, HUGE),
+}
+TINY_LINEAR = MeasurementSpec("linear-gaussian", obs_noise=[[1e-14]])
+# id -> (spec, base prior, belief, x, y)
+DENSITY_FALLBACKS = {
+    "linear-nan-mean": (LINEAR, BASE1, BASE1, NAN, 0.5),
+    "bernoulli-nan-mean": (ONE_PARAMETER["bernoulli-logit"][0], BASE1, BASE1, NAN, 1.0),
+    "linear-tiny-variance": (TINY_LINEAR, TINY_BASE, GaussBelief([0.2], [[1e-14]]), 1.0, 0.5),
+    "bernoulli-tiny-variance": (
+        ONE_PARAMETER["bernoulli-logit"][0],
+        GaussBelief([40.0], [[1e-14]]),
+        GaussBelief([38.0], [[1e-14]]),
+        1.0,
+        1.0,
+    ),
+    "linear-overflowing-variance": (LINEAR, BASE1, GaussBelief([0.2], [[1e308]]), 10.0, 0.5),
+    "bernoulli-overflowing-logit": (
+        ONE_PARAMETER["bernoulli-logit"][0], BASE1, GaussBelief([-800.0], [[1.0]]), 1.0, 1.0
+    ),
+    "linear-zero-density": (LINEAR, BASE1, GaussBelief([0.2], [[2.0]]), 1.0, 1e200),
+    "bernoulli-zero-density": (
+        ONE_PARAMETER["bernoulli-logit"][0], BASE1, GaussBelief([0.2], [[2.0]]), 1.0, 1e200
+    ),
+}
+
+
+class TestOneParameterFallbacks:
+    """Inputs outside the range where the array checks pass trivially hand
+    the float paths back to the arrays: the same exception and message, the
+    same RuntimeWarnings, the same values."""
+
+    @pytest.mark.parametrize("case", sorted(DRIFT_FALLBACKS))
+    def test_drift(self, case):
+        name, kw, base, m, v = DRIFT_FALLBACKS[case]
+        cfg = method(name, base=base, **kw)
+        assert scalar_data_free_prior(cfg.policy, m, v) is None
+        bank = HypothesisBank(np.array([0]), np.zeros(1), np.array([[m]]), np.array([[[v]]]))
+
+        def drift():
+            got = drift_unobserved(AgentState(bank=bank), cfg).bank
+            return got.means.tobytes(), got.covs.tobytes()
+
+        def arrays():
+            mean, cov = data_free_prior(cfg.policy, bank.means[0], bank.covs[0])
+            reject_nan_belief(mean, cov)
+            return mean[None].tobytes(), cov[None].tobytes()
+
+        assert outcome(drift) == outcome(arrays)
+
+    @pytest.mark.parametrize("case", sorted(DENSITY_FALLBACKS))
+    def test_rl_oupr_densities(self, case):
+        spec, base, belief, x, y = DENSITY_FALLBACKS[case]
+        cfg = method("RL-OUPR", spec=spec, base=base, hazard=HazardSpec(0.3), epsilon=0.5)
+        f, yv = scalar_point(spec, [x], [y], None, belief, base)
+        densities = [
+            scalar_log_density(spec, float(b.mean[0]), float(b.cov[0, 0]), f, yv) for b in (belief, base)
+        ]
+        assert None in densities
+
+        def floats():
+            pair = bone.agents._greedy_log_densities(cfg, belief, [x], [y], None, None)
+            return repr((pair, greedy_ratio(*pair, cfg.hazard)))  # NaN-safe equality
+
+        def arrays():
+            pair = tuple(predictive_log_density(spec, b, [x], [y]) for b in (belief, base))
+            return repr((pair, greedy_ratio(*pair, cfg.hazard)))
+
+        assert outcome(floats) == outcome(arrays)

@@ -124,14 +124,24 @@ def _clamped_scalar_log_pdf(y, means, covs):
     return -0.5 * (np.log(2.0 * np.pi * v) + e[:, 0] ** 2 / v)
 
 
-def test_import_loads_no_scipy():
-    code = "import sys, bone; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _loaded_after(statement: str, package: str) -> str:
+    """The modules of ``package`` that a fresh interpreter holds after ``statement``."""
+    code = f"{statement}; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(src)!r}); {code}"],
         capture_output=True, text=True, check=True, timeout=120,
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert _loaded_after("import bone", "scipy") == "[]"
+
+
+def test_harness_import_loads_no_multiprocessing():
+    # only a --parallel run needs the process pool
+    assert _loaded_after("import bone.harness", "multiprocessing") == "[]"
 
 
 class TestLogSumExp:

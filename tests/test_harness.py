@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import csv
 import hashlib
@@ -452,7 +453,7 @@ class TestRunPrequential:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(bone.harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         traces = run_experiment(parse_config(static_config(trials=trials, horizon=5)), parallel)
         assert [tr.trial for tr in traces] == list(range(trials))
         assert started == ([] if workers is None else [workers])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bone.measurement
-from bone.core import GaussBelief, gaussian_log_pdf
+from bone.core import PSD_TOL, GaussBelief, gaussian_log_pdf
 from bone.measurement import (
     MeasurementSpec,
     apply_h,
@@ -11,6 +13,8 @@ from bone.measurement import (
     link_mean,
     moments_for_update,
     predictive_log_density,
+    scalar_log_density,
+    scalar_point,
 )
 from oracles import finite_diff_jacobian
 
@@ -134,6 +138,44 @@ class TestPredictiveLogDensity:
             assert predictive_log_density(LINEAR, prior, x, [y]) == pytest.approx(
                 direct, abs=1e-12
             )
+
+
+class TestScalarLogDensity:
+    @given(
+        st.sampled_from(["linear", "bernoulli"]),
+        st.floats(min_value=-10.0, max_value=10.0),
+        st.floats(min_value=1e-8, max_value=1e3),
+        st.floats(min_value=-5.0, max_value=5.0),
+        st.floats(min_value=-10.0, max_value=10.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_array_density_bit_for_bit(self, family, mean, var, x, y):
+        spec = LINEAR if family == "linear" else BERN
+        if family == "bernoulli":
+            y = float(y > 0.0)
+        prior = GaussBelief([mean], [[var]])
+        f, yv = scalar_point(spec, [x], [y], None, prior)
+        got = scalar_log_density(spec, mean, var, f, yv)
+        want = predictive_log_density(spec, prior, [x], [y])
+        if got is None:  # handed back to the arrays, which clamp the variance
+            _, jac, R = moments_for_update(spec, prior.mean, [x])
+            assert (jac @ prior.cov @ jac.T + R)[0, 0] < PSD_TOL
+        else:
+            assert got.hex() == float(want).hex()
+
+    @pytest.mark.parametrize(
+        "spec,anchor,x,dims",
+        [
+            (LINEAR_BIAS, None, [1.0], 2),
+            (SEGMENT, 0.0, [1.0], 3),
+            (CAT3, None, [1.0], 2),
+            (LINEAR, 0.5, [1.0], 1),
+        ],
+        ids=["two-features", "segment", "categorical", "anchor"],
+    )
+    def test_no_scalar_point_outside_its_models(self, spec, anchor, x, dims):
+        belief = GaussBelief(np.zeros(dims), np.eye(dims))
+        assert scalar_point(spec, x, [0.0], anchor, belief) is None
 
 
 class TestLinearizeBank:
