@@ -7,7 +7,10 @@ relative to the matrix trace.  The PSD check and the Gaussian log-density
 each have one implementation, on a stack of matrices; ``symmetrize_psd`` and
 ``gaussian_log_pdf`` run it on a stack of one.  Both factor the stack with
 batched numpy Cholesky: a finite factor proves a matrix positive definite,
-and ``eigvalsh`` runs only when a factorization fails.
+and ``eigvalsh`` runs only when a factorization fails.  The PSD check first
+tries a cheaper certificate on a long stack of 2x2 or 3x3 matrices: their
+LDL^T pivots, computed for the whole stack at once, where numpy would make
+one LAPACK call per matrix.
 
 Every covariance the engine holds is exactly symmetric, so
 ``certify_psd_batch`` checks it as it stands; ``symmetrize_psd_batch``
@@ -30,6 +33,17 @@ PSD_TOL = 1e-9
 # Cholesky one slice at a time, so the scratch stays bounded whatever the
 # stack size.
 SLICE_BYTES = 1 << 17
+
+# certify_psd_batch tries the pivot pass (_pivots_certify) on a stack of at
+# least this many 2x2 or 3x3 matrices: about where a 3x3 stack's pass costs
+# what the per-matrix LAPACK calls cost (a 2x2 stack crosses below 16).
+_PIVOT_STACK = 40
+
+# The pivot pass certifies a matrix only when each LDL^T pivot exceeds this
+# share of its diagonal entry (plus the smallest normal float): far above
+# rounding, so LAPACK's Cholesky succeeds wherever the pass does.
+_PIVOT_MARGIN = 2.0**-20
+_TINY = np.finfo(float).tiny
 
 
 class NumericDomainError(ValueError):
@@ -147,6 +161,10 @@ def certify_psd_batch(s: np.ndarray) -> np.ndarray:
     For d > 1 Cholesky factorizations of slices of at most ``SLICE_BYTES``
     certify the stack, so no factor of a large stack is built: when every
     slice factors with a finite factor, every matrix is positive definite.
+    A stack of at least ``_PIVOT_STACK`` matrices of size 2 or 3 first
+    tries ``_pivots_certify``, which says yes only where every slice would
+    factor, and falls through to the slices otherwise; so the result, the
+    exceptions and the warnings never depend on which certificate ran.
     A stack of 1x1 matrices is certified by positive finite entries.  Only
     when a certificate fails does ``eigvalsh`` find the smallest eigenvalues
     of the whole stack: a negative one within PSD_TOL * max(1, |trace|) is
@@ -162,6 +180,8 @@ def certify_psd_batch(s: np.ndarray) -> np.ndarray:
         if ((v > 0.0) & (v < np.inf)).all():
             return s
     else:
+        if d <= 3 and k >= _PIVOT_STACK and _pivots_certify(s):
+            return s
         step = max(1, SLICE_BYTES // (s.itemsize * d * d))
         try:
             for i in range(0, k, step):
@@ -189,6 +209,46 @@ def certify_psd_batch(s: np.ndarray) -> np.ndarray:
         )
     shift = np.where(wmin < 0.0, -wmin, 0.0)
     return s + shift[:, None, None] * np.eye(d)
+
+
+def _pivots_certify(s: np.ndarray) -> bool:
+    """True when the LDL^T pivots of every matrix of a (k, d, d) stack clear
+    the margin, so that numpy's Cholesky would factor each of them.
+
+    For d in {2, 3}: symmetric elimination on the lower triangle (the
+    triangle LAPACK reads), written out as closed forms over the whole
+    stack at once: l_i0 = a_i0 / a_00, the second pivot d_1 = a_11 - l_10
+    a_10, b_21 = a_21 - l_20 a_10, and the third a_22 - l_20 a_20 - (b_21 /
+    d_1) b_21.  Pivot
+    p_j must exceed tau * a_jj + tiny, with tau = ``_PIVOT_MARGIN`` and tiny
+    the smallest normal float.  A NaN or infinite entry of the lower
+    triangle reaches some pivot as NaN or -inf, and a diagonal entry <= 0
+    bounds its pivot from above, so both fail.
+
+    Why a yes holds for LAPACK too: while every earlier pivot is positive,
+    each elimination term a_ij a_mj / p_j is at most sqrt(a_ii a_mm) in
+    magnitude, so rounding moves pivot j by O(n u) a_jj (u the unit
+    roundoff), and an earlier pivot's error is amplified by at most
+    a_jj / p_j < 1 / tau.  This pass and LAPACK's Cholesky (whose squared
+    diagonal follows the same recurrence) therefore differ in pivot j by
+    O(n u / tau) a_jj, about 1e-9 a_jj, far below the margin tau a_jj, about
+    1e-6 a_jj; so LAPACK's pivots are positive and its factor finite.  The
+    tiny term keeps every pivot in the normal range, where rounding is
+    relative.  A stack that fails the pass may still factor; the caller
+    then runs LAPACK.
+    """
+    a00, a10, a11 = s[:, 0, 0], s[:, 1, 0], s[:, 1, 1]
+    with np.errstate(all="ignore"):
+        floor = _PIVOT_MARGIN * s.diagonal(0, 1, 2) + _TINY
+        l10 = a10 / a00
+        d1 = a11 - l10 * a10
+        ok = (a00 > floor[:, 0]) & (d1 > floor[:, 1])
+        if s.shape[1] == 3:
+            a20, a21, a22 = s[:, 2, 0], s[:, 2, 1], s[:, 2, 2]
+            l20 = a20 / a00
+            b21 = a21 - l20 * a10
+            ok &= a22 - l20 * a20 - b21 / d1 * b21 > floor[:, 2]
+    return bool(ok.all())
 
 
 def gaussian_log_pdf(y, mean, cov) -> float:

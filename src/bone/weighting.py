@@ -14,6 +14,7 @@ prune_topk take as an argument, and both keep survivors by one rule
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -291,14 +292,23 @@ def greedy_ratio(p_grow: float, p_reset: float, hazard: HazardSpec) -> float:
     """Continuation probability nu from the two predictive log densities.
 
     nu = e^{p_grow} (1 - pi) / (e^{p_reset} pi + e^{p_grow} (1 - pi)),
-    evaluated in log space.
+    evaluated in log space on Python floats, with np.log and np.exp on
+    scalars.  It is ``exp(lg - logsumexp([lg, lr]))`` bit for bit: over two
+    entries logsumexp's sum of exp(v - max) is 1 + exp(lo - max), and a NaN
+    or +inf log joint leaves exp(lg - max) as it does there.  Python floats
+    emit no RuntimeWarning where numpy's warned (inf - inf, an overflowing
+    sum); no log density the engine computes is NaN or +inf.
     """
-    if np.isinf(p_grow) and np.isinf(p_reset) and p_grow < 0 and p_reset < 0:
+    if p_grow == -math.inf and p_reset == -math.inf:
         raise NumericDomainError("both predictive densities are zero")
     pi = hazard.pi
-    lg = p_grow + np.log1p(-pi)
-    lr = p_reset + np.log(pi)
-    return float(np.exp(lg - logsumexp([lg, lr])))
+    lg = float(p_grow) + float(np.log1p(-pi))
+    lr = float(p_reset) + float(np.log(pi))
+    # m is NaN when lr is; a NaN lg reaches the result through lg itself
+    m, lo = (lg, lr) if lg > lr else (lr, lg)
+    if math.isfinite(m):
+        m += float(np.log(1.0 + float(np.exp(lo - m))))
+    return float(np.exp(lg - m))
 
 
 def cpp_empirical_bayes(

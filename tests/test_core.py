@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from bone.core import (
     PSD_TOL,
     GaussBelief,
     NumericDomainError,
+    certify_psd_batch,
     gaussian_log_pdf,
     gaussian_log_pdf_batch,
     logsumexp,
@@ -290,15 +292,20 @@ class TestSymmetrizePsdBatch:
     # Eigenvalues keep a margin from zero (>= 1e-12 in magnitude) so the sign
     # is decided by the matrix, not by rounding: a matrix singular to working
     # precision may pass Cholesky while eigvalsh reports -1e-16 and shifts it.
+    # A long stack (kinds tiled past _PIVOT_STACK) of 2x2 or 3x3 matrices is
+    # tried by the pivot pass first.
     @given(
         st.sampled_from([1, 2, 3, 5]),
         st.lists(st.sampled_from(["pd", "within-tol", "beyond-tol"]), min_size=1, max_size=6),
         st.booleans(),
+        st.booleans(),
         st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=100, deadline=None)
-    def test_matches_eigvalsh_oracle(self, d, kinds, sliced, seed):
+    def test_matches_eigvalsh_oracle(self, d, kinds, sliced, long, seed):
         rng = np.random.default_rng(seed)
+        if long:
+            kinds = kinds * (bone.core._PIVOT_STACK // len(kinds) + 1)
         mats = []
         for kind in kinds:
             lam = rng.uniform(1e-3, 10.0, d)
@@ -356,6 +363,107 @@ class TestSymmetrizePsdBatch:
         # a stack beyond one slice is written in place; nothing was repaired
         assert (owned is buf) == (covs.nbytes > bone.core.SLICE_BYTES)
         assert not np.shares_memory(fresh, covs)
+
+
+def _special_matrix(case, d, rng):
+    """One d x d matrix (d in {2, 3}) for TestPivotCertificate: exactly
+    symmetric, except that a non-finite case sets one triangle only."""
+    tau = bone.core._PIVOT_MARGIN
+    if case.startswith("singular"):  # lambda_min = c * trace, c from the name
+        lam = np.arange(1.0, d + 1.0)
+        lam[0] = float(case.split(":")[1]) * lam[1:].sum()
+        m = _rotated(rng, lam)
+    elif case.startswith("ratio"):  # second pivot 1 - r^2 = tau (1 +- 1e-3)
+        r = np.sqrt(1.0 - tau * (1.0 + (1e-3 if case == "ratio-above" else -1e-3)))
+        m = np.eye(d)
+        m[0, 1] = m[1, 0] = r
+    elif case.startswith("zero-diagonal"):
+        m = np.eye(d)
+        m[1, 1] = 0.0
+        if case == "zero-diagonal-coupled":  # an eigenvalue near -0.2
+            m[0, 1] = m[1, 0] = 0.5
+    elif case in ("within-tol", "beyond-tol"):
+        lam = rng.uniform(0.5, 2.0, d)
+        lam[0] = -3e-10 if case == "within-tol" else -0.3
+        m = _rotated(rng, lam)
+    else:  # a non-finite entry in one triangle; the other keeps its value
+        m = _rotated(rng, rng.uniform(0.5, 2.0, d))
+        m = (m + m.T) / 2.0
+        value = {"nan-lower": np.nan, "inf-lower": np.inf, "-inf-lower": -np.inf}.get(case)
+        if value is None:  # nan-upper
+            m[0, d - 1] = np.nan
+        else:
+            m[d - 1, 0] = value
+        return m
+    return (m + m.T) / 2.0
+
+
+def _certify_outcome(s):
+    """certify_psd_batch's result (whether it is s, and its bytes) or its
+    exception, with every warning an error; s is left unchanged."""
+    before = s.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = certify_psd_batch(s)
+        except Exception as err:  # noqa: BLE001 - the exception is the outcome
+            outcome = (type(err), str(err))
+        else:
+            outcome = (out is s, out.tobytes())
+    assert s.tobytes() == before
+    return outcome
+
+
+class TestPivotCertificate:
+    """The pivot pass of certify_psd_batch against the LAPACK path alone."""
+
+    CASES = [
+        "singular:0", "singular:1e-17", "singular:-1e-17", "singular:1e-15",
+        "singular:-1e-15", "ratio-above", "ratio-below", "zero-diagonal",
+        "zero-diagonal-coupled", "nan-lower", "inf-lower", "-inf-lower",
+        "nan-upper", "within-tol", "beyond-tol",
+    ]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_outcome_as_lapack_alone(self, monkeypatch, case, d):
+        threshold = bone.core._PIVOT_STACK
+        rng = np.random.default_rng(len(case) * d)
+        for k in (threshold - 1, threshold, 500):
+            stack = np.stack([_rotated(rng, rng.uniform(0.5, 2.0, d)) for _ in range(k)])
+            stack = (stack + stack.transpose(0, 2, 1)) / 2.0
+            stack[k // 2] = _special_matrix(case, d, rng)
+            both = _certify_outcome(stack)
+            with monkeypatch.context() as mp:
+                mp.setattr(bone.core, "_PIVOT_STACK", sys.maxsize)
+                lapack = _certify_outcome(stack)
+            assert both == lapack, (case, d, k)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_the_margin_decides_the_pass(self, d):
+        # the two ratio cases straddle the margin in the pass itself
+        rng = np.random.default_rng(d)
+        for case, passes in (("ratio-above", True), ("ratio-below", False)):
+            m = _special_matrix(case, d, rng)
+            assert bone.core._pivots_certify(np.stack([m] * 100)) is passes
+            assert np.isfinite(np.linalg.cholesky(m)).all()  # LAPACK factors both
+
+    @pytest.mark.parametrize("k,calls", [(500, 0), (1, 1)])
+    def test_long_stack_makes_no_lapack_call(self, monkeypatch, k, calls):
+        rng = np.random.default_rng(k)
+        a = rng.normal(size=(k, 3, 3))
+        stack = a @ a.transpose(0, 2, 1) + np.eye(3)
+        stack = (stack + stack.transpose(0, 2, 1)) / 2.0
+        seen = []
+        cholesky = np.linalg.cholesky
+
+        def counting(x, *args, **kwargs):
+            seen.append(x.shape)
+            return cholesky(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        assert certify_psd_batch(stack) is stack
+        assert len(seen) == calls
 
 
 class TestTypes:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -401,6 +402,49 @@ class TestGreedyRatio:
     def test_double_zero_mass_rejected(self):
         with pytest.raises(NumericDomainError, match="both predictive densities are zero"):
             greedy_ratio(-np.inf, -np.inf, HazardSpec(0.5))
+
+    def test_floats_match_the_array_form_bit_for_bit(self):
+        def array_form(p_grow, p_reset, hazard):  # greedy_ratio before it ran on floats
+            if np.isinf(p_grow) and np.isinf(p_reset) and p_grow < 0 and p_reset < 0:
+                raise NumericDomainError("both predictive densities are zero")
+            pi = hazard.pi
+            lg = p_grow + np.log1p(-pi)
+            lr = p_reset + np.log(pi)
+            return float(np.exp(lg - logsumexp([lg, lr])))
+
+        rng = np.random.default_rng(16)
+        special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 745.0, -745.0, 1e308, -1e308]
+        pis = np.concatenate([
+            rng.uniform(0.0, 1.0, 50),
+            10.0 ** rng.uniform(-300.0, -1.0, 25),  # near 0
+            1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 25),  # near 1
+        ])
+        raised = 0
+        for i in range(12_000):
+            hazard = HazardSpec(float(pis[i % pis.size]))
+            # gaps from O(1) to 1e6, and a special value in about a third of the pairs
+            pair = rng.normal(0.0, 10.0 ** rng.uniform(0.0, 6.0), 2)
+            for j in range(2):
+                if rng.random() < 0.2:
+                    pair[j] = special[rng.integers(len(special))]
+            p_grow, p_reset = float(pair[0]), float(pair[1])
+            with np.errstate(all="ignore"):  # inf - inf warned in the array form
+                try:
+                    want = array_form(p_grow, p_reset, hazard)
+                except NumericDomainError:
+                    want = None
+            if want is None:
+                raised += 1
+                with pytest.raises(NumericDomainError, match="both predictive densities"):
+                    greedy_ratio(p_grow, p_reset, hazard)
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = greedy_ratio(p_grow, p_reset, hazard)
+            assert type(got) is float
+            # float.hex is the bit pattern, with every NaN written "nan"
+            assert got.hex() == want.hex(), (p_grow, p_reset, hazard.pi)
+        assert raised > 0
 
 
 class TestCppEmpiricalBayes:
