@@ -24,13 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, GaussBelief, is_finite_number, is_integer, reject_nan_belief
+from .core import ConfigError, is_finite_number, is_integer, reject_nan_belief
 from .measurement import (
     MeasurementSpec,
     link_mean,
     predictive_log_density,
-    scalar_log_density,
-    scalar_point,
 )
 from .posterior import lg_update, wolf_update
 from .priors import PriorPolicy, conditional_prior, data_free_prior, scalar_data_free_prior
@@ -39,6 +37,7 @@ from .weighting import (
     HazardSpec,
     HypothesisBank,
     cpp_empirical_bayes,
+    float_blend_scorer,
     greedy_ratio,
     rl_step,
 )
@@ -135,57 +134,40 @@ def predict_weighted(state: AgentState, cfg: MethodConfig, x):
     return bank.weights @ yhats, yhats
 
 
-def _greedy_log_densities(cfg: MethodConfig, belief: GaussBelief, x, y, anchor, reset_anchor):
-    """RL-OUPR's predictive log densities (p_grow, p_reset) of the tracked
-    belief and the base prior.
-
-    At a ``scalar_point`` both come from ``scalar_log_density`` on Python
-    floats, bit for bit as ``predictive_log_density`` gives them; when
-    either hands back, or the model has no scalar point, both come from
-    ``predictive_log_density``, with its clamps, errors and warnings.
-    """
-    spec, base = cfg.spec, cfg.policy.base_prior
-    point = scalar_point(spec, x, y, anchor, belief, base)
-    if point is not None:
-        p_grow = scalar_log_density(spec, float(belief.mean[0]), float(belief.cov[0, 0]), *point)
-        p_reset = scalar_log_density(spec, float(base.mean[0]), float(base.cov[0, 0]), *point)
-        if p_grow is not None and p_reset is not None:
-            return p_grow, p_reset
-    return (
-        predictive_log_density(spec, belief, x, y, anchor),
-        predictive_log_density(spec, base, x, y, reset_anchor),
-    )
-
-
 def _step_single(state: AgentState, cfg: MethodConfig, x, y) -> AgentState:
     bank = state.bank
     belief = bank.belief(0)
     anchor = bank.anchor(0)
     t = bank.timestep + 1
     kind = cfg.policy.kind
+    spec, base = cfg.spec, cfg.policy.base_prior
     runlength = int(bank.runlengths[0]) + 1
 
+    rate = None  # static / ou / aci
     if kind == "cpp-ou":
-        ups = cpp_empirical_bayes(
-            belief, cfg.policy.base_prior, cfg.spec, x, y,
-            steps=cfg.cpp_steps, lr=cfg.cpp_lr, anchor=anchor,
+        rate = cpp_empirical_bayes(
+            belief, base, spec, x, y, steps=cfg.cpp_steps, lr=cfg.cpp_lr, anchor=anchor,
         )
-        prior = conditional_prior(cfg.policy, belief, aux=ups)
     elif kind == "rl-oupr":
         reset_anchor = None if anchor is None else float(np.atleast_1d(x)[0])
-        p_grow, p_reset = _greedy_log_densities(cfg, belief, x, y, anchor, reset_anchor)
-        nu = greedy_ratio(p_grow, p_reset, cfg.hazard)
-        prior = conditional_prior(cfg.policy, belief, weight=nu)
-        if nu <= cfg.policy.epsilon:  # hard reset branch
+        score = float_blend_scorer(belief, base, spec, x, y, anchor)
+        densities = None if score is None else score(1.0, 0.0)
+        if densities is None:
+            densities = (
+                predictive_log_density(spec, belief, x, y, anchor),
+                predictive_log_density(spec, base, x, y, reset_anchor),
+            )
+        nu = greedy_ratio(*densities, cfg.hazard)
+        rate = 0.0 if nu <= cfg.policy.epsilon else nu
+        if rate == 0.0:  # the hard reset: nu > epsilon >= 0 otherwise
             runlength = 0
             anchor = reset_anchor
-    else:  # static / ou / aci
-        prior = conditional_prior(cfg.policy, belief)
+    prior = conditional_prior(cfg.policy, belief, rate)
 
     if cfg.wolf_c is not None:
-        post = wolf_update(prior, cfg.spec, x, y, cfg.wolf_c, anchor)
+        post = wolf_update(prior, spec, x, y, cfg.wolf_c, anchor)
     else:
-        post = lg_update(prior, cfg.spec, x, y, anchor)
+        post = lg_update(prior, spec, x, y, anchor)
     return AgentState(bank=HypothesisBank._trusted(
         np.array([runlength]),
         bank.log_joints,

@@ -28,10 +28,9 @@ import numpy as np
 # within it is repaired by a diagonal shift, one beyond it is an error.
 PSD_TOL = 1e-9
 
-# Byte budget of one slice of a covariance stack: symmetrize_psd_batch
-# symmetrizes a larger stack in place, and certify_psd_batch factors it with
-# Cholesky one slice at a time, so the scratch stays bounded whatever the
-# stack size.
+# Byte budget of one slice of a covariance stack: certify_psd_batch factors a
+# larger stack with Cholesky one slice at a time, so no factor of the whole
+# stack is built, whatever its size.
 SLICE_BYTES = 1 << 17
 
 # certify_psd_batch tries the pivot pass (_pivots_certify) on a stack of at
@@ -132,26 +131,13 @@ def symmetrize_psd(cov: np.ndarray) -> np.ndarray:
     return symmetrize_psd_batch(a[None])[0]
 
 
-def symmetrize_psd_batch(covs: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """The symmetric parts of a (k, d, d) stack, certified by certify_psd_batch.
-
-    A stack of at most ``SLICE_BYTES`` is symmetrized into a new array.  A
-    larger one is symmetrized in place one slice of at most ``SLICE_BYTES``
-    at a time, in a copy of ``covs``, or in ``covs`` itself when
-    ``overwrite`` is set (the caller owns it), so the scratch stays bounded.
-    ``covs`` is never written otherwise.  The symmetric part of a symmetric
-    matrix is the matrix itself, bit for bit, unless an entry lies beyond
-    half the float range, where A + A^T overflows.
+def symmetrize_psd_batch(covs: np.ndarray) -> np.ndarray:
+    """The symmetric parts of a (k, d, d) stack, in a new array, certified by
+    certify_psd_batch; ``covs`` is never written.  The symmetric part of a
+    symmetric matrix is the matrix itself, bit for bit, unless an entry lies
+    beyond half the float range, where A + A^T overflows.
     """
-    k, d = covs.shape[:2]
-    step = max(1, SLICE_BYTES // (covs.itemsize * d * d))
-    if k <= step:
-        return certify_psd_batch((covs + covs.transpose(0, 2, 1)) / 2.0)
-    s = covs if overwrite else covs.copy()
-    for i in range(0, k, step):
-        part = s[i : i + step]
-        np.multiply(part + part.transpose(0, 2, 1), 0.5, out=part)  # == / 2 exactly
-    return certify_psd_batch(s)
+    return certify_psd_batch((covs + covs.transpose(0, 2, 1)) / 2.0)
 
 
 def certify_psd_batch(s: np.ndarray) -> np.ndarray:

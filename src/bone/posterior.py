@@ -78,9 +78,8 @@ def lg_update_arrays(
     the result goes through symmetrize_psd_batch.
 
     No input is written.  The covariance update K S K^T is formed in one
-    owned (k, m, m) buffer and subtracted from covs into that same buffer,
-    which symmetrize_psd_batch may then symmetrize in place, so a large
-    stack costs one new stack of the size of covs plus bounded scratch.
+    owned (k, m, m) buffer and subtracted from covs into that same buffer;
+    for d > 1 symmetrize_psd_batch symmetrizes it into one more new stack.
     """
     e = y[None, :] - yhats  # (k, d)
     PHt, S = innovation_arrays(covs, jacs, Rs) if innovations is None else innovations
@@ -108,7 +107,7 @@ def lg_update_arrays(
     np.subtract(covs, new_covs, out=new_covs)
     if d == 1:
         return new_means, certify_psd_batch(new_covs), S
-    return new_means, symmetrize_psd_batch(new_covs, overwrite=True), S
+    return new_means, symmetrize_psd_batch(new_covs), S
 
 
 def _update(

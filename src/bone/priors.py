@@ -7,7 +7,7 @@ static        keep the belief
 ou            blend toward the base prior at fixed rate gamma
 cpp-ou        same blend, rate given by the changepoint probability
 aci           additive covariance inflation Sigma + alpha I
-rl-oupr       blend at rate nu above the threshold epsilon, hard reset below
+rl-oupr       same blend at the continuation probability nu, 0 at nu <= epsilon
 
 The two runlength kinds keep the grown belief and differ only at runlength
 0, whose prior ``weighting.rl_step`` builds for the whole bank:
@@ -73,10 +73,10 @@ def data_free_prior(policy: PriorPolicy, mean: np.ndarray, cov: np.ndarray, rate
     aci adds alpha I to the covariance.  The other kinds blend toward the
     base prior at ``rate`` (gamma when not given): (r mu + (1-r) mu0,
     r^2 Sigma + (1-r^2) Sigma0), which is the OU prior and, at the rate its
-    auxiliary value gives, the cpp-ou and rl-oupr prior.  Rate 1 returns the
-    inputs and rate 0 the base prior's arrays, unchanged; conditional_prior
-    settles both rates before calling this, so it hands back the belief it
-    was given or the base prior itself.
+    auxiliary value gives, the cpp-ou and rl-oupr prior.  Rate 1 returns
+    ``mean`` and ``cov`` themselves and rate 0 the base prior's arrays
+    themselves, neither blended nor copied, whoever calls: conditional_prior
+    at any rate, or ``agents.drift_unobserved`` at gamma.
     """
     if policy.kind == "aci":
         return mean, cov + policy.alpha * np.eye(mean.size)
@@ -120,17 +120,12 @@ def scalar_data_free_prior(policy: PriorPolicy, mean: float, var: float):
     return None
 
 
-def conditional_prior(
-    policy: PriorPolicy,
-    prev: GaussBelief,
-    aux=None,
-    weight: float | None = None,
-) -> GaussBelief:
+def conditional_prior(policy: PriorPolicy, prev: GaussBelief, rate=None) -> GaussBelief:
     """Build the prior for the next update from last step's belief.
 
-    ``aux`` is the changepoint probability for cpp-ou and ``weight`` the
-    continuation probability nu for rl-oupr.  The rl-prior-reset and rl-mmpr
-    priors are built by ``weighting.rl_step``.
+    cpp-ou and rl-oupr blend toward the base prior at ``rate``, which their
+    step computes (the other kinds ignore it).  The rl-prior-reset and
+    rl-mmpr priors are built by ``weighting.rl_step``.
     """
     kind = policy.kind
     if kind == "static":
@@ -139,14 +134,10 @@ def conditional_prior(
         return GaussBelief(*data_free_prior(policy, prev.mean, prev.cov))
     if kind == "ou":
         rate = policy.gamma
-    elif kind == "cpp-ou":
-        if aux is None or not 0.0 <= aux <= 1.0:
-            raise ConfigError(f"cpp-ou needs a changepoint probability in [0, 1], got {aux}")
-        rate = float(aux)
-    elif kind == "rl-oupr":
-        if weight is None or not 0.0 <= weight <= 1.0:
-            raise ConfigError(f"rl-oupr needs a continuation weight in [0, 1], got {weight}")
-        rate = weight if weight > policy.epsilon else 0.0
+    elif kind in ("cpp-ou", "rl-oupr"):
+        if rate is None or not 0.0 <= rate <= 1.0:
+            raise ConfigError(f"{kind} needs a blend rate in [0, 1], got {rate}")
+        rate = float(rate)
     else:
         raise ConfigError(f"prior kind {kind!r} is built by rl_step, not conditional_prior")
     if rate == 1.0:

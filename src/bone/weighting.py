@@ -192,12 +192,6 @@ def prune_topk(bank: HypothesisBank, K: int) -> HypothesisBank:
     )
 
 
-def _reset_prior(bank: HypothesisBank, policy: PriorPolicy) -> GaussBelief:
-    if policy.kind == "rl-mmpr":
-        return mmpr_prior(bank)
-    return policy.base_prior
-
-
 def rl_step(
     bank: HypothesisBank,
     hazard: HazardSpec,
@@ -237,7 +231,7 @@ def rl_step(
     if policy.kind not in RL_KINDS:
         raise ConfigError(f"rl_step requires a runlength prior policy, got {policy.kind!r}")
     pi = hazard.pi
-    reset = _reset_prior(bank, policy)
+    reset = mmpr_prior(bank) if policy.kind == "rl-mmpr" else policy.base_prior
 
     # candidates: the growth priors (tracked beliefs), then the reset prior
     means = np.concatenate([bank.means, reset.mean[None, :]])
@@ -338,11 +332,11 @@ def cpp_empirical_bayes(
     - the stacked scorer serves every model with more than one parameter or
       output: it linearizes both points as one 2-row stack and scores them
       with ``gaussian_log_pdf_batch``;
-    - the float scorer serves the one-parameter, one-output linear-gaussian
-      and bernoulli-logit models of ``measurement.scalar_point``: the same
-      blend on Python floats, scored by ``measurement.scalar_log_density``
-      (the float density RL-OUPR's greedy ratio shares), so the search
-      returns the stacked scorer's u bit for bit.
+    - ``float_blend_scorer`` serves the one-parameter, one-output models
+      of ``measurement.scalar_point``: the same blend on Python floats,
+      scored by ``measurement.scalar_log_density``, so the search returns
+      the stacked scorer's u bit for bit (RL-OUPR's step takes its two
+      densities from it, at rates 1 and 0).
 
     When that density hands back (a logit whose exp would overflow, a
     variance outside [PSD_TOL, inf), a density that is not finite), the
@@ -353,9 +347,9 @@ def cpp_empirical_bayes(
         raise ValueError("steps must be >= 1")
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    point = scalar_point(spec, x, y, anchor, prev, base)
-    if point is not None:
-        u = _rate_search(_float_scorer(prev, base, spec, *point), steps, lr)
+    score = float_blend_scorer(prev, base, spec, x, y, anchor)
+    if score is not None:
+        u = _rate_search(score, steps, lr)
         if u is not None:
             return u
     yv = _free_obs(spec, y)
@@ -400,16 +394,22 @@ def _stacked_scorer(prev: GaussBelief, base: GaussBelief, spec: MeasurementSpec,
     return score
 
 
-def _float_scorer(prev: GaussBelief, base: GaussBelief, spec: MeasurementSpec, f: float, y: float):
-    """The stacked scorer's blend on Python floats, for the feature f and
-    observation y of a one-parameter, one-output model, scored by
-    ``scalar_log_density``; None where that density hands back."""
+def float_blend_scorer(prev: GaussBelief, base: GaussBelief, spec: MeasurementSpec, x, y, anchor):
+    """The stacked scorer's blend on Python floats, scored by
+    ``scalar_log_density``, for a model with a ``scalar_point`` (None for any
+    other); a score is None where that density hands back.  For finite
+    beliefs, rates 1 and 0 blend to ``prev`` and ``base`` bit for bit, up to
+    the sign of a zero, which no density reads."""
+    point = scalar_point(spec, x, y, anchor, prev, base)
+    if point is None:
+        return None
+    f, yv = point
     pm, pc = float(prev.mean[0]), float(prev.cov[0, 0])
     bm, bc = float(base.mean[0]), float(base.cov[0, 0])
 
     def density(p):
         q = p * p
-        return scalar_log_density(spec, p * pm + (1.0 - p) * bm, q * pc + (1.0 - q) * bc, f, y)
+        return scalar_log_density(spec, p * pm + (1.0 - p) * bm, q * pc + (1.0 - q) * bc, f, yv)
 
     def score(hi, lo):
         pair = density(hi), density(lo)

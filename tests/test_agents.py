@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -18,15 +19,10 @@ from bone.agents import (
     thompson_action,
 )
 from bone.core import ConfigError, GaussBelief, reject_nan_belief, symmetrize_psd
-from bone.measurement import (
-    MeasurementSpec,
-    link_mean,
-    predictive_log_density,
-    scalar_log_density,
-    scalar_point,
-)
+from bone.measurement import MeasurementSpec, link_mean, scalar_point
+from bone.posterior import lg_update
 from bone.priors import PriorPolicy, data_free_prior, scalar_data_free_prior
-from bone.weighting import HazardSpec, HypothesisBank, greedy_ratio
+from bone.weighting import HazardSpec, HypothesisBank, float_blend_scorer, greedy_ratio
 import oracles
 from oracles import batch_linreg_posterior
 
@@ -656,7 +652,7 @@ class TestOneParameterFloatPaths:
             return banks
 
         floats = run()
-        monkeypatch.setattr(bone.agents, "scalar_point", lambda *args: None)
+        monkeypatch.setattr(bone.agents, "float_blend_scorer", lambda *args: None)
         monkeypatch.setattr(bone.agents, "scalar_data_free_prior", lambda *args: None)
         for got, want in zip(floats, run(), strict=True):
             assert_same_bank(got, want)
@@ -733,21 +729,79 @@ class TestOneParameterFallbacks:
         assert outcome(drift) == outcome(arrays)
 
     @pytest.mark.parametrize("case", sorted(DENSITY_FALLBACKS))
-    def test_rl_oupr_densities(self, case):
+    def test_rl_oupr_densities(self, monkeypatch, case):
         spec, base, belief, x, y = DENSITY_FALLBACKS[case]
         cfg = method("RL-OUPR", spec=spec, base=base, hazard=HazardSpec(0.3), epsilon=0.5)
-        f, yv = scalar_point(spec, [x], [y], None, belief, base)
-        densities = [
-            scalar_log_density(spec, float(b.mean[0]), float(b.cov[0, 0]), f, yv) for b in (belief, base)
-        ]
-        assert None in densities
+        assert float_blend_scorer(belief, base, spec, [x], [y], None)(1.0, 0.0) is None
+        bank = HypothesisBank(np.array([0]), np.zeros(1), belief.mean[None], belief.cov[None])
 
-        def floats():
-            pair = bone.agents._greedy_log_densities(cfg, belief, [x], [y], None, None)
-            return repr((pair, greedy_ratio(*pair, cfg.hazard)))  # NaN-safe equality
+        def step(scorer):
+            """The densities and ratio the step computes, and its bank."""
+            seen = []
 
-        def arrays():
-            pair = tuple(predictive_log_density(spec, b, [x], [y]) for b in (belief, base))
-            return repr((pair, greedy_ratio(*pair, cfg.hazard)))
+            def ratio(*args):
+                seen.append((args[:2], greedy_ratio(*args)))
+                return seen[-1][1]
 
-        assert outcome(floats) == outcome(arrays)
+            def run():
+                got = bone_step(AgentState(bank=bank), cfg, [x], [y])[0].bank
+                return got.means.tobytes(), got.covs.tobytes(), got.runlengths.tolist()
+
+            monkeypatch.setattr(bone.agents, "float_blend_scorer", scorer)
+            monkeypatch.setattr(bone.agents, "greedy_ratio", ratio)
+            return outcome(run), repr(seen)  # NaN-safe equality
+
+        assert step(float_blend_scorer) == step(lambda *args: None)
+
+
+# family -> (spec, base prior, tracked mean, anchor) of the reset-boundary test
+BOUNDARY_CASES = {
+    # no float scorer: the array hand-back, whose reset moves the anchor to x
+    "segment-poly": (
+        MeasurementSpec("segment-poly-gaussian", obs_noise=[[0.5]]),
+        GaussBelief(np.zeros(3), 2.0 * np.eye(3)),
+        [0.5, -0.25, 1.0],
+        0.7,
+    ),
+    # the float path
+    "bernoulli-logit": (MeasurementSpec("bernoulli-logit"), BASE1, [1.25], None),
+}
+
+
+class TestHardResetBoundary:
+    """RL-OUPR resets exactly when nu <= epsilon: at nu = epsilon the step
+    updates the base prior at runlength 0 and re-anchors a segment model at
+    x; one float above epsilon it updates the blend at nu, grows the
+    runlength and keeps the anchor."""
+
+    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    @pytest.mark.parametrize("family", sorted(BOUNDARY_CASES))
+    def test_reset_iff_nu_at_most_epsilon(self, monkeypatch, family, eps, above):
+        spec, base, mean, anchor = BOUNDARY_CASES[family]
+        cfg = method("RL-OUPR", spec=spec, base=base, hazard=HazardSpec(0.3), epsilon=eps)
+        mean, cov = np.array(mean), 0.5 * np.eye(base.dim)
+        anchors = None if anchor is None else np.array([anchor])
+        bank = HypothesisBank(np.array([4]), np.zeros(1), mean[None], cov[None], anchors, timestep=6)
+        x, y = [1.3], [1.0]
+        # the float path serves exactly the models with a scalar point
+        assert (scalar_point(spec, x, y, anchor, bank.belief(0), base) is None) == (anchor is not None)
+        nu = math.nextafter(eps, 2.0) if above else eps
+        monkeypatch.setattr(bone.agents, "greedy_ratio", lambda *args: nu)
+        got = bone_step(AgentState(bank=bank), cfg, x, y)[0].bank
+
+        if above:
+            q = nu * nu
+            prior = GaussBelief(nu * mean + (1.0 - nu) * base.mean, q * cov + (1.0 - q) * base.cov)
+            runlength = 5
+        else:
+            prior, runlength = base, 0
+            anchor = None if anchor is None else x[0]
+        want = lg_update(prior, spec, x, y, anchor)
+        assert got.timestep == 7 and got.runlengths.tolist() == [runlength]
+        assert got.means.tobytes() == want.mean[None].tobytes()
+        assert got.covs.tobytes() == want.cov[None].tobytes()
+        if anchor is None:
+            assert got.anchors is None
+        else:
+            assert got.anchors.tolist() == [anchor]

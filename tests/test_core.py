@@ -320,7 +320,6 @@ class TestSymmetrizePsdBatch:
                 mp.setattr(bone.core, "SLICE_BYTES", mats[0].nbytes)
             _same_outcome(np.stack(mats))
 
-    @pytest.mark.parametrize("overwrite", [False, True])
     @pytest.mark.parametrize(
         "last,error",
         [
@@ -329,9 +328,7 @@ class TestSymmetrizePsdBatch:
             ("nan", "matrix 4 of batch is not finite"),
         ],
     )
-    def test_sliced_certificate_falls_back_on_the_last_slice(
-        self, monkeypatch, overwrite, last, error
-    ):
+    def test_sliced_certificate_falls_back_on_the_last_slice(self, monkeypatch, last, error):
         # two 3x3 matrices a slice, so the stack of five ends in a slice of one
         monkeypatch.setattr(bone.core, "SLICE_BYTES", 2 * 9 * 8)
         rng = np.random.default_rng(3)
@@ -340,29 +337,26 @@ class TestSymmetrizePsdBatch:
         covs = np.stack(mats + [_rotated(rng, [1.0, 2.0, lam])])
         if last == "nan":
             covs[4, 0, 2] = np.nan
+        s = (covs + covs.transpose(0, 2, 1)) / 2.0  # certify_psd_batch takes symmetric input
         if error is not None:
             with pytest.raises(NumericDomainError, match=error):
-                symmetrize_psd_batch(covs.copy(), overwrite=overwrite)
+                certify_psd_batch(s)
             return
-        out = symmetrize_psd_batch(covs.copy(), overwrite=overwrite)
+        out = certify_psd_batch(s)
         np.testing.assert_array_equal(out, _eigvalsh_psd_batch(covs))
         assert np.trace(out[4]) > np.trace(covs[4])  # repaired
 
     @pytest.mark.parametrize("k,d", [(1, 1), (6, 1), (9, 64), (5, 3)])
-    def test_overwrite_matches_a_fresh_result(self, k, d):
-        # (9, 64) spans three slices of the default size; the others fit in one
+    def test_result_is_a_fresh_symmetric_part(self, k, d):
+        # (9, 64) spans three certificate slices of the default size
         rng = np.random.default_rng(k * d)
         a = rng.normal(size=(k, d, d))
         covs = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(d) + 1e-9 * rng.normal(size=(k, d, d))
-        want = (covs + covs.transpose(0, 2, 1)) / 2.0
+        before = covs.copy()
         fresh = symmetrize_psd_batch(covs)
-        buf = covs.copy()
-        owned = symmetrize_psd_batch(buf, overwrite=True)
-        np.testing.assert_array_equal(fresh, want)
-        np.testing.assert_array_equal(owned, want)
-        # a stack beyond one slice is written in place; nothing was repaired
-        assert (owned is buf) == (covs.nbytes > bone.core.SLICE_BYTES)
+        np.testing.assert_array_equal(fresh, (covs + covs.transpose(0, 2, 1)) / 2.0)
         assert not np.shares_memory(fresh, covs)
+        np.testing.assert_array_equal(covs, before)
 
 
 def _special_matrix(case, d, rng):

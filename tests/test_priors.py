@@ -44,7 +44,7 @@ class TestConditionalPrior:
             assert ((out.mean >= lo) & (out.mean <= hi)).all()
 
     def test_cpp_ou_uses_aux_rate(self):
-        out = conditional_prior(PriorPolicy("cpp-ou", BASE), PREV, aux=0.5)
+        out = conditional_prior(PriorPolicy("cpp-ou", BASE), PREV, 0.5)
         np.testing.assert_allclose(out.mean, 0.5 * PREV.mean + 0.5 * BASE.mean)
         np.testing.assert_allclose(out.cov, 0.25 * PREV.cov + 0.75 * BASE.cov)
 
@@ -70,18 +70,16 @@ class TestConditionalPrior:
             np.testing.assert_allclose(out.means[i], post.mean, rtol=1e-12)
             np.testing.assert_allclose(out.covs[i], post.cov, rtol=1e-12)
 
-    def test_oupr_threshold_one_always_resets(self):
-        # nu never exceeds 1, so epsilon = 1 forces the hard reset branch
-        pol = PriorPolicy("rl-oupr", BASE, epsilon=1.0)
-        for nu in (0.0, 0.3, 0.9999, 1.0):
-            out = conditional_prior(pol, PREV, aux=5, weight=nu)
-            np.testing.assert_array_equal(out.mean, BASE.mean)
-            np.testing.assert_array_equal(out.cov, BASE.cov)
+    @pytest.mark.parametrize("kind", ["cpp-ou", "rl-oupr"])
+    def test_blend_rates_one_and_zero_are_the_belief_and_the_base(self, kind):
+        pol = PriorPolicy(kind, BASE, epsilon=0.5 if kind == "rl-oupr" else None)
+        assert conditional_prior(pol, PREV, 1.0) is PREV
+        assert conditional_prior(pol, PREV, 0.0) is BASE
 
     def test_oupr_blend_above_threshold(self):
         pol = PriorPolicy("rl-oupr", BASE, epsilon=0.5)
         nu = 0.8
-        out = conditional_prior(pol, PREV, aux=5, weight=nu)
+        out = conditional_prior(pol, PREV, nu)
         np.testing.assert_allclose(out.mean, nu * PREV.mean + (1 - nu) * BASE.mean)
         np.testing.assert_allclose(
             out.cov, nu * nu * PREV.cov + (1 - nu * nu) * BASE.cov
@@ -92,10 +90,10 @@ class TestConditionalPrior:
             PriorPolicy("ou", BASE)
         with pytest.raises(ConfigError):
             PriorPolicy("aci", BASE)
-        with pytest.raises(ConfigError):
-            conditional_prior(PriorPolicy("cpp-ou", BASE), PREV, aux=None)
-        with pytest.raises(ConfigError):
-            conditional_prior(PriorPolicy("rl-oupr", BASE, epsilon=0.5), PREV, aux=1)
+        for pol in (PriorPolicy("cpp-ou", BASE), PriorPolicy("rl-oupr", BASE, epsilon=0.5)):
+            for rate in (None, -0.1, 1.5, float("nan")):
+                with pytest.raises(ConfigError, match="needs a blend rate in"):
+                    conditional_prior(pol, PREV, rate)
 
     def test_returned_covariances_psd(self):
         rng = np.random.default_rng(0)

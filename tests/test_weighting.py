@@ -19,10 +19,10 @@ from bone.priors import PriorPolicy, mmpr_prior
 from bone.weighting import (
     HazardSpec,
     HypothesisBank,
-    _float_scorer,
     _rate_search,
     _stacked_scorer,
     cpp_empirical_bayes,
+    float_blend_scorer,
     greedy_ratio,
     prune_topk,
     rl_step,
@@ -455,18 +455,20 @@ class TestCppEmpiricalBayes:
     @pytest.mark.parametrize(
         "scorer,spec,belief",
         [
-            ("_float_scorer", LINEAR, BASE),
+            ("float_blend_scorer", LINEAR, BASE),
             ("_stacked_scorer", STACKED_SPECS["poly2"][0], GaussBelief(np.zeros(3), np.eye(3))),
         ],
         ids=["float", "stacked"],
     )
     def test_fixed_point_scores_one_pair(self, monkeypatch, scorer, spec, belief):
         # prev == base makes the density flat in u, so the first pair is the fixed point
-        calls = {"_float_scorer": 0, "_stacked_scorer": 0, "linearize_bank": 0}
+        calls = {"float_blend_scorer": 0, "_stacked_scorer": 0, "linearize_bank": 0}
 
         def counting_scorer(name, make):
             def made(*args):
                 score = make(*args)
+                if score is None:  # a model without a float scorer
+                    return None
 
                 def counted(hi, lo):
                     calls[name] += 1
@@ -478,12 +480,12 @@ class TestCppEmpiricalBayes:
             calls["linearize_bank"] += 1
             return linearize_bank(*args)
 
-        for name in ("_float_scorer", "_stacked_scorer"):
+        for name in ("float_blend_scorer", "_stacked_scorer"):
             monkeypatch.setattr(bone.weighting, name, counting_scorer(name, getattr(bone.weighting, name)))
         monkeypatch.setattr(bone.weighting, "linearize_bank", counting_linearize)
         assert cpp_empirical_bayes(belief, belief, spec, [1.0], [0.3]) == 1.0
         linearized = 1 if scorer == "_stacked_scorer" else 0
-        assert calls == {"_float_scorer": 0, "_stacked_scorer": 0, scorer: 1, "linearize_bank": linearized}
+        assert calls == {"float_blend_scorer": 0, "_stacked_scorer": 0, scorer: 1, "linearize_bank": linearized}
 
     @given(
         st.sampled_from(sorted(ONE_PARAMETER_SPECS)),
@@ -496,18 +498,18 @@ class TestCppEmpiricalBayes:
     def test_float_scorer_gives_the_stacked_scorers_u(self, family, seed, steps, lr, tiny):
         spec, x_dim = ONE_PARAMETER_SPECS[family]
         prev, base, x, y, _ = _search_case(seed, spec, x_dim)
-        f = float(spec.phi(x)[0])
         if tiny:  # innovation variances below PSD_TOL, which the stacked scorer clamps
             if family == "linear":
                 spec = MeasurementSpec("linear-gaussian", obs_noise=[[0.0]])
                 means = prev.mean, base.mean
             else:  # p (1 - p) < 1e-13 on every blend
+                f = float(spec.phi(x)[0])
                 means = [30.0 / f], [40.0 / f]
             prev = GaussBelief(means[0], 1e-14 * prev.cov)
             base = GaussBelief(means[1], 1e-14 * base.cov)
         yv = _free_obs(spec, y)
         stacked = _rate_search(_stacked_scorer(prev, base, spec, x, yv, None), steps, lr)
-        floats = _rate_search(_float_scorer(prev, base, spec, f, float(yv[0])), steps, lr)
+        floats = _rate_search(float_blend_scorer(prev, base, spec, x, y, None), steps, lr)
         got = cpp_empirical_bayes(prev, base, spec, x, y, steps=steps, lr=lr)
         assert float(got).hex() == float(stacked).hex()
         if tiny:
