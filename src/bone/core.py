@@ -8,9 +8,12 @@ each have one implementation, on a stack of matrices; ``symmetrize_psd`` and
 ``gaussian_log_pdf`` run it on a stack of one.  Both factor the stack with
 batched numpy Cholesky: a finite factor proves a matrix positive definite,
 and ``eigvalsh`` runs only when a factorization fails.  The PSD check first
-tries a cheaper certificate on a long stack of 2x2 or 3x3 matrices: their
-LDL^T pivots, computed for the whole stack at once, where numpy would make
-one LAPACK call per matrix.
+tries two cheaper certificates.  A matrix that comes with a certified floor
+under its smallest eigenvalue, large enough against its diagonal, needs no
+factorization (Demmel's condition); large runlength banks carry such floors.
+A long stack of 2x2 or 3x3 matrices is certified by its LDL^T pivots,
+computed for the whole stack at once, where numpy would make one LAPACK call
+per matrix.
 
 Every covariance the engine holds is exactly symmetric, so
 ``certify_psd_batch`` checks it as it stands; ``symmetrize_psd_batch``
@@ -43,6 +46,23 @@ _PIVOT_STACK = 40
 # rounding, so LAPACK's Cholesky succeeds wherever the pass does.
 _PIVOT_MARGIN = 2.0**-20
 _TINY = np.finfo(float).tiny
+
+# A runlength bank of beliefs with at least this many parameters carries a
+# certified eigenvalue floor per hypothesis (eigen_floor, then
+# posterior.posterior_floors), which certify_psd_batch reads in place of
+# LAPACK.  The floor arithmetic costs about 25 us a call whatever m is, so
+# it pays where the Cholesky factorizations cost more: at 10 hypotheses
+# the two tie at m = 32, floors lose at m = 16 and win 3.7x at m = 97.
+FLOOR_DIM = 32
+
+# The unit roundoff of float64 arithmetic.
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def gamma_n(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), the relative error bound of n
+    rounded operations."""
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
 
 
 class NumericDomainError(ValueError):
@@ -140,9 +160,23 @@ def symmetrize_psd_batch(covs: np.ndarray) -> np.ndarray:
     return certify_psd_batch((covs + covs.transpose(0, 2, 1)) / 2.0)
 
 
-def certify_psd_batch(s: np.ndarray) -> np.ndarray:
+def certify_psd_batch(s: np.ndarray, floors: np.ndarray | None = None) -> np.ndarray:
     """A (k, d, d) stack of exactly symmetric matrices, repaired onto the PSD
     cone where needed; ``s`` itself when every matrix is positive definite.
+
+    ``floors`` (k,), when given, are certified lower bounds on the smallest
+    eigenvalues (0 where none is known), such as the ones
+    ``posterior.lg_update_arrays`` derives for a large runlength bank.  A
+    matrix whose floor clears ``floor_margin(d)`` times its largest
+    diagonal entry is positive definite, and LAPACK's Cholesky would factor
+    it (``_floors_certify``); the other matrices are certified as a
+    sub-stack, and the stack gets the result, the exception (naming the
+    matrix by its index in the stack) and the warnings it would get
+    without floors.  Precondition: a positive floor bounds a finite
+    matrix, and a matrix with a non-finite entry has floor 0.  Only the
+    diagonal is read for a positive floor, so a matrix whose non-finite
+    entries all lie off the diagonal would be returned as certified.  The
+    engine's d = 1 update never makes one (``_floors_certify``).
 
     For d > 1 Cholesky factorizations of slices of at most ``SLICE_BYTES``
     certify the stack, so no factor of a large stack is built: when every
@@ -153,48 +187,120 @@ def certify_psd_batch(s: np.ndarray) -> np.ndarray:
     exceptions and the warnings never depend on which certificate ran.
     A stack of 1x1 matrices is certified by positive finite entries.  Only
     when a certificate fails does ``eigvalsh`` find the smallest eigenvalues
-    of the whole stack: a negative one within PSD_TOL * max(1, |trace|) is
+    of the stack: a negative one within PSD_TOL * max(1, |trace|) is
     repaired by a diagonal shift that lifts it to zero, in a new stack, and
     one beyond raises NumericDomainError naming the matrix.  A matrix with a
     non-finite entry raises NumericDomainError.  ``s`` is never written, and
     its symmetry is not checked (Cholesky and ``eigvalsh`` read one triangle).
     """
-    k, d = s.shape[:2]
+    rows = None  # the matrices left to certify, None for all of them
+    if floors is not None:
+        rows = np.flatnonzero(~_floors_certify(s, floors))
+        if rows.size == 0:
+            return s
+    shift = _psd_shift(s, rows)
+    if shift is None:
+        return s
+    return s + shift[:, None, None] * np.eye(s.shape[1])
+
+
+def _psd_shift(s: np.ndarray, rows: np.ndarray | None) -> np.ndarray | None:
+    """None when the matrices ``rows`` of the stack (all when None) are
+    certified positive definite; otherwise the diagonal shift of every
+    matrix (k,) that repairs the stack, 0 outside ``rows``.  An error names
+    the matrix by its index in ``s``.  The matrices ``rows`` are gathered
+    one Cholesky slice at a time, and as a whole only when a certificate
+    fails."""
+    k = s.shape[0] if rows is None else rows.size
+    d = s.shape[1]
     if d == 1:
         # a 1x1 matrix with a positive finite entry is positive definite
-        v = s[:, 0, 0]
+        v = s[:, 0, 0] if rows is None else s[rows, 0, 0]
         if ((v > 0.0) & (v < np.inf)).all():
-            return s
+            return None
     else:
-        if d <= 3 and k >= _PIVOT_STACK and _pivots_certify(s):
-            return s
+        if d <= 3 and k >= _PIVOT_STACK and _pivots_certify(s if rows is None else s[rows]):
+            return None
         step = max(1, SLICE_BYTES // (s.itemsize * d * d))
         try:
             for i in range(0, k, step):
+                part = s[i : i + step] if rows is None else s[rows[i : i + step]]
                 # numpy returns a NaN factor, not an error, for a NaN matrix
-                traces = np.einsum("kii->k", np.linalg.cholesky(s[i : i + step]))
+                traces = np.einsum("kii->k", np.linalg.cholesky(part))
                 if not np.isfinite(traces).all():
                     break
             else:
-                return s
+                return None
         except np.linalg.LinAlgError:
             pass
-    finite = np.isfinite(s).all(axis=(1, 2))
+    t = s if rows is None else s[rows]
+    finite = np.isfinite(t).all(axis=(1, 2))
     if not finite.all():
-        k = int(np.flatnonzero(~finite)[0])
-        raise NumericDomainError(f"matrix {k} of batch is not finite:\n{s[k]}")
+        i = int(np.flatnonzero(~finite)[0])
+        name = i if rows is None else int(rows[i])
+        raise NumericDomainError(f"matrix {name} of batch is not finite:\n{t[i]}")
     # the smallest eigenvalue of a 1x1 matrix is its entry
-    wmin = s[:, 0, 0] if d == 1 else np.linalg.eigvalsh(s).min(axis=1)
-    traces = np.einsum("kii->k", s)
+    wmin = t[:, 0, 0] if d == 1 else np.linalg.eigvalsh(t).min(axis=1)
+    traces = np.einsum("kii->k", t)
     bad = wmin < -np.maximum(1.0, np.abs(traces)) * PSD_TOL
     if bad.any():
-        k = int(np.flatnonzero(bad)[0])
+        i = int(np.flatnonzero(bad)[0])
+        name = i if rows is None else int(rows[i])
         raise NumericDomainError(
-            f"matrix {k} of batch is not PSD within tolerance "
-            f"(min eigenvalue {wmin[k]:.3e}):\n{s[k]}"
+            f"matrix {name} of batch is not PSD within tolerance "
+            f"(min eigenvalue {wmin[i]:.3e}):\n{t[i]}"
         )
     shift = np.where(wmin < 0.0, -wmin, 0.0)
-    return s + shift[:, None, None] * np.eye(d)
+    if rows is None:
+        return shift
+    full = np.zeros(s.shape[0])
+    full[rows] = shift
+    return full
+
+
+def floor_margin(d: int) -> float:
+    """tau_d: a floor above tau_d times the largest diagonal entry of a d x d
+    matrix lets LAPACK's Cholesky factor it.  Demmel's condition (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 10.7):
+    Cholesky runs to completion on A = D H D, D = diag(A)^(1/2), when
+    lambda_min(H) > d gamma_(d+1) / (1 - gamma_(d+1)); and lambda_min(H) >=
+    lambda_min(A) / max_i a_ii.  The factor 16 is a safety margin over the
+    bound; tau_97 is about 1.7e-11."""
+    g = gamma_n(d + 1)
+    return 16.0 * d * g / (1.0 - g)
+
+
+def _floors_certify(s: np.ndarray, floors: np.ndarray) -> np.ndarray:
+    """Per matrix of a (k, d, d) stack: True where the floor exceeds
+    floor_margin(d) times the largest diagonal entry plus the smallest
+    normal float (which keeps Cholesky's pivots clear of underflow) and is
+    at most the smallest diagonal entry.
+
+    A floor must be a lower bound on the smallest eigenvalue of a finite
+    matrix, so it is at most every diagonal entry; a yes then proves the
+    matrix positive definite and that LAPACK's Cholesky factors it
+    (floor_margin).  A NaN or infinite diagonal entry always says no.  The
+    off-diagonal entries are not read.  In the engine's d = 1 update
+    Sigma - fl(fl(K K^T) s) of a finite prior, rounding is monotone, so
+    an off-diagonal product K_i K_j s that overflows comes with a diagonal
+    K_i K_i s or K_j K_j s that overflows and sends a diagonal entry to
+    -inf; a NaN in K is on the diagonal too, and 0 * inf comes with an
+    infinite K_j.
+    """
+    diag = s.diagonal(0, 1, 2)
+    return (floors > floor_margin(s.shape[1]) * diag.max(axis=1) + _TINY) & (
+        floors <= diag.min(axis=1)
+    )
+
+
+def eigen_floor(cov: np.ndarray) -> float:
+    """A certified lower bound on the smallest eigenvalue of a symmetric
+    matrix: the smallest eigenvalue ``eigvalsh`` computes, less its
+    backward-error allowance m^2 u ||cov||_F (LAPACK's bound is p(m) u
+    ||cov||_2 with p modest), or 0.0 when that is not positive."""
+    m = cov.shape[0]
+    floor = np.linalg.eigvalsh(cov)[0] - m * m * UNIT_ROUNDOFF * np.linalg.norm(cov)
+    return float(floor) if floor > 0.0 else 0.0
 
 
 def _pivots_certify(s: np.ndarray) -> bool:

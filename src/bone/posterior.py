@@ -12,15 +12,18 @@ stack of one and return only the posterior.
 
 The covariance update is Sigma - K S K^T, PSD-certified as it stands for
 d = 1 and after symmetrization for d > 1; the Joseph form is deliberately
-not used.
+not used.  For d = 1, a certified floor under each prior's smallest
+eigenvalue yields one under each posterior's (``posterior_floors``), in
+O(k m) from what the update holds, so a large runlength bank is certified
+without a factorization.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import ConfigError, GaussBelief, NumericDomainError
-from .core import certify_psd_batch, symmetrize_psd_batch
+from .core import UNIT_ROUNDOFF, ConfigError, GaussBelief, NumericDomainError
+from .core import certify_psd_batch, gamma_n, symmetrize_psd_batch
 from .measurement import MeasurementSpec, _free_obs, moments_for_update
 
 
@@ -65,12 +68,18 @@ def lg_update_arrays(
     y: np.ndarray,
     Rs: np.ndarray,
     innovations: tuple[np.ndarray, np.ndarray] | None = None,
+    floors: np.ndarray | None = None,
 ):
     """Batched linearized-Gaussian update.
 
     means (k, m), covs (k, m, m), jacs (k, d, m), yhats (k, d), y (d,),
     Rs (k, d, d); ``innovations`` is (Sigma H^T, S) from innovation_arrays
-    when the caller has it already.  Returns (new_means, new_covs, S).
+    when the caller has it already; ``floors`` (k,), when given, are
+    certified lower bounds on the smallest eigenvalues of ``covs`` (0 where
+    none is known).  Returns (new_means, new_covs, S, new_floors), with
+    new_floors None without ``floors``: for d = 1 the posterior floors of
+    ``posterior_floors``, which certify_psd_batch reads (its repair only
+    lifts eigenvalues, so they stay valid), and 0 for d > 1.
 
     ``covs`` must be exactly symmetric, and the result is.  For d = 1,
     Sigma - s k k^T is symmetric bit for bit (k_i k_j == k_j k_i), so
@@ -91,7 +100,10 @@ def lg_update_arrays(
             raise NumericDomainError(
                 f"singular innovation covariance {s[k]:.3e} (hypothesis {k})"
             )
-        K = PHt[:, :, 0] / s[:, None]  # (k, m)
+        g = PHt[:, :, 0]
+        if floors is not None:
+            floors = posterior_floors(covs, jacs[:, 0], Rs[:, 0, 0], g, s, floors)
+        K = g / s[:, None]  # (k, m)
         new_means = means + K * e
         new_covs = np.einsum("km,kn->kmn", K, K)
         new_covs *= s[:, None, None]
@@ -104,10 +116,72 @@ def lg_update_arrays(
         new_means = means + np.einsum("kmd,kd->km", K, e)
         KS = np.einsum("kmd,kde->kme", K, S)
         new_covs = np.einsum("kme,kne->kmn", KS, K)
+        if floors is not None:
+            floors = np.zeros(S.shape[0])
     np.subtract(covs, new_covs, out=new_covs)
     if d == 1:
-        return new_means, certify_psd_batch(new_covs), S
-    return new_means, symmetrize_psd_batch(new_covs), S
+        return new_means, certify_psd_batch(new_covs, floors), S, floors
+    return new_means, symmetrize_psd_batch(new_covs), S, floors
+
+
+def posterior_floors(covs, h, r, g, s, floors) -> np.ndarray:
+    """Certified lower bounds on the smallest eigenvalues of the d = 1
+    posterior covariances that lg_update_arrays stores, from what it holds.
+
+    Per hypothesis: the prior Sigma (m, m), exactly symmetric, with a floor
+    l <= lambda_min(Sigma); the Jacobian row h (m,); the noise r; the
+    computed g = fl(Sigma h) and s = fl(h . g + r); D = max_i Sigma_ii; u
+    the unit roundoff and gamma_n = n u / (1 - n u).  The stored posterior
+    is fl(Sigma - fl(fl(K K^T) s)), K = fl(g / s).
+
+    1. The inputs as an exact update.  |g - Sigma h| <= gamma_m |Sigma| |h|
+       and |Sigma_ij| <= D, so ||g - Sigma h|| <= dg = gamma_m m D ||h||.
+       With h' = h + Sigma^-1 (g - Sigma h), g = Sigma h' exactly and
+       ||h'|| <= h^ = ||h|| + dg / l.  Rounding gives s = h . g + r + e,
+       |e| <= gamma_(m+1) (|h| . |g| + r) <= gamma_(m+1) (||h|| ||g|| + r),
+       so s = h'^T Sigma h' + r' with r' = r + e - h . (g - Sigma h) -
+       |g - Sigma h|^2_(Sigma^-1) >= r^ = r - gamma_(m+1) (||h|| ||g|| + r)
+       - ||h|| dg - dg^2 / l.
+    2. When r^ > 0, A = Sigma - g g^T / s = (Sigma^-1 + h' h'^T / r')^-1
+       (Sherman-Morrison), so lambda_min(A) >= 1 / (1/l + h^^2 / r^).
+    3. The update's own rounding.  The stored matrix is A + E with
+       |E_ij| <= u |A_ij| + gamma_5 |g_i| |g_j| / s; A is PSD with A <=
+       Sigma, so ||A||_F <= trace(Sigma) <= m D, and ||E||_2 <= epsilon =
+       m u D + gamma_5 ||g||^2 / s (Weyl).
+    4. Evaluating the bound in floats.  Every term is a sum, product,
+       quotient or square root of nonnegative floats at most m + 20
+       roundings deep, so it lies within gamma_(m+20) of its exact value;
+       with c = 2 (m + 20), the subtracted terms of r^ and the sum h^ are
+       taken times 1 + c u, which bounds them from above.  r^ is then one
+       rounded subtraction above its bound by at most a factor 1 + u, and
+       the quotient above by 1 + gamma_6; the factor 1 - c u covers both
+       and the last subtraction.
+
+    The new floor is l' = (1 - c u) / (1/l + h^^2 / r^) - (1 + c u) epsilon
+    where that is positive, and 0 elsewhere: r^ <= 0 is taken as 0, which
+    gives l' = -epsilon, l <= 0 gives l' <= -epsilon, and a NaN or infinite
+    D, h, r, g or l gives a NaN or negative l'.  The bounds of step 3 hold
+    for finite products only: an infinite s leaves a NaN posterior, and a
+    product fl(K_i K_i) or its scaling by s that overflows leaves -inf on
+    the diagonal, both of which certify_psd_batch refuses whatever the
+    floor (``core._floors_certify``).
+    """
+    m = h.shape[1]
+    c = 2 * (m + 20) * UNIT_ROUNDOFF  # c u
+    up, down = 1.0 + c, 1.0 - c
+    with np.errstate(all="ignore"):  # a non-finite input gives a floor of 0
+        big = covs.diagonal(0, 1, 2).max(axis=1)  # D
+        norm_h = np.sqrt(np.einsum("km,km->k", h, h))
+        gg = np.einsum("km,km->k", g, g)
+        dg = (gamma_n(m) * m) * big * norm_h
+        h_sum = norm_h + dg / floors  # h^ before its factor
+        # ||h|| dg + dg^2 / l = dg h_sum
+        cut = (up * gamma_n(m + 1)) * (norm_h * np.sqrt(gg) + r) + up * dg * h_sum
+        r_hat = np.maximum(r - cut, 0.0)
+        h_hat = up * h_sum
+        eps = (m * UNIT_ROUNDOFF) * big + gamma_n(5) * gg / s
+        new = down / (1.0 / floors + h_hat * h_hat / r_hat) - up * eps
+    return np.fmax(new, 0.0)  # NaN gives 0
 
 
 def _update(
@@ -123,7 +197,7 @@ def _update(
     Rs = R[None]
     if wolf_c is not None:
         Rs = robust_noise(spec, yv, yhat[None], Rs, wolf_c)
-    means, covs, _ = lg_update_arrays(
+    means, covs, _, _ = lg_update_arrays(
         prior.mean[None], prior.cov[None], jac[None], yhat[None], yv, Rs
     )
     return GaussBelief(means[0], covs[0])

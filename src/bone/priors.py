@@ -19,12 +19,20 @@ rl-mmpr       moment-matched mixture over the hypothesis bank (mmpr_prior)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import PSD_TOL, ConfigError, GaussBelief, is_finite_number, symmetrize_psd
+from .core import (
+    FLOOR_DIM,
+    PSD_TOL,
+    ConfigError,
+    GaussBelief,
+    eigen_floor,
+    is_finite_number,
+    symmetrize_psd,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .weighting import HypothesisBank
@@ -43,13 +51,22 @@ _RANGES = {
 @dataclass(frozen=True)
 class PriorPolicy:
     """Conditional-prior kind plus the one number that kind reads, if any,
-    over a base prior whose covariance is PSD within ``core.PSD_TOL``."""
+    over a base prior whose covariance is PSD within ``core.PSD_TOL``.
+
+    ``base_floor`` is computed, not set: for rl-prior-reset over at least
+    ``core.FLOOR_DIM`` parameters, the certified lower bound
+    ``core.eigen_floor`` on the base covariance's smallest eigenvalue,
+    which the bank carries from its root and reset rows; None otherwise.
+    (An rl-mmpr reset is a moment match with no known floor, and the rows
+    grown from it would carry floor 0, so its bank keeps LAPACK.)
+    """
 
     kind: str
     base_prior: GaussBelief
     gamma: float | None = None
     alpha: float | None = None
     epsilon: float | None = None
+    base_floor: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in PRIOR_KINDS:
@@ -64,6 +81,8 @@ class PriorPolicy:
                     raise ConfigError(f"{name} must be a finite number {text}, got {value!r}")
             elif value is not None:
                 raise ConfigError(f"prior kind {self.kind!r} does not take {name}")
+        if self.kind == "rl-prior-reset" and self.base_prior.dim >= FLOOR_DIM:
+            object.__setattr__(self, "base_floor", eigen_floor(self.base_prior.cov))
 
 
 def data_free_prior(policy: PriorPolicy, mean: np.ndarray, cov: np.ndarray, rate=None):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +65,13 @@ class HypothesisBank:
     The engine's steps (``rl_step``, and the single-hypothesis step and drift
     in ``agents``), whose columns hold by construction, build their banks
     with the trusted ``_trusted``, which does neither.
+
+    ``floors`` is an engine-only column that the public constructor never
+    takes (it sets None): certified lower bounds (k,) on the smallest
+    eigenvalue of each covariance, carried by ``rl_step`` when its policy
+    has a ``base_floor`` (rl-prior-reset over at least ``core.FLOOR_DIM``
+    parameters), so that ``core.certify_psd_batch`` proves each posterior
+    positive definite without LAPACK.  None means no floor is known.
     """
 
     runlengths: np.ndarray
@@ -73,6 +80,7 @@ class HypothesisBank:
     covs: np.ndarray
     anchors: np.ndarray | None = None
     timestep: int = 0
+    floors: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = np.asarray(self.runlengths, dtype=int)
@@ -110,13 +118,16 @@ class HypothesisBank:
         object.__setattr__(self, "anchors", anchors)
 
     @classmethod
-    def _trusted(cls, runlengths, log_joints, means, covs, anchors, timestep) -> "HypothesisBank":
+    def _trusted(
+        cls, runlengths, log_joints, means, covs, anchors, timestep, floors=None
+    ) -> "HypothesisBank":
         """A bank of columns that already hold every invariant the public
-        constructor checks or establishes, taken as they are."""
+        constructor checks or establishes, taken as they are, with the
+        engine's ``floors`` column (None when no floor is known)."""
         bank = object.__new__(cls)
         bank.__dict__.update(  # bypasses the frozen __setattr__, as __post_init__ does
             runlengths=runlengths, log_joints=log_joints, means=means, covs=covs,
-            anchors=anchors, timestep=timestep,
+            anchors=anchors, timestep=timestep, floors=floors,
         )
         return bank
 
@@ -174,21 +185,23 @@ def _top_k(runlengths: np.ndarray, log_joints: np.ndarray, K: int) -> np.ndarray
 def prune_topk(bank: HypothesisBank, K: int) -> HypothesisBank:
     """Keep the K hypotheses of largest joint mass, ties toward larger runlength.
 
-    Survivors keep their relative order; a bank of at most K hypotheses is
-    returned as it is.
+    Survivors keep their relative order and their floors; a bank of at most
+    K hypotheses is returned as it is.  The rows of a bank hold its
+    invariants, so the pruned bank is built with ``_trusted``.
     """
     if K < 1:
         raise ValueError("K must be a positive integer")
     if bank.size <= K:
         return bank
     keep = _top_k(bank.runlengths, bank.log_joints, K)
-    return HypothesisBank(
+    return HypothesisBank._trusted(
         bank.runlengths[keep],
         bank.log_joints[keep],
         bank.means[keep],
         bank.covs[keep],
-        anchors=None if bank.anchors is None else bank.anchors[keep],
-        timestep=bank.timestep,
+        None if bank.anchors is None else bank.anchors[keep],
+        bank.timestep,
+        None if bank.floors is None else bank.floors[keep],
     )
 
 
@@ -223,6 +236,13 @@ def rl_step(
     candidates as one stack.  The input bank is never written.  An
     observation of zero density under every candidate, or a NaN log-joint,
     is a NumericDomainError.
+
+    When the policy has a ``base_floor``, the bank carries eigenvalue
+    floors.  The reset prior's is the base floor; in a bank without floors
+    (the root, or any bank built by the public constructor) a row whose
+    covariance equals the base prior's has the base floor and every other
+    row 0.  ``lg_update_arrays`` derives the posterior floors, which
+    certify the posteriors and travel with the survivors.
     """
     if bank.size == 0:
         raise ValueError("rl_step on an empty hypothesis bank")
@@ -232,6 +252,13 @@ def rl_step(
         raise ConfigError(f"rl_step requires a runlength prior policy, got {policy.kind!r}")
     pi = hazard.pi
     reset = mmpr_prior(bank) if policy.kind == "rl-mmpr" else policy.base_prior
+    floors = None  # the candidates' prior floors, when the bank carries them
+    if policy.base_floor is not None:
+        grow_floors = bank.floors
+        if grow_floors is None:
+            is_base = (bank.covs == reset.cov).all(axis=(1, 2))
+            grow_floors = np.where(is_base, policy.base_floor, 0.0)
+        floors = np.append(grow_floors, policy.base_floor)
 
     # candidates: the growth priors (tracked beliefs), then the reset prior
     means = np.concatenate([bank.means, reset.mean[None, :]])
@@ -254,7 +281,9 @@ def rl_step(
         PHt, S = (np.concatenate(pair) for pair in zip(grow, fresh))
     else:
         covs = np.concatenate([bank.covs, reset.cov[None, :, :]])
-        new_means, new_covs, S = lg_update_arrays(means, covs, jacs, yhats, yv, Rs)
+        new_means, new_covs, S, floors = lg_update_arrays(
+            means, covs, jacs, yhats, yv, Rs, floors=floors
+        )
     log_preds = gaussian_log_pdf_batch(yv, yhats, S)
     grow_joints = bank.log_joints + log_preds[:-1] + np.log1p(-pi)
     reset_joint = log_preds[-1] + logsumexp(bank.log_joints + np.log(pi))
@@ -271,14 +300,15 @@ def rl_step(
         np.take(bank.covs, grown, axis=0, out=covs[: grown.size], mode="clip")
         if grown.size < keep.size:
             covs[-1] = reset.cov
-        new_means, new_covs, _ = lg_update_arrays(
+        new_means, new_covs, _, floors = lg_update_arrays(
             means[keep], covs, jacs[keep], yhats[keep], yv, Rs[keep],
             innovations=(PHt[keep], S[keep]),
+            floors=None if floors is None else floors[keep],
         )
         runlengths, log_joints = runlengths[keep], log_joints[keep]
         anchors = None if anchors is None else anchors[keep]
     return HypothesisBank._trusted(
-        runlengths, log_joints, new_means, new_covs, anchors, bank.timestep + 1
+        runlengths, log_joints, new_means, new_covs, anchors, bank.timestep + 1, floors
     )
 
 

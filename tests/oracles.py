@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -156,3 +157,60 @@ def greedy_oupr_step(family, m, v, runlength, f, y, R, m0, v0, pi, eps):
         prior, runlength = (m0, v0), 0
     _, m_post, v_post = scalar_filter_step(family, *prior, f, y, R)
     return m_post, v_post, runlength, nu
+
+
+def exactly_psd(a, shift=0.0) -> bool:
+    """Whether a - shift I is positive semidefinite, for a symmetric float
+    matrix a, decided by its LDL^T pivots in exact rational arithmetic: every
+    pivot is >= 0, and a zero pivot has a zero column below it."""
+    n = a.shape[0]
+    t = [[Fraction(float(a[i, j])) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        t[i][i] -= Fraction(float(shift))
+    for j in range(n):
+        p = t[j][j]
+        if p < 0:
+            return False
+        if p == 0:
+            if any(t[i][j] != 0 for i in range(j + 1, n)):
+                return False
+            continue
+        for i in range(j + 1, n):
+            f = t[i][j] / p
+            for c in range(j, n):
+                t[i][c] -= f * t[j][c]
+    return True
+
+
+_U = Fraction(1, 2**53)
+
+
+def _exact_gamma(n):
+    return n * _U / (1 - n * _U)
+
+
+def _sqrt_below(x: Fraction) -> Fraction:
+    """A rational at most sqrt(x), within 2^-200 of it."""
+    scale = 2**200
+    return Fraction(math.isqrt(int(x * scale * scale)), scale)
+
+
+def posterior_floor_bound(cov, h, r, g, s, floor) -> Fraction:
+    """The floor of ``posterior.posterior_floors``' docstring evaluated in
+    exact arithmetic before its float margins: 1 / (1/l + h^^2 / r^) -
+    epsilon, or 0 when r^ <= 0 or that is negative.  Norms are rounded
+    down, which can only raise the bound."""
+    m = h.size
+    D = max(Fraction(float(cov[i, i])) for i in range(m))
+    hf = [Fraction(float(v)) for v in h]
+    gf = [Fraction(float(v)) for v in g]
+    r, s, l = Fraction(float(r)), Fraction(float(s)), Fraction(float(floor))
+    gg = sum(v * v for v in gf)
+    norm_h, norm_g = _sqrt_below(sum(v * v for v in hf)), _sqrt_below(gg)
+    dg = _exact_gamma(m) * m * D * norm_h
+    r_hat = r - _exact_gamma(m + 1) * (norm_h * norm_g + r) - norm_h * dg - dg * dg / l
+    if r_hat <= 0:
+        return Fraction(0)
+    h_hat = norm_h + dg / l
+    eps = m * _U * D + _exact_gamma(5) * gg / s
+    return max(Fraction(0), 1 / (1 / l + h_hat * h_hat / r_hat) - eps)

@@ -2,6 +2,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,13 @@ from bone.core import (
     gaussian_log_pdf,
     gaussian_log_pdf_batch,
     logsumexp,
+    eigen_floor,
+    floor_margin,
     symmetrize_psd,
     symmetrize_psd_batch,
 )
+from bone.posterior import lg_update_arrays
+from oracles import exactly_psd
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 # every variance v >= PSD_TOL, +inf included, is its own clamp
@@ -392,14 +397,14 @@ def _special_matrix(case, d, rng):
     return (m + m.T) / 2.0
 
 
-def _certify_outcome(s):
+def _certify_outcome(s, floors=None):
     """certify_psd_batch's result (whether it is s, and its bytes) or its
     exception, with every warning an error; s is left unchanged."""
     before = s.tobytes()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            out = certify_psd_batch(s)
+            out = certify_psd_batch(s, floors)
         except Exception as err:  # noqa: BLE001 - the exception is the outcome
             outcome = (type(err), str(err))
         else:
@@ -458,6 +463,119 @@ class TestPivotCertificate:
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         assert certify_psd_batch(stack) is stack
         assert len(seen) == calls
+
+
+def _floored_stack(rng, d, k, ratio):
+    """k exactly symmetric d x d matrices with floors (k,) that are exact
+    lower bounds on their smallest eigenvalues, each ``ratio`` times its
+    largest diagonal entry: the identity with one correlation block
+    [[1, rho], [rho, 1]] at random rows (eigenvalues exactly 1 -+ rho),
+    scaled symmetrically by powers of two, which keeps every entry exact."""
+    mats, floors = [], []
+    for _ in range(k):
+        scale = 2.0 ** rng.integers(-3, 4, d)
+        spread = (scale.max() / scale.min()) ** 2
+        rho = 1.0 - ratio * spread  # 1 - rho is exact for rho in [1/2, 1]
+        m = np.eye(d)
+        i, j = rng.choice(d, 2, replace=False)
+        m[i, j] = m[j, i] = rho
+        mats.append(scale[:, None] * m * scale[None, :])
+        floors.append((1.0 - rho) * scale.min() ** 2)
+    return np.stack(mats), np.array(floors)
+
+
+def _hard_block(d, rng):
+    """A positive definite d x d matrix that LAPACK's Cholesky refuses, and
+    a floor under its smallest eigenvalue (about 7e-17).  It is the identity
+    with the block [[1, x], [x, a]] at random rows, a = fl(x^2) rounded up:
+    a - x^2 > 0 exactly, but Cholesky's second pivot a - fl(x x) is 0."""
+    x = 1.0 + 109854639 * 2.0**-52
+    block = np.array([[1.0, x], [x, x * x]])
+    floor = float((Fraction(x * x) - Fraction(x) ** 2) / 4)
+    assert exactly_psd(block, floor)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(block)
+    i = int(rng.integers(d - 1))
+    m = np.eye(d)
+    m[i : i + 2, i : i + 2] = block
+    return m, floor
+
+
+def _special_row(kind, d, rng, m, floor):
+    """Matrix and floor of one special row of TestFloorCertificate."""
+    if kind == "floor-0":
+        return m, 0.0
+    if kind == "hard-block":
+        return _hard_block(d, rng)
+    if kind in ("within-tol", "beyond-tol"):
+        lam = rng.uniform(0.5, 2.0, d)
+        lam[0] = -3e-10 if kind == "within-tol" else -0.3
+        m = _rotated(rng, lam)
+        return (m + m.T) / 2.0, 0.0
+    m = m.copy()
+    if kind == "nan-lower":  # a floor is a bound for a finite matrix only
+        m[d - 1, 0] = np.nan
+        return m, 0.0
+    m[1, 1] = {"inf-diagonal": np.inf, "-inf-diagonal": -np.inf, "nan-diagonal": np.nan}[kind]
+    return m, floor
+
+
+class TestFloorCertificate:
+    """The floor certificate of certify_psd_batch against the same stack
+    certified without floors."""
+
+    CASES = {
+        "certified": [],
+        "floor-0": [(3, "floor-0")],
+        "hard-block": [(3, "hard-block")],
+        "nan-lower": [(3, "nan-lower")],
+        "inf-diagonal": [(3, "inf-diagonal")],
+        "-inf-diagonal": [(3, "-inf-diagonal")],  # as from an overflowing update
+        "nan-diagonal": [(3, "nan-diagonal")],
+        "within-tol": [(3, "within-tol")],
+        "beyond-tol": [(3, "beyond-tol")],
+        "mixed-repair": [(1, "floor-0"), (3, "hard-block"), (5, "within-tol")],
+        "mixed-error": [(1, "floor-0"), (3, "within-tol"), (5, "beyond-tol"), (6, "nan-lower")],
+    }
+
+    @pytest.mark.parametrize("d", [4, 97])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_outcome_as_without_floors(self, case, d):
+        rng = np.random.default_rng(len(case) * d)
+        stack, floors = _floored_stack(rng, d, 8, 1e-6)
+        stack[2][stack[2] == 0.0] = -0.0  # a repair of another row turns these to +0.0
+        for j, kind in self.CASES[case]:
+            stack[j], floors[j] = _special_row(kind, d, rng, stack[j], floors[j])
+        certified = bone.core._floors_certify(stack, floors)
+        assert certified.sum() == 8 - len(self.CASES[case])
+        assert _certify_outcome(stack, floors) == _certify_outcome(stack), (case, d)
+
+    @pytest.mark.parametrize("d", [4, 97])
+    def test_floor_certified_matrices_factor(self, d):
+        # Demmel's condition, checked empirically: every matrix the floors
+        # certify, down to just above the margin, factors with LAPACK
+        rng = np.random.default_rng(d)
+        tau = floor_margin(d)
+        stacks = [_floored_stack(rng, d, 20, c * tau) for c in (1.01, 1.1, 2.0, 1e3)]
+        stacks.append(tuple(np.stack(x) for x in zip(*[_hard_block(d, rng) for _ in range(3)])))
+        # and the floors of the d = 1 update, from a prior's eigen_floor
+        a = rng.normal(size=(20, d, d))
+        covs = a @ a.transpose(0, 2, 1) / d + rng.uniform(1e-6, 1.0, (20, 1, 1)) * np.eye(d)
+        covs = (covs + covs.transpose(0, 2, 1)) / 2.0
+        jacs = rng.normal(size=(20, 1, d)) * 10.0 ** rng.uniform(-2, 2, (20, 1, 1))
+        _, post, _, floors = lg_update_arrays(
+            np.zeros((20, d)), covs, jacs, np.zeros((20, 1)), np.zeros(1),
+            10.0 ** rng.uniform(-4, 1, (20, 1, 1)),
+            floors=np.array([eigen_floor(c) for c in covs]),
+        )
+        stacks.append((post, floors))
+        seen = 0
+        for stack, floors in stacks:
+            certified = bone.core._floors_certify(stack, floors)
+            seen += certified.sum()
+            if certified.any():
+                assert np.isfinite(np.linalg.cholesky(stack[certified])).all()
+        assert seen >= 80 + 10  # every scaled matrix, and most updates
 
 
 class TestTypes:

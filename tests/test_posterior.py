@@ -1,8 +1,12 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bone.posterior
 from bone.core import PSD_TOL, GaussBelief, NumericDomainError, symmetrize_psd_batch
 from bone.measurement import MeasurementSpec
 from bone.posterior import (
@@ -10,12 +14,13 @@ from bone.posterior import (
     innovation_arrays,
     lg_update,
     lg_update_arrays,
+    posterior_floors,
     robust_noise,
     wolf_update,
 )
 from bone.priors import PriorPolicy
 from bone.weighting import HazardSpec, HypothesisBank, rl_step
-from oracles import batch_linreg_posterior
+from oracles import batch_linreg_posterior, exactly_psd, posterior_floor_bound
 
 LINEAR = MeasurementSpec("linear-gaussian", obs_noise=[[1.0]])
 
@@ -26,7 +31,7 @@ class TestLgUpdate:
         assert post.mean == pytest.approx([0.5])
         np.testing.assert_allclose(post.cov, [[0.5]])
         one = np.ones((1, 1, 1))
-        means, covs, S = lg_update_arrays(np.zeros((1, 1)), one, one, np.zeros((1, 1)), np.ones(1), one)
+        means, covs, S, _ = lg_update_arrays(np.zeros((1, 1)), one, one, np.zeros((1, 1)), np.ones(1), one)
         np.testing.assert_array_equal(means, [post.mean])
         np.testing.assert_array_equal(covs, [post.cov])
         np.testing.assert_allclose(S, [[[2.0]]])
@@ -130,7 +135,7 @@ class TestLgUpdateArrays:
     @pytest.mark.parametrize("d", [1, 2])
     def test_update_matches_the_textbook_form(self, d):
         means, covs, jacs, yhats, y, Rs = self.stack(6, 4, d, seed=2)
-        new_means, new_covs, S = lg_update_arrays(means, covs, jacs, yhats, y, Rs)
+        new_means, new_covs, S, _ = lg_update_arrays(means, covs, jacs, yhats, y, Rs)
         e = y[None, :] - yhats
         PHt = np.einsum("kmn,kdn->kmd", covs, jacs)
         if d == 1:
@@ -177,12 +182,136 @@ class TestLgUpdateArrays:
             with pytest.raises(NumericDomainError, match=f"matrix {j} of batch is not PSD"):
                 symmetrize_psd_batch(updated)
             return
-        _, new_covs, _ = lg_update_arrays(means, covs, jacs, yhats, y, Rs)
+        _, new_covs, _, _ = lg_update_arrays(means, covs, jacs, yhats, y, Rs)
         np.testing.assert_array_equal(new_covs, new_covs.transpose(0, 2, 1))
         np.testing.assert_array_equal(new_covs, symmetrize_psd_batch(updated))
         if kind == "within-tol":  # repaired by a diagonal shift, within the tolerance
             lift = np.trace(new_covs[j]) - np.trace(updated[j])
             assert 0.0 < lift <= PSD_TOL * max(1.0, abs(np.trace(updated[j]))) * m
+
+
+@st.composite
+def floor_cases(draw):
+    """A d = 1 update of one exactly symmetric prior with a valid floor,
+    drawn toward the hard cases: an observation noise far below h Sigma h^T,
+    h along the smallest eigenvector, and a largest diagonal entry far above
+    the smallest eigenvalue.  Returns (cov, h, r, prior floor)."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    cond = draw(st.sampled_from([0.0, 3.0, 8.0, 12.0]))  # log10 lambda_max / lambda_min
+    direction = draw(st.sampled_from(["random", "smallest", "near-smallest"]))
+    log_r = draw(st.sampled_from([-14.0, -10.0, -6.0, -2.0, 0.0, 3.0]))  # log10 r / h Sigma h
+    share = draw(st.sampled_from([1.0, 0.5, 1e-3]))  # of the largest floor drawn
+    lam = np.sort(10.0 ** rng.uniform(-cond, 0.0, m))
+    lam[0] = 10.0**-cond
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    a = (q * (lam * 10.0 ** rng.uniform(-3.0, 3.0))) @ q.T
+    cov = (a + a.T) / 2.0
+    w, v = np.linalg.eigh(cov)
+    floor = (w[0] - 8 * m * 2.0**-53 * np.abs(w).max()) * share
+    assume(floor > 0.0 and exactly_psd(cov, floor))
+    h = v[:, 0] if direction != "random" else rng.normal(size=m)
+    if direction == "near-smallest":
+        h = h + 1e-4 * rng.normal(size=m)
+    h = h * 10.0 ** rng.uniform(-2.0, 2.0)
+    r = float(h @ cov @ h) * 10.0**log_r
+    assume(0.0 < r < np.inf)
+    return cov, h, r, floor
+
+
+def _floor_update(cov, h, r, floor):
+    """lg_update_arrays on the case as a stack of one, with the certificate
+    patched out: the stored posterior, its floor, and (g, s)."""
+    seen = []
+
+    def keep(s, floors):
+        seen.append(s)
+        return s
+
+    jacs, Rs = h[None, None, :], np.full((1, 1, 1), r)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bone.posterior, "certify_psd_batch", keep)
+        _, _, S, floors = lg_update_arrays(
+            np.zeros((1, h.size)), cov[None], jacs, np.zeros((1, 1)), np.zeros(1), Rs,
+            floors=np.array([floor]),
+        )
+    PHt, _ = innovation_arrays(cov[None], jacs, Rs)
+    return seen[0][0], float(floors[0]), PHt[0, :, 0], float(S[0, 0, 0])
+
+
+class TestPosteriorFloors:
+    @given(floor_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_floor_is_a_lower_bound_in_exact_arithmetic(self, case):
+        # every LDL^T pivot of the stored posterior less a positive floor is
+        # >= 0 (a floor of 0 claims nothing)
+        post, new_floor, _, _ = _floor_update(*case)
+        assert new_floor >= 0.0
+        assert new_floor == 0.0 or exactly_psd(post, new_floor)
+
+    @given(floor_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_floor_stays_below_its_exact_formula(self, case):
+        # the float evaluation errs low against the derivation evaluated exactly
+        cov, h, r, floor = case
+        _, new_floor, g, s = _floor_update(*case)
+        assert Fraction(new_floor) <= posterior_floor_bound(cov, h, r, g, s, floor)
+
+    @pytest.mark.parametrize(
+        "case", ["zero-floor", "nan-h", "inf-diagonal", "inf-noise", "tiny-noise"]
+    )
+    def test_no_floor_without_a_finite_positive_bound(self, case):
+        cov, h, r, floor = np.diag([1.0, 2.0, 3.0]), np.array([1.0, 0.5, -0.2]), 0.5, 0.9
+        if case == "zero-floor":
+            floor = 0.0
+        elif case == "nan-h":
+            h[1] = np.nan
+        elif case == "inf-diagonal":
+            cov[2, 2] = np.inf
+        elif case == "inf-noise":
+            r = np.inf
+        else:  # r far below the rounding allowance of h . g
+            r = 1e-30
+        g = cov @ h
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = posterior_floors(
+                cov[None], h[None], np.array([r]), g[None], np.array([h @ g + r]), np.array([floor])
+            )
+        assert out.tolist() == [0.0]
+
+    def test_overflowing_update_fails_as_without_floors(self):
+        # K = g / s overflows in K K^T although g g^T / s is finite: the floor
+        # stays positive, and the -inf the overflow leaves on the diagonal is
+        # what refuses the certificate
+        cov, h = np.diag([1e10, 1e10, 1e10]), np.array([1e-155, 1e-155, 0.0])
+        args = (np.zeros((1, 3)), cov[None], h[None, None], np.zeros((1, 1)), np.ones(1),
+                np.full((1, 1, 1), 1e-300))
+        g = cov @ h
+        floor = posterior_floors(
+            cov[None], h[None], np.array([1e-300]), g[None], np.array([h @ g + 1e-300]),
+            np.array([5e9]),
+        )
+        assert floor[0] > 0.0
+        errors = []
+        for floors in (None, np.array([5e9])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericDomainError, match="matrix 0 of batch is not finite") as err:
+                    lg_update_arrays(*args, floors=floors)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_floors_travel_only_when_given(self, d):
+        args = TestLgUpdateArrays.stack(4, 3, d, seed=5)
+        assert lg_update_arrays(*args)[3] is None
+        floors = lg_update_arrays(*args, floors=np.full(4, 0.05))[3]
+        assert floors.shape == (4,)
+        if d == 2:  # no floor is derived for a vector observation
+            assert (floors == 0.0).all()
+        else:
+            assert (floors > 0.0).all()
 
 
 def imq(e, c):
@@ -224,7 +353,7 @@ class TestWolfUpdate:
         Rs = robust_noise(LINEAR, y, yhats, one, c)
         np.testing.assert_allclose(Rs, [[[2.0]]])
         # S = H Sigma H^T + R/W^2 = 1 + 2
-        means, covs, S = lg_update_arrays(np.zeros((1, 1)), one, one, yhats, y, Rs)
+        means, covs, S, _ = lg_update_arrays(np.zeros((1, 1)), one, one, yhats, y, Rs)
         np.testing.assert_allclose(S, [[[3.0]]])
         post = wolf_update(prior, LINEAR, [1.0], [c], c=c)
         np.testing.assert_array_equal(means, [post.mean])

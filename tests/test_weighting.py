@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import warnings
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bone.priors
 import bone.weighting
+from bone.agents import MethodConfig, bone_step, init_agent
 from bone.core import GaussBelief, NumericDomainError, gaussian_log_pdf_batch, logsumexp
 from bone.measurement import (
     MeasurementSpec,
@@ -107,7 +110,7 @@ def _reference_rl_step(bank, hazard, spec, policy, x, y, wolf_c=None, capacity=N
     if wolf_c is not None:
         W = _imq_weights(yv[None, :] - yhats, np.ascontiguousarray(Rs), wolf_c)
         Rs = Rs / (W * W)[:, None, None]
-    new_means, new_covs, S = lg_update_arrays(means, covs, jacs, yhats, yv, Rs)
+    new_means, new_covs, S, _ = lg_update_arrays(means, covs, jacs, yhats, yv, Rs)
     log_preds = gaussian_log_pdf_batch(yv, yhats, S)
     grow_joints = bank.log_joints + log_preds[:-1] + np.log1p(-pi)
     reset_joint = log_preds[-1] + logsumexp(bank.log_joints + np.log(pi))
@@ -336,6 +339,121 @@ class TestRlStep:
                 [0.0],
                 [0.0],
             )
+
+
+MLP = MeasurementSpec("mlp-gaussian", obs_noise=[[0.01]], in_dim=1, hidden=(8, 8))
+
+
+def _mlp_banks(kind, steps, mp=None, calls=None):
+    """The banks of a K = 10 runlength method over the 97-parameter MLP of
+    the mlp-segments benchmark, from the root; with ``calls``, the shape of
+    every np.linalg.cholesky call after init_agent is appended to it."""
+    rng = np.random.default_rng(7)
+    m = MLP.param_count()
+    base = GaussBelief(rng.normal(size=m) / 3.0, np.eye(m))
+    name = "RL-PR[K]" if kind == "rl-prior-reset" else "RL-MMPR"
+    cfg = MethodConfig(name, MLP, PriorPolicy(kind, base), hazard=HazardSpec(0.05), capacity=10)
+    state = init_agent(cfg)
+    if calls is not None:
+        cholesky = np.linalg.cholesky
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return cholesky(a, *args, **kwargs)
+
+        mp.setattr(np.linalg, "cholesky", counting)
+    banks = [state.bank]
+    xs = np.linspace(0.0, 3.0, steps)
+    for x, y in zip(xs, np.sin(2.0 * xs) + 0.1 * rng.normal(size=steps)):
+        state, _, _ = bone_step(state, cfg, [x], [y])
+        banks.append(state.bank)
+    return banks
+
+
+class TestCarriedFloors:
+    """RL-PR banks over the 97-parameter MLP carry eigenvalue floors, which
+    certify each d = 1 posterior in place of LAPACK."""
+
+    def test_rl_pr_makes_no_cholesky_call_after_init(self, monkeypatch):
+        calls = []
+        banks = _mlp_banks("rl-prior-reset", 30, monkeypatch, calls)
+        assert calls == []
+        assert banks[0].floors is None  # the root row gets its floor in rl_step
+        assert banks[-1].size == 10
+        assert all((bank.floors > 0.0).all() for bank in banks[1:])
+
+    def test_banks_equal_those_certified_without_floors(self, monkeypatch):
+        banks = _mlp_banks("rl-prior-reset", 30)
+        monkeypatch.setattr(bone.priors, "FLOOR_DIM", sys.maxsize)
+        plain = _mlp_banks("rl-prior-reset", 30)
+        assert plain[-1].floors is None
+        for got, want in zip(banks, plain):
+            _assert_same_bank(got, want)
+
+    def test_rl_mmpr_carries_no_floors(self, monkeypatch):
+        # its moment-matched reset has no known floor, so its bank keeps LAPACK
+        calls = []
+        banks = _mlp_banks("rl-mmpr", 12, monkeypatch, calls)
+        assert all(bank.floors is None for bank in banks)
+        assert calls and set(calls) == {(1, 97, 97)}
+
+    def test_floorless_bank_rows_equal_to_the_base_prior_take_its_floor(self, monkeypatch):
+        # a bank from the public constructor carries no floors: rl_step gives
+        # the base floor to the rows whose covariance is the base prior's, bit
+        # for bit, and floor 0 to the rest, which LAPACK certifies one at a time
+        grown = _mlp_banks("rl-prior-reset", 6)[-1]
+        policy = PriorPolicy("rl-prior-reset", GaussBelief(np.zeros(97), np.eye(97)))
+        covs = grown.covs.copy()
+        covs[0] = np.eye(97)
+        covs[1] = np.eye(97)
+        covs[1, 5, 5] = np.nextafter(1.0, 2.0)
+        bank = HypothesisBank(grown.runlengths, grown.log_joints, grown.means, covs,
+                              timestep=grown.timestep)
+        assert bank.floors is None
+        assert not (covs[1:] == np.eye(97)).all(axis=(1, 2)).any()
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        out = rl_step(bank, HazardSpec(0.05), MLP, policy, [0.3], [0.1])
+        assert calls == [(1, 97, 97)] * (bank.size - 1)
+        by_runlength = dict(zip(out.runlengths.tolist(), out.floors.tolist()))
+        assert by_runlength[bank.runlengths[0] + 1] > 0.0  # grown from the base
+        assert by_runlength[0] > 0.0  # the reset row
+        zero = {r for r, f in by_runlength.items() if f == 0.0}
+        assert zero == set((bank.runlengths[1:] + 1).tolist())
+
+    def test_prune_topk_keeps_each_rows_floor(self):
+        bank = _mlp_banks("rl-prior-reset", 12)[-1]
+        pruned = prune_topk(bank, 4)
+        floor_of = dict(zip(bank.runlengths.tolist(), bank.floors.tolist()))
+        assert pruned.floors.tolist() == [floor_of[r] for r in pruned.runlengths.tolist()]
+        assert pruned.floors.tolist() != bank.floors[:4].tolist()  # not the first four
+
+    def test_step_with_floor_0_rows_allocates_under_three_covariance_stacks(self):
+        # rows with floor 0 go to LAPACK gathered one Cholesky slice at a time
+        bank = _mlp_banks("rl-prior-reset", 12)[-1]
+        floors = bank.floors.copy()
+        floors[::2] = 0.0
+        bank = HypothesisBank._trusted(
+            bank.runlengths, bank.log_joints, bank.means, bank.covs, bank.anchors,
+            bank.timestep, floors,
+        )
+        policy = PriorPolicy("rl-prior-reset", GaussBelief(np.zeros(97), np.eye(97)))
+        hazard = HazardSpec(0.05)
+        rl_step(bank, hazard, MLP, policy, [0.3], [0.1], capacity=10)  # warm caches
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            rl_step(bank, hazard, MLP, policy, [0.3], [0.1], capacity=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 3 * bank.covs.nbytes
 
 
 class TestPruneTopk:
