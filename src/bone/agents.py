@@ -25,19 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, is_finite_number, is_integer, reject_nan_belief
-from .measurement import (
-    MeasurementSpec,
-    link_mean,
-    predictive_log_density,
-)
+# predictive_log_density is not called here: the benchmark's tracer
+# (perfbench/spans.py) binds it at this module
+from .measurement import MeasurementSpec, link_mean, predictive_log_density  # noqa: F401
 from .posterior import lg_update, wolf_update
 from .priors import PriorPolicy, conditional_prior, data_free_prior, scalar_data_free_prior
 from .weighting import (
     RL_KINDS,
     HazardSpec,
     HypothesisBank,
+    blend_scorer,
     cpp_empirical_bayes,
-    float_blend_scorer,
     greedy_ratio,
     rl_step,
 )
@@ -150,14 +148,8 @@ def _step_single(state: AgentState, cfg: MethodConfig, x, y) -> AgentState:
         )
     elif kind == "rl-oupr":
         reset_anchor = None if anchor is None else float(np.atleast_1d(x)[0])
-        score = float_blend_scorer(belief, base, spec, x, y, anchor)
-        densities = None if score is None else score(1.0, 0.0)
-        if densities is None:
-            densities = (
-                predictive_log_density(spec, belief, x, y, anchor),
-                predictive_log_density(spec, base, x, y, reset_anchor),
-            )
-        nu = greedy_ratio(*densities, cfg.hazard)
+        score = blend_scorer(belief, base, spec, x, y, (anchor, reset_anchor))
+        nu = greedy_ratio(*score(1.0, 0.0), cfg.hazard)
         rate = 0.0 if nu <= cfg.policy.epsilon else nu
         if rate == 0.0:  # the hard reset: nu > epsilon >= 0 otherwise
             runlength = 0
@@ -204,11 +196,11 @@ def drift_unobserved(state: AgentState, cfg: MethodConfig) -> AgentState:
 
     OU and ACI beliefs diffuse without an observation; data-dependent kinds
     (cpp-ou, rl-*) are left unchanged because their auxiliary value needs
-    the current observation.  A one-parameter belief drifts on Python floats
-    (``priors.scalar_data_free_prior``), bit for bit as the arrays drift it;
-    a wider one, or one whose drifted mean is not finite or whose variance
-    lies outside [PSD_TOL, inf), drifts through ``data_free_prior``, where
-    a drifted belief holding NaN is a ValueError.
+    the current observation.  A one-parameter ACI belief drifts on Python
+    floats (``priors.scalar_data_free_prior``), bit for bit as the arrays
+    drift it; an OU belief, a wider one, or one whose mean is not finite or
+    whose inflated variance lies outside [PSD_TOL, inf), drifts through
+    ``data_free_prior``, where a drifted belief holding NaN is a ValueError.
     """
     kind = cfg.policy.kind
     if kind not in DRIFT_KINDS or not cfg.drift_unpulled:

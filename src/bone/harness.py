@@ -199,6 +199,13 @@ def _make(cls, where: str, kwargs: dict):
         raise ConfigError(f"{where}: {err}") from err
 
 
+def _require_symmetric(key: str, matrix) -> None:
+    """A ConfigError unless a given 2-D matrix equals its transpose, checked
+    as given: GaussBelief and MeasurementSpec would store the symmetric part."""
+    if np.ndim(matrix) == 2 and not np.array_equal(matrix, np.transpose(matrix)):
+        raise ConfigError(f"{key} must be a symmetric matrix, got {matrix!r}")
+
+
 def _method(given: dict) -> MethodConfig:
     """The method built from ``given`` (section -> leaf name -> value)."""
     model = given.get("method.model", {})
@@ -206,6 +213,7 @@ def _method(given: dict) -> MethodConfig:
         model["hidden"] = tuple(model["hidden"])
     if "obs_noise" in model and np.ndim(model["obs_noise"]) == 0:  # a scalar variance
         model["obs_noise"] = model["obs_noise"] * np.eye(model.get("out_dim", 1))
+    _require_symmetric("method.model.obs_noise", model.get("obs_noise"))
     spec = _make(MeasurementSpec, "method.model", model)
     prior = given.get("method.prior", {})
     if "base_cov" in prior and "base_cov_scale" in prior:
@@ -216,9 +224,7 @@ def _method(given: dict) -> MethodConfig:
     cov = prior.pop("base_cov", None)
     if cov is None:
         cov = prior.pop("base_cov_scale", 1.0) * np.eye(mean.size)
-    elif np.ndim(cov) == 2 and not np.array_equal(cov, np.transpose(cov)):
-        # checked as given: GaussBelief would store the symmetric part
-        raise ConfigError(f"method.prior.base_cov must be a symmetric matrix, got {cov!r}")
+    _require_symmetric("method.prior.base_cov", cov)
     prior["base_prior"] = _make(GaussBelief, "method.prior", {"mean": mean, "cov": cov})
     method = given.get("method", {})
     if "hazard" in method:

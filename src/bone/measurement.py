@@ -36,7 +36,7 @@ FAMILIES = GAUSSIAN_FAMILIES + EXPFAM_FAMILIES
 # families whose link gives one output whatever the parameters
 _SCALAR_FAMILIES = ("linear-gaussian", "segment-poly-gaussian", "bernoulli-logit")
 # the families scalar_log_density scores on Python floats
-_FLOAT_FAMILIES = ("linear-gaussian", "bernoulli-logit")
+_FLOAT_FAMILIES = ("bernoulli-logit",)
 # np.exp overflows above about 709.78
 _EXP_SAFE = 700.0
 _TWO_PI = 2.0 * np.pi
@@ -71,8 +71,10 @@ class MeasurementSpec:
     """One measurement-model family instance.
 
     obs_noise is the (d, d) observation covariance and must be given iff the
-    family has a Gaussian likelihood.  hidden/in_dim describe the MLP
-    architecture (ReLU hidden activations, identity output).
+    family has a Gaussian likelihood; it must be PSD within ``PSD_TOL`` and
+    is stored as its symmetric part, as ``GaussBelief`` stores a covariance.
+    hidden/in_dim describe the MLP architecture (ReLU hidden activations,
+    identity output).
     """
 
     family: str
@@ -96,6 +98,8 @@ class MeasurementSpec:
                     f"obs_noise shape {R.shape} does not match out_dim {self.out_dim}"
                 )
             symmetrize_psd(R)  # validates PSD
+            if self.out_dim > 1:  # stored as (R + R^T)/2, R bit for bit when symmetric
+                R = (R + R.T) / 2.0
             object.__setattr__(self, "obs_noise", R)
         else:
             if self.obs_noise is not None:
@@ -328,12 +332,12 @@ def predictive_log_density(
     return gaussian_log_pdf(_free_obs(spec, y), yhat, S)
 
 
-def scalar_point(spec: MeasurementSpec, x, y, anchor, *beliefs: GaussBelief):
+def scalar_point(spec: MeasurementSpec, x, y, *beliefs: GaussBelief):
     """The feature and observation (f, y) as Python floats when
-    ``scalar_log_density`` serves the model: a one-output linear-gaussian or
-    bernoulli-logit model without an anchor, one feature, one observation
-    and one-parameter ``beliefs``.  None for every other model."""
-    if spec.family not in _FLOAT_FAMILIES or anchor is not None:
+    ``scalar_log_density`` serves the model: a bernoulli-logit model with
+    one feature, one observation and one-parameter ``beliefs``.  None for
+    every other model."""
+    if spec.family not in _FLOAT_FAMILIES:
         return None
     yv = _free_obs(spec, y)
     phi = spec.phi(x)
@@ -342,27 +346,24 @@ def scalar_point(spec: MeasurementSpec, x, y, anchor, *beliefs: GaussBelief):
     return None
 
 
-def scalar_log_density(spec: MeasurementSpec, mean: float, var: float, f: float, y: float):
-    """predictive_log_density on Python floats, for a one-parameter belief
-    (mean, var) at a ``scalar_point`` (f, y).
+def scalar_log_density(mean: float, var: float, f: float, y: float):
+    """predictive_log_density of a bernoulli-logit model on Python floats,
+    for a one-parameter belief (mean, var) at a ``scalar_point`` (f, y).
 
-    The link, the innovation variance f var f + R and the log density are
-    the array path's operations in its order, with np.exp and np.log on
-    scalars, so the value equals predictive_log_density's bit for bit.
-    None wherever the array checks would not pass trivially: a logit whose
-    np.exp would overflow, an innovation variance outside [PSD_TOL, inf), or
-    a density that is not finite.  The caller then hands the work back to
-    the arrays, so every clamp, error and RuntimeWarning stays theirs.
+    The link, the innovation variance f var f + p (1 - p) and the log
+    density are the array path's operations in its order, with np.exp and
+    np.log on scalars, so the value equals predictive_log_density's bit for
+    bit.  None wherever the array checks would not pass trivially: a logit
+    whose np.exp would overflow, an innovation variance outside
+    [PSD_TOL, inf), or a density that is not finite.  The caller then hands
+    the work back to the arrays, so every clamp, error and RuntimeWarning
+    stays theirs.
     """
     eta = mean * f
-    if spec.family == "bernoulli-logit":
-        if not eta > -_EXP_SAFE:  # np.exp(-eta) would overflow, or eta is NaN
-            return None
-        yhat = 1.0 / (1.0 + float(np.exp(-eta)))
-        r = yhat * (1.0 - yhat)
-    else:
-        yhat, r = eta, float(spec.obs_noise[0, 0])
-    v = (f * var) * f + r
+    if not eta > -_EXP_SAFE:  # np.exp(-eta) would overflow, or eta is NaN
+        return None
+    yhat = 1.0 / (1.0 + float(np.exp(-eta)))
+    v = (f * var) * f + yhat * (1.0 - yhat)
     if not PSD_TOL <= v < math.inf:
         return None
     e = y - yhat

@@ -111,31 +111,20 @@ def data_free_prior(policy: PriorPolicy, mean: np.ndarray, cov: np.ndarray, rate
 
 
 def scalar_data_free_prior(policy: PriorPolicy, mean: float, var: float):
-    """data_free_prior on Python floats, at the policy's own rate, for a
-    one-parameter belief (mean, var).
+    """data_free_prior of an aci policy on Python floats, for a one-parameter
+    belief (mean, var): the same inflation var + alpha, so both values equal
+    the array path's bit for bit.
 
-    The operations are data_free_prior's, in its order, down to
-    symmetrize_psd's (A + A^T)/2, so both values equal the array path's bit
-    for bit.  None unless the mean is finite and the variance lies in
-    [PSD_TOL, inf), where the array path's checks pass trivially; the caller
-    then hands the work back to data_free_prior, so every error and
-    RuntimeWarning stays the array path's.
+    None for any other kind, and unless the mean is finite and the inflated
+    variance lies in [PSD_TOL, inf), where the array path's checks pass
+    trivially; the caller then hands the work back to data_free_prior, so
+    every error and RuntimeWarning stays the array path's.
     """
-    if policy.kind == "aci":
-        out = mean, var + policy.alpha
-    else:
-        rate = policy.gamma
-        base = policy.base_prior
-        if rate == 1.0:
-            out = mean, var
-        elif rate == 0.0:
-            out = float(base.mean[0]), float(base.cov[0, 0])
-        else:
-            q = rate * rate
-            blend = q * var + (1.0 - q) * float(base.cov[0, 0])
-            out = rate * mean + (1.0 - rate) * float(base.mean[0]), (blend + blend) / 2.0
-    if math.isfinite(out[0]) and PSD_TOL <= out[1] < math.inf:
-        return out
+    if policy.kind != "aci":
+        return None
+    var = var + policy.alpha
+    if math.isfinite(mean) and PSD_TOL <= var < math.inf:
+        return mean, var
     return None
 
 

@@ -352,43 +352,21 @@ def cpp_empirical_bayes(
     conditional prior at rate upsilon is the blend
     (u mu + (1-u) mu0, u^2 Sigma + (1-u^2) Sigma0), and its predictive
     density is the linearized N(y | h(mean), J Sigma J^T + R), under the
-    segment ``anchor`` for segment models.  An iteration depends on u
-    alone, so the search stops at the first iteration that leaves u
-    unchanged (the fixed point), which returns what the remaining iterations
-    would.
-
-    One search loop takes one of two scorers of a (hi, lo) pair:
-
-    - the stacked scorer serves every model with more than one parameter or
-      output: it linearizes both points as one 2-row stack and scores them
-      with ``gaussian_log_pdf_batch``;
-    - ``float_blend_scorer`` serves the one-parameter, one-output models
-      of ``measurement.scalar_point``: the same blend on Python floats,
-      scored by ``measurement.scalar_log_density``, so the search returns
-      the stacked scorer's u bit for bit (RL-OUPR's step takes its two
-      densities from it, at rates 1 and 0).
-
-    When that density hands back (a logit whose exp would overflow, a
-    variance outside [PSD_TOL, inf), a density that is not finite), the
-    search restarts on the stacked scorer, so the clamp, the errors and the
-    warnings stay those of ``gaussian_log_pdf_batch``.
+    segment ``anchor`` for segment models.  Each (hi, lo) pair is scored by
+    ``blend_scorer``.  An iteration depends on u alone, so the search stops
+    at the first iteration that leaves u unchanged (the fixed point), which
+    returns what the remaining iterations would.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    score = float_blend_scorer(prev, base, spec, x, y, anchor)
-    if score is not None:
-        u = _rate_search(score, steps, lr)
-        if u is not None:
-            return u
-    yv = _free_obs(spec, y)
-    return _rate_search(_stacked_scorer(prev, base, spec, x, yv, anchor), steps, lr)
+    return _rate_search(blend_scorer(prev, base, spec, x, y, (anchor, anchor)), steps, lr)
 
 
-def _rate_search(score, steps: int, lr: float) -> float | None:
+def _rate_search(score, steps: int, lr: float) -> float:
     """Projected gradient ascent on u from 1, with the central difference of
-    ``score(hi, lo)``; None as soon as the scorer gives None."""
+    ``score(hi, lo)``."""
     u = 1.0
     h = 1e-4
     for _ in range(steps):
@@ -397,8 +375,6 @@ def _rate_search(score, steps: int, lr: float) -> float | None:
         if hi == lo:
             break
         dens = score(hi, lo)
-        if dens is None:
-            return None
         g = (dens[0] - dens[1]) / (hi - lo)
         u_next = min(1.0, max(0.0, u + lr * g))
         if u_next == u:
@@ -407,9 +383,38 @@ def _rate_search(score, steps: int, lr: float) -> float | None:
     return u
 
 
-def _stacked_scorer(prev: GaussBelief, base: GaussBelief, spec: MeasurementSpec, x, yv, anchor):
-    """Log densities of the blends at (hi, lo), scored as one 2-row stack."""
-    anchors = None if anchor is None else np.full(2, anchor)
+def blend_scorer(prev: GaussBelief, base: GaussBelief, spec: MeasurementSpec, x, y, anchors):
+    """``score(hi, lo)``: the predictive log densities of the blends
+    (r mu + (1-r) mu0, r^2 Sigma + (1-r^2) Sigma0) of ``prev`` and ``base``
+    at the rates r = hi and r = lo, the first under ``anchors[0]`` and the
+    second under ``anchors[1]`` (both None for a model without anchors).
+
+    CPP-OU's rate search scores its differences at one anchor twice;
+    RL-OUPR's step scores its grow and reset candidates at rates 1 and 0,
+    which blend to ``prev`` and ``base`` themselves, under the tracked and
+    the fresh anchor.  A pair is scored on Python floats where
+    ``float_blend_scorer`` serves; a model it does not serve, and any pair
+    whose floats hand back (a logit whose exp would overflow, a variance
+    outside [PSD_TOL, inf), a density that is not finite), is scored as one
+    2-row stack with ``gaussian_log_pdf_batch``, so the clamp, the errors
+    and the warnings stay the arrays'.  Both give the same densities bit
+    for bit.  (For m >= 2 a row's link theta . phi is a row of a
+    matrix-vector product, which may round differently from the dot product
+    of ``predictive_log_density`` on one belief.)
+    """
+    def stacked():  # built only for a pair the floats do not score
+        return _stacked_scorer(prev, base, spec, x, _free_obs(spec, y), anchors)
+
+    floats = float_blend_scorer(prev, base, spec, x, y) if anchors == (None, None) else None
+    if floats is None:
+        return stacked()
+    return lambda hi, lo: floats(hi, lo) or stacked()(hi, lo)
+
+
+def _stacked_scorer(prev: GaussBelief, base: GaussBelief, spec: MeasurementSpec, x, yv, anchors):
+    """Log densities of the blends at (hi, lo), scored as one 2-row stack
+    with one anchor per row."""
+    anchors = None if anchors == (None, None) else np.array(anchors, dtype=float)
     pm, pc, bm, bc = prev.mean, prev.cov, base.mean, base.cov
 
     def score(hi, lo):
@@ -424,13 +429,13 @@ def _stacked_scorer(prev: GaussBelief, base: GaussBelief, spec: MeasurementSpec,
     return score
 
 
-def float_blend_scorer(prev: GaussBelief, base: GaussBelief, spec: MeasurementSpec, x, y, anchor):
+def float_blend_scorer(prev: GaussBelief, base: GaussBelief, spec: MeasurementSpec, x, y):
     """The stacked scorer's blend on Python floats, scored by
     ``scalar_log_density``, for a model with a ``scalar_point`` (None for any
     other); a score is None where that density hands back.  For finite
     beliefs, rates 1 and 0 blend to ``prev`` and ``base`` bit for bit, up to
     the sign of a zero, which no density reads."""
-    point = scalar_point(spec, x, y, anchor, prev, base)
+    point = scalar_point(spec, x, y, prev, base)
     if point is None:
         return None
     f, yv = point
@@ -439,7 +444,7 @@ def float_blend_scorer(prev: GaussBelief, base: GaussBelief, spec: MeasurementSp
 
     def density(p):
         q = p * p
-        return scalar_log_density(spec, p * pm + (1.0 - p) * bm, q * pc + (1.0 - q) * bc, f, yv)
+        return scalar_log_density(p * pm + (1.0 - p) * bm, q * pc + (1.0 - q) * bc, f, yv)
 
     def score(hi, lo):
         pair = density(hi), density(lo)

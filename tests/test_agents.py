@@ -19,7 +19,7 @@ from bone.agents import (
     thompson_action,
 )
 from bone.core import ConfigError, GaussBelief, reject_nan_belief, symmetrize_psd
-from bone.measurement import MeasurementSpec, link_mean, scalar_point
+from bone.measurement import MeasurementSpec, link_mean, predictive_log_density, scalar_point
 from bone.posterior import lg_update
 from bone.priors import PriorPolicy, data_free_prior, scalar_data_free_prior
 from bone.weighting import HazardSpec, HypothesisBank, float_blend_scorer, greedy_ratio
@@ -623,22 +623,21 @@ class TestOneParameterStepsAgainstReference:
 
 
 class TestOneParameterFloatPaths:
-    """The float drift and RL-OUPR's float densities build the banks that
-    the array paths build, bit for bit."""
+    """The float drift of C-ACI and RL-OUPR's float densities build the
+    banks that the array paths build, bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("family", sorted(ONE_PARAMETER))
     @pytest.mark.parametrize(
-        "name,kw",
+        "name,kw,family",
         [
-            ("C-ACI", {"alpha": 0.05}),
-            ("C-OU", {"gamma": 0.9}),
-            ("RL-OUPR", {"hazard": HazardSpec(0.3), "epsilon": 0.5}),
+            ("C-ACI", {"alpha": 0.05}, "bernoulli-logit"),
+            ("C-ACI", {"alpha": 0.05}, "linear-gaussian"),  # the drift serves every family
+            # bernoulli-logit is the one family with float densities
+            ("RL-OUPR", {"hazard": HazardSpec(0.3), "epsilon": 0.5}, "bernoulli-logit"),
         ],
     )
     def test_banks_equal_the_array_paths(self, monkeypatch, name, kw, family, seed):
-        spec = ONE_PARAMETER[family][0]
-        cfg = method(name, spec=spec, base=BASE1, **kw)
+        cfg = method(name, spec=ONE_PARAMETER[family][0], base=BASE1, **kw)
         stream = one_parameter_stream(family, seed)
 
         def run():
@@ -652,7 +651,7 @@ class TestOneParameterFloatPaths:
             return banks
 
         floats = run()
-        monkeypatch.setattr(bone.agents, "float_blend_scorer", lambda *args: None)
+        monkeypatch.setattr(bone.weighting, "float_blend_scorer", lambda *args: None)
         monkeypatch.setattr(bone.agents, "scalar_data_free_prior", lambda *args: None)
         for got, want in zip(floats, run(), strict=True):
             assert_same_bank(got, want)
@@ -671,37 +670,28 @@ def outcome(fn):
 
 
 NAN, HUGE = float("nan"), 1.7e308
-TINY_BASE = GaussBelief([0.3], [[1e-12]])
 # id -> (method, method and prior keywords, base prior, mean, variance)
 DRIFT_FALLBACKS = {
     "aci-nan-mean": ("C-ACI", {"alpha": 0.2}, BASE1, NAN, 1.0),
-    "ou-nan-mean": ("C-OU", {"gamma": 0.5}, BASE1, NAN, 1.0),
     "aci-tiny-variance": ("C-ACI", {"alpha": 0.0}, BASE1, 0.1, 1e-12),
-    "ou-tiny-variance": ("C-OU", {"gamma": 0.5}, TINY_BASE, 0.1, 1e-12),
     "aci-overflowing-inflation": ("C-ACI", {"alpha": 1e308}, BASE1, 0.1, HUGE),
-    "ou-overflowing-blend": ("C-OU", {"gamma": 0.9}, BASE1, 0.1, HUGE),
 }
+BERN = ONE_PARAMETER["bernoulli-logit"][0]
+TINY_BASE = GaussBelief([0.3], [[1e-12]])
 TINY_LINEAR = MeasurementSpec("linear-gaussian", obs_noise=[[1e-14]])
 # id -> (spec, base prior, belief, x, y)
 DENSITY_FALLBACKS = {
     "linear-nan-mean": (LINEAR, BASE1, BASE1, NAN, 0.5),
-    "bernoulli-nan-mean": (ONE_PARAMETER["bernoulli-logit"][0], BASE1, BASE1, NAN, 1.0),
+    "bernoulli-nan-mean": (BERN, BASE1, BASE1, NAN, 1.0),
     "linear-tiny-variance": (TINY_LINEAR, TINY_BASE, GaussBelief([0.2], [[1e-14]]), 1.0, 0.5),
     "bernoulli-tiny-variance": (
-        ONE_PARAMETER["bernoulli-logit"][0],
-        GaussBelief([40.0], [[1e-14]]),
-        GaussBelief([38.0], [[1e-14]]),
-        1.0,
-        1.0,
+        BERN, GaussBelief([40.0], [[1e-14]]), GaussBelief([38.0], [[1e-14]]), 1.0, 1.0
     ),
     "linear-overflowing-variance": (LINEAR, BASE1, GaussBelief([0.2], [[1e308]]), 10.0, 0.5),
-    "bernoulli-overflowing-logit": (
-        ONE_PARAMETER["bernoulli-logit"][0], BASE1, GaussBelief([-800.0], [[1.0]]), 1.0, 1.0
-    ),
+    "bernoulli-overflowing-variance": (BERN, BASE1, GaussBelief([0.2], [[1e308]]), 10.0, 1.0),
+    "bernoulli-overflowing-logit": (BERN, BASE1, GaussBelief([-800.0], [[1.0]]), 1.0, 1.0),
     "linear-zero-density": (LINEAR, BASE1, GaussBelief([0.2], [[2.0]]), 1.0, 1e200),
-    "bernoulli-zero-density": (
-        ONE_PARAMETER["bernoulli-logit"][0], BASE1, GaussBelief([0.2], [[2.0]]), 1.0, 1e200
-    ),
+    "bernoulli-zero-density": (BERN, BASE1, GaussBelief([0.2], [[2.0]]), 1.0, 1e200),
 }
 
 
@@ -730,28 +720,35 @@ class TestOneParameterFallbacks:
 
     @pytest.mark.parametrize("case", sorted(DENSITY_FALLBACKS))
     def test_rl_oupr_densities(self, monkeypatch, case):
+        """The densities the step hands to greedy_ratio are those of the
+        tracked belief and the base prior, each scored alone, and warn
+        alike (one 2-row stack warns once where two calls each warn)."""
         spec, base, belief, x, y = DENSITY_FALLBACKS[case]
         cfg = method("RL-OUPR", spec=spec, base=base, hazard=HazardSpec(0.3), epsilon=0.5)
-        assert float_blend_scorer(belief, base, spec, [x], [y], None)(1.0, 0.0) is None
+        floats = float_blend_scorer(belief, base, spec, [x], [y])
+        assert (floats is None) == (spec is not BERN)  # linear models score as a stack
+        assert floats is None or floats(1.0, 0.0) is None
         bank = HypothesisBank(np.array([0]), np.zeros(1), belief.mean[None], belief.cov[None])
 
-        def step(scorer):
-            """The densities and ratio the step computes, and its bank."""
-            seen = []
+        class Densities(Exception):
+            pass
 
-            def ratio(*args):
-                seen.append((args[:2], greedy_ratio(*args)))
-                return seen[-1][1]
+        def ratio(p_grow, p_reset, hazard):
+            raise Densities(float(p_grow), float(p_reset))
 
-            def run():
-                got = bone_step(AgentState(bank=bank), cfg, [x], [y])[0].bank
-                return got.means.tobytes(), got.covs.tobytes(), got.runlengths.tolist()
+        def step():
+            try:
+                bone_step(AgentState(bank=bank), cfg, [x], [y])
+            except Densities as got:
+                return got.args
 
-            monkeypatch.setattr(bone.agents, "float_blend_scorer", scorer)
-            monkeypatch.setattr(bone.agents, "greedy_ratio", ratio)
-            return outcome(run), repr(seen)  # NaN-safe equality
+        def alone():
+            return tuple(predictive_log_density(spec, b, [x], [y]) for b in (belief, base))
 
-        assert step(float_blend_scorer) == step(lambda *args: None)
+        monkeypatch.setattr(bone.agents, "greedy_ratio", ratio)
+        (got, got_warnings), (want, want_warnings) = outcome(step), outcome(alone)
+        assert repr(got) == repr(want)  # NaN-safe, and a float's repr is its value
+        assert set(got_warnings) == set(want_warnings)
 
 
 # family -> (spec, base prior, tracked mean, anchor) of the reset-boundary test
@@ -785,7 +782,7 @@ class TestHardResetBoundary:
         bank = HypothesisBank(np.array([4]), np.zeros(1), mean[None], cov[None], anchors, timestep=6)
         x, y = [1.3], [1.0]
         # the float path serves exactly the models with a scalar point
-        assert (scalar_point(spec, x, y, anchor, bank.belief(0), base) is None) == (anchor is not None)
+        assert (scalar_point(spec, x, y, bank.belief(0), base) is None) == (anchor is not None)
         nu = math.nextafter(eps, 2.0) if above else eps
         monkeypatch.setattr(bone.agents, "greedy_ratio", lambda *args: nu)
         got = bone_step(AgentState(bank=bank), cfg, x, y)[0].bank
@@ -805,3 +802,27 @@ class TestHardResetBoundary:
             assert got.anchors is None
         else:
             assert got.anchors.tolist() == [anchor]
+
+    def test_segment_densities_take_their_own_anchors(self, monkeypatch):
+        """The grow density is scored under the tracked anchor and the reset
+        density under the fresh anchor x, each bit for bit as one belief
+        scored alone."""
+        spec, base, mean, anchor = BOUNDARY_CASES["segment-poly"]
+        cfg = method("RL-OUPR", spec=spec, base=base, hazard=HazardSpec(0.3), epsilon=0.5)
+        belief = GaussBelief(np.array(mean), 0.5 * np.eye(3))
+        bank = HypothesisBank(
+            np.array([4]), np.zeros(1), belief.mean[None], belief.cov[None], np.array([anchor]), 6
+        )
+        x, y = [1.3], [1.0]
+        seen = []
+
+        def ratio(*args):
+            seen.append(args[:2])
+            return greedy_ratio(*args)
+
+        monkeypatch.setattr(bone.agents, "greedy_ratio", ratio)
+        bone_step(AgentState(bank=bank), cfg, x, y)
+        [(p_grow, p_reset)] = seen
+        assert float(p_grow).hex() == predictive_log_density(spec, belief, x, y, anchor).hex()
+        assert float(p_reset).hex() == predictive_log_density(spec, base, x, y, anchor=x[0]).hex()
+        assert p_reset != predictive_log_density(spec, base, x, y, anchor)

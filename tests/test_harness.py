@@ -166,6 +166,11 @@ BAD_METHOD_KEYS = [
         name="CPP-OU", prior={"kind": "cpp-ou", "base_mean": [0]}, drift_unpulled=False)),
     ("runlength_output_path", dict(bandit_config(), runlength_output_path="rl.csv")),
 ]
+# a two-output obs_noise that is PSD but not symmetric
+ASYMMETRIC_OBS_NOISE = (
+    "method.model.obs_noise must be a symmetric matrix",
+    mlp_config(out_dim=2, obs_noise=[[1.0, 0.5], [0.0, 1.0]]),
+)
 # (key the ConfigError names, config)
 BAD_NUMBERS = [
     ("cpp.steps", method_config("CPP-OU", "cpp-ou", cpp={"steps": 0})),
@@ -192,6 +197,7 @@ BAD_NUMBERS = [
     ("not PSD", method_config("C-Static", "static", {"base_cov": [[1, 2, 0], [2, 1, 0], [0, 0, 1]]})),
     ("base_cov must be a symmetric matrix",
      method_config("C-Static", "static", {"base_cov": [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]})),
+    ASYMMETRIC_OBS_NOISE,
 ]
 
 
@@ -669,7 +675,10 @@ class TestExportAndCli:
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("key,raw", BAD_METHOD_TYPES + BAD_TOP_TYPES + BAD_METHOD_KEYS + BAD_GRID_POINTS)
+    @pytest.mark.parametrize(
+        "key,raw",
+        BAD_METHOD_TYPES + BAD_TOP_TYPES + BAD_METHOD_KEYS + BAD_GRID_POINTS + [ASYMMETRIC_OBS_NOISE],
+    )
     def test_cli_exits_2_on_bad_types(self, tmp_path, monkeypatch, capsys, key, raw):
         # no --out, so a bad output_path is the one the run would write to
         monkeypatch.chdir(tmp_path)
