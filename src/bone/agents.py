@@ -24,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, is_finite_number, is_integer, reject_nan_belief
+from .core import ConfigError, is_finite_number, is_integer
 # predictive_log_density is not called here: the benchmark's tracer
 # (perfbench/spans.py) binds it at this module
 from .measurement import MeasurementSpec, link_mean, predictive_log_density  # noqa: F401
 from .posterior import lg_update, wolf_update
-from .priors import PriorPolicy, conditional_prior, data_free_prior, scalar_data_free_prior
+from .priors import PriorPolicy, conditional_prior, scalar_data_free_prior
 from .weighting import (
     RL_KINDS,
     HazardSpec,
@@ -192,7 +192,7 @@ def bone_step(state: AgentState, cfg: MethodConfig, x, y, x_next=None):
 
 
 def drift_unobserved(state: AgentState, cfg: MethodConfig) -> AgentState:
-    """Apply the data-free part of the conditional prior (for unpulled arms).
+    """Apply the conditional prior with no observation (for unpulled arms).
 
     OU and ACI beliefs diffuse without an observation; data-dependent kinds
     (cpp-ou, rl-*) are left unchanged because their auxiliary value needs
@@ -200,24 +200,23 @@ def drift_unobserved(state: AgentState, cfg: MethodConfig) -> AgentState:
     floats (``priors.scalar_data_free_prior``), bit for bit as the arrays
     drift it; an OU belief, a wider one, or one whose mean is not finite or
     whose inflated variance lies outside [PSD_TOL, inf), drifts through
-    ``data_free_prior``, where a drifted belief holding NaN is a ValueError.
+    ``conditional_prior``, where a belief holding NaN is a ValueError.
     """
     kind = cfg.policy.kind
     if kind not in DRIFT_KINDS or not cfg.drift_unpulled:
         return state
     bank = state.bank
+    drifted = None
     if bank.means.shape == (1, 1):
         mean, var = float(bank.means[0, 0]), float(bank.covs[0, 0, 0])
         drifted = scalar_data_free_prior(cfg.policy, mean, var)
-        if drifted is not None:
-            means, covs = np.array([[drifted[0]]]), np.array([[[drifted[1]]]])
-            return AgentState(bank=HypothesisBank._trusted(
-                bank.runlengths, bank.log_joints, means, covs, bank.anchors, bank.timestep
-            ))
-    mean, cov = data_free_prior(cfg.policy, bank.means[0], bank.covs[0])
-    reject_nan_belief(mean, cov)
+    if drifted is not None:
+        means, covs = np.array([[drifted[0]]]), np.array([[[drifted[1]]]])
+    else:
+        prior = conditional_prior(cfg.policy, bank.belief(0))
+        means, covs = prior.mean[None], prior.cov[None]
     return AgentState(bank=HypothesisBank._trusted(
-        bank.runlengths, bank.log_joints, mean[None], cov[None], bank.anchors, bank.timestep
+        bank.runlengths, bank.log_joints, means, covs, bank.anchors, bank.timestep
     ))
 
 

@@ -88,12 +88,6 @@ def is_finite_number(v) -> bool:
         return False
 
 
-def reject_nan_belief(mean: np.ndarray, cov: np.ndarray) -> None:
-    """Raise ValueError when a belief's mean or covariance holds NaN."""
-    if np.isnan(mean).any() or np.isnan(cov).any():
-        raise ValueError("belief contains NaN")
-
-
 @dataclass(frozen=True)
 class GaussBelief:
     """Gaussian belief over model parameters: mean vector and covariance
@@ -112,7 +106,8 @@ class GaussBelief:
             raise ValueError(
                 f"cov shape {cov.shape} inconsistent with mean length {mean.size}"
             )
-        reject_nan_belief(mean, cov)
+        if np.isnan(mean).any() or np.isnan(cov).any():
+            raise ValueError("belief contains NaN")
         if mean.size > 1:  # a 1x1 matrix is symmetric already
             cov = (cov + cov.T) / 2.0
         object.__setattr__(self, "mean", mean)

@@ -467,8 +467,10 @@ def _trial_rng(seed: int, trial: int, role: int) -> np.random.Generator:
 
 
 def _make_stream(cfg: ExperimentConfig, trial: int) -> list[StreamRecord]:
-    """The trial's stream, checked against the MLP input width and the
-    length of the base prior."""
+    """The trial's stream, checked against the MLP input width, the length
+    of the base prior and, for a stream with targets, the model's outputs:
+    a Gaussian family reads ``out_dim`` entries and a categorical one an
+    integer class in [0, out_dim)."""
     if cfg.experiment == "csv-stream":
         records = load_csv_stream(
             cfg.data_path, cfg.ewma_target_half_life, cfg.ewma_feature_half_life
@@ -488,7 +490,27 @@ def _make_stream(cfg: ExperimentConfig, trial: int) -> list[StreamRecord]:
             raise ConfigError(
                 f"method.prior.base_mean has length {dim}, but the model has {m} parameters"
             )
+        if cfg.experiment != "bandit":  # a bandit stream holds no targets
+            _check_targets(spec, records)
     return records
+
+
+def _check_targets(spec, records) -> None:
+    if spec.is_gaussian:
+        d = np.size(records[0].y)
+        if d != spec.out_dim:
+            raise ConfigError(
+                f"method.model.out_dim is {spec.out_dim}, but the stream's targets have {d} entries"
+            )
+    elif spec.family == "categorical-softmax":
+        C = spec.out_dim
+        for rec in records:
+            y = np.ravel(np.asarray(rec.y, dtype=float))
+            if not (y.size == 1 and 0 <= y[0] < C and y[0].is_integer()):
+                raise ConfigError(
+                    f"method.model.out_dim is {C}, but the target {rec.y!r} at step {rec.t}"
+                    f" is not a class in [0, {C})"
+                )
 
 
 def _classify_loss(yhat, y) -> float:

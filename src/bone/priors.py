@@ -85,39 +85,14 @@ class PriorPolicy:
             object.__setattr__(self, "base_floor", eigen_floor(self.base_prior.cov))
 
 
-def data_free_prior(policy: PriorPolicy, mean: np.ndarray, cov: np.ndarray, rate=None):
-    """Mean and covariance of the prior that needs no observation, from last
-    step's mean (m,) and covariance (m, m).
-
-    aci adds alpha I to the covariance.  The other kinds blend toward the
-    base prior at ``rate`` (gamma when not given): (r mu + (1-r) mu0,
-    r^2 Sigma + (1-r^2) Sigma0), which is the OU prior and, at the rate its
-    auxiliary value gives, the cpp-ou and rl-oupr prior.  Rate 1 returns
-    ``mean`` and ``cov`` themselves and rate 0 the base prior's arrays
-    themselves, neither blended nor copied, whoever calls: conditional_prior
-    at any rate, or ``agents.drift_unobserved`` at gamma.
-    """
-    if policy.kind == "aci":
-        return mean, cov + policy.alpha * np.eye(mean.size)
-    if rate is None:
-        rate = policy.gamma
-    if rate == 1.0:
-        return mean, cov
-    base = policy.base_prior
-    if rate == 0.0:
-        return base.mean, base.cov
-    blend = rate * rate * cov + (1.0 - rate * rate) * base.cov
-    return rate * mean + (1.0 - rate) * base.mean, symmetrize_psd(blend)
-
-
 def scalar_data_free_prior(policy: PriorPolicy, mean: float, var: float):
-    """data_free_prior of an aci policy on Python floats, for a one-parameter
+    """The aci conditional prior on Python floats, for a one-parameter
     belief (mean, var): the same inflation var + alpha, so both values equal
-    the array path's bit for bit.
+    ``conditional_prior``'s bit for bit.
 
     None for any other kind, and unless the mean is finite and the inflated
     variance lies in [PSD_TOL, inf), where the array path's checks pass
-    trivially; the caller then hands the work back to data_free_prior, so
+    trivially; the caller then hands the work back to conditional_prior, so
     every error and RuntimeWarning stays the array path's.
     """
     if policy.kind != "aci":
@@ -131,15 +106,20 @@ def scalar_data_free_prior(policy: PriorPolicy, mean: float, var: float):
 def conditional_prior(policy: PriorPolicy, prev: GaussBelief, rate=None) -> GaussBelief:
     """Build the prior for the next update from last step's belief.
 
-    cpp-ou and rl-oupr blend toward the base prior at ``rate``, which their
-    step computes (the other kinds ignore it).  The rl-prior-reset and
-    rl-mmpr priors are built by ``weighting.rl_step``.
+    static keeps ``prev`` and aci adds alpha I to its covariance.  The other
+    kinds blend toward the base prior: (r mu + (1-r) mu0,
+    r^2 Sigma + (1-r^2) Sigma0), ou at gamma, cpp-ou and rl-oupr at
+    ``rate``, which their step computes (the other kinds ignore it).  Rate 1
+    returns ``prev`` itself and rate 0 the base prior itself, neither
+    blended nor copied.  With no observation (``agents.drift_unobserved``)
+    this is the drift of an unpulled arm.  The rl-prior-reset and rl-mmpr
+    priors are built by ``weighting.rl_step``.
     """
     kind = policy.kind
     if kind == "static":
         return prev
     if kind == "aci":
-        return GaussBelief(*data_free_prior(policy, prev.mean, prev.cov))
+        return GaussBelief(prev.mean, prev.cov + policy.alpha * np.eye(prev.dim))
     if kind == "ou":
         rate = policy.gamma
     elif kind in ("cpp-ou", "rl-oupr"):
@@ -150,9 +130,11 @@ def conditional_prior(policy: PriorPolicy, prev: GaussBelief, rate=None) -> Gaus
         raise ConfigError(f"prior kind {kind!r} is built by rl_step, not conditional_prior")
     if rate == 1.0:
         return prev
+    base = policy.base_prior
     if rate == 0.0:
-        return policy.base_prior
-    return GaussBelief(*data_free_prior(policy, prev.mean, prev.cov, rate))
+        return base
+    blend = rate * rate * prev.cov + (1.0 - rate * rate) * base.cov
+    return GaussBelief(rate * prev.mean + (1.0 - rate) * base.mean, symmetrize_psd(blend))
 
 
 def mmpr_prior(bank: "HypothesisBank") -> GaussBelief:

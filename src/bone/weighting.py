@@ -361,12 +361,7 @@ def cpp_empirical_bayes(
         raise ValueError("steps must be >= 1")
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    return _rate_search(blend_scorer(prev, base, spec, x, y, (anchor, anchor)), steps, lr)
-
-
-def _rate_search(score, steps: int, lr: float) -> float:
-    """Projected gradient ascent on u from 1, with the central difference of
-    ``score(hi, lo)``."""
+    score = blend_scorer(prev, base, spec, x, y, (anchor, anchor))
     u = 1.0
     h = 1e-4
     for _ in range(steps):

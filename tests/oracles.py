@@ -214,3 +214,29 @@ def posterior_floor_bound(cov, h, r, g, s, floor) -> Fraction:
     h_hat = norm_h + dg / l
     eps = m * _U * D + _exact_gamma(5) * gg / s
     return max(Fraction(0), 1 / (1 / l + h_hat * h_hat / r_hat) - eps)
+
+
+# -- multi-parameter single-hypothesis steps ----------------------------------
+#
+# A belief is a (mean, covariance) pair of numpy arrays (m,) and (m, m).
+
+
+def ou_blend(mean, cov, mean0, cov0, rate):
+    """The OU blend toward the base (mean0, cov0) at ``rate``:
+    (r mu + (1-r) mu0, r^2 Sigma + (1-r^2) Sigma0)."""
+    return rate * mean + (1.0 - rate) * mean0, rate**2 * cov + (1.0 - rate**2) * cov0
+
+
+def aci_inflation(mean, cov, alpha):
+    """C-ACI's prior with no observation: the covariance plus alpha I."""
+    return mean, cov + alpha * np.eye(len(mean))
+
+
+def linear_gaussian_update(mean, cov, h, y, r):
+    """Posterior after observing y = h . theta + noise of variance r, in
+    information form: P = Sigma^-1 + h h^T / r, Sigma' = P^-1,
+    mu' = Sigma' (Sigma^-1 mu + h y / r)."""
+    h = np.asarray(h, dtype=float)
+    prec = np.linalg.inv(cov)
+    cov_post = np.linalg.inv(prec + np.outer(h, h) / r)
+    return cov_post @ (prec @ mean + h * y / r), cov_post

@@ -18,10 +18,10 @@ from bone.agents import (
     predict_weighted,
     thompson_action,
 )
-from bone.core import ConfigError, GaussBelief, reject_nan_belief, symmetrize_psd
+from bone.core import ConfigError, GaussBelief, symmetrize_psd
 from bone.measurement import MeasurementSpec, link_mean, predictive_log_density, scalar_point
 from bone.posterior import lg_update
-from bone.priors import PriorPolicy, data_free_prior, scalar_data_free_prior
+from bone.priors import PriorPolicy, scalar_data_free_prior
 from bone.weighting import HazardSpec, HypothesisBank, float_blend_scorer, greedy_ratio
 import oracles
 from oracles import batch_linreg_posterior
@@ -622,6 +622,61 @@ class TestOneParameterStepsAgainstReference:
             assert 0 < resets < len(stream)
 
 
+BIAS = MeasurementSpec("linear-gaussian", obs_noise=[[0.5]], feature_map="bias")
+# a base prior with correlated parameters, so the off-diagonal entries count
+BASE_BIAS = GaussBelief([0.3, -0.2], [[1.5, 0.4], [0.4, 0.8]])
+
+
+def bias_stream(seed, T=50):
+    """T (x, y) pairs of y = theta . [1, x] + noise of variance 0.5, whose
+    theta jumps between (1, 2) and (-1, -2) every 10 steps, and a coin per
+    step (the bandit's pull)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for t in range(T):
+        theta = np.array([1.0, 2.0]) if (t // 10) % 2 == 0 else np.array([-1.0, -2.0])
+        x = float(rng.uniform(-2.0, 2.0))
+        y = float(theta @ [1.0, x] + np.sqrt(0.5) * rng.normal())
+        out.append((x, y, bool(rng.random() < 0.5)))
+    return out
+
+
+class TestTwoParameterStepsAgainstReference:
+    """Every step of a 50-step bias-basis (m = 2) linear-Gaussian stream,
+    against the plain-numpy steps of ``oracles``: C-ACI's and C-OU's update
+    of a pulled arm (the drift, then the information-form update) and their
+    drift of an unpulled one."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["C-ACI", "C-OU"])
+    def test_drift_and_update(self, name, seed):
+        m0, v0 = BASE_BIAS.mean, BASE_BIAS.cov
+        if name == "C-ACI":
+            cfg = method(name, spec=BIAS, base=BASE_BIAS, alpha=0.05)
+            def drift(m, v):
+                return oracles.aci_inflation(m, v, 0.05)
+        else:
+            cfg = method(name, spec=BIAS, base=BASE_BIAS, gamma=0.9)
+            def drift(m, v):
+                return oracles.ou_blend(m, v, m0, v0, 0.9)
+        state, m, v, runlength = init_agent(cfg), m0, v0, 0
+        pulls = []
+        for x, y, pulled in bias_stream(seed):
+            if pulled:
+                state, _, _ = bone_step(state, cfg, [x], [y])
+                m, v = oracles.linear_gaussian_update(*drift(m, v), [1.0, x], y, 0.5)
+                runlength += 1
+            else:
+                state = drift_unobserved(state, cfg)
+                m, v = drift(m, v)
+            pulls.append(pulled)
+            bank = state.bank
+            assert bank.timestep == runlength and bank.runlengths.tolist() == [runlength]
+            np.testing.assert_allclose(bank.means[0], m, rtol=1e-10, atol=0.0)
+            np.testing.assert_allclose(bank.covs[0], v, rtol=1e-10, atol=0.0)
+        assert 0 < sum(pulls) < len(pulls)
+
+
 class TestOneParameterFloatPaths:
     """The float drift of C-ACI and RL-OUPR's float densities build the
     banks that the array paths build, bit for bit."""
@@ -670,11 +725,26 @@ def outcome(fn):
 
 
 NAN, HUGE = float("nan"), 1.7e308
-# id -> (method, method and prior keywords, base prior, mean, variance)
+
+
+def drifted_bytes(mean, var):
+    """The bytes of a drifted one-parameter bank's means and covs."""
+    return np.array([[mean]]).tobytes(), np.array([[[var]]]).tobytes()
+
+
+# id -> (method, method and prior keywords, base prior, mean, variance, and
+# the drift's outcome: its bytes or what it raised, and its RuntimeWarnings)
 DRIFT_FALLBACKS = {
-    "aci-nan-mean": ("C-ACI", {"alpha": 0.2}, BASE1, NAN, 1.0),
-    "aci-tiny-variance": ("C-ACI", {"alpha": 0.0}, BASE1, 0.1, 1e-12),
-    "aci-overflowing-inflation": ("C-ACI", {"alpha": 1e308}, BASE1, 0.1, HUGE),
+    "aci-nan-mean": (
+        "C-ACI", {"alpha": 0.2}, BASE1, NAN, 1.0, ((ValueError, "belief contains NaN"), []),
+    ),
+    "aci-tiny-variance": (
+        "C-ACI", {"alpha": 0.0}, BASE1, 0.1, 1e-12, (drifted_bytes(0.1, 1e-12), []),
+    ),
+    "aci-overflowing-inflation": (
+        "C-ACI", {"alpha": 1e308}, BASE1, 0.1, HUGE,
+        (drifted_bytes(0.1, math.inf), [(RuntimeWarning, "overflow encountered in add")]),
+    ),
 }
 BERN = ONE_PARAMETER["bernoulli-logit"][0]
 TINY_BASE = GaussBelief([0.3], [[1e-12]])
@@ -702,7 +772,7 @@ class TestOneParameterFallbacks:
 
     @pytest.mark.parametrize("case", sorted(DRIFT_FALLBACKS))
     def test_drift(self, case):
-        name, kw, base, m, v = DRIFT_FALLBACKS[case]
+        name, kw, base, m, v, want = DRIFT_FALLBACKS[case]
         cfg = method(name, base=base, **kw)
         assert scalar_data_free_prior(cfg.policy, m, v) is None
         bank = HypothesisBank(np.array([0]), np.zeros(1), np.array([[m]]), np.array([[[v]]]))
@@ -711,12 +781,7 @@ class TestOneParameterFallbacks:
             got = drift_unobserved(AgentState(bank=bank), cfg).bank
             return got.means.tobytes(), got.covs.tobytes()
 
-        def arrays():
-            mean, cov = data_free_prior(cfg.policy, bank.means[0], bank.covs[0])
-            reject_nan_belief(mean, cov)
-            return mean[None].tobytes(), cov[None].tobytes()
-
-        assert outcome(drift) == outcome(arrays)
+        assert outcome(drift) == want
 
     @pytest.mark.parametrize("case", sorted(DENSITY_FALLBACKS))
     def test_rl_oupr_densities(self, monkeypatch, case):

@@ -708,6 +708,40 @@ class TestExportAndCli:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            [0, 1, 5],  # a class beyond C = 3
+            [0, 1, 0.5],  # not a class at all
+            None,  # a mlp-gaussian model of two outputs on a scalar-target stream
+        ],
+        ids=["class-out-of-range", "fractional-class", "gaussian-out-dim"],
+    )
+    def test_cli_exits_2_on_targets_the_model_cannot_read(self, tmp_path, capsys, targets):
+        if targets is None:
+            raw = mlp_config(out_dim=2)
+            raw.update(experiment="dependent-segments", horizon=5)
+            raw["method"]["prior"]["base_mean"] = [0] * 10  # 1 -> 2 -> 2
+        else:
+            data = tmp_path / "d.csv"
+            data.write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in enumerate(targets)))
+            raw = {
+                "experiment": "csv-stream",
+                "data_path": str(data),
+                "method": {
+                    "name": "C-Static",
+                    "model": {"family": "categorical-softmax", "out_dim": 3, "feature_map": "bias"},
+                    "prior": {"kind": "static", "base_mean": [0] * 4, "base_cov_scale": 1.0},
+                },
+            }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "o.csv"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "method.model.out_dim" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".summary.json").exists()
+
     def test_cli_exits_2_on_bad_half_life(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("x,y\n1,2\n2,3\n")
