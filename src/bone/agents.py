@@ -113,10 +113,11 @@ class AgentState:
 
 
 def init_agent(cfg: MethodConfig, anchor_x: float | None = None) -> AgentState:
-    """Fresh state at the base prior, runlength 0, unit mass."""
+    """Fresh state at the base prior, runlength 0, unit mass; the root
+    carries the policy's ``base_floor`` when it has one."""
     if cfg.spec.family == "segment-poly-gaussian" and anchor_x is None:
         anchor_x = 0.0
-    bank = HypothesisBank.root(cfg.policy.base_prior, anchor_x)
+    bank = HypothesisBank.root(cfg.policy.base_prior, anchor_x, cfg.policy.base_floor)
     return AgentState(bank=bank)
 
 

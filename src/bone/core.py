@@ -8,9 +8,10 @@ each have one implementation, on a stack of matrices; ``symmetrize_psd`` and
 ``gaussian_log_pdf`` run it on a stack of one.  Both factor the stack with
 batched numpy Cholesky: a finite factor proves a matrix positive definite,
 and ``eigvalsh`` runs only when a factorization fails.  The PSD check first
-tries two cheaper certificates.  A matrix that comes with a certified floor
-under its smallest eigenvalue, large enough against its diagonal, needs no
-factorization (Demmel's condition); large runlength banks carry such floors.
+tries two cheaper certificates.  A stack whose matrices each come with a
+certified floor under the smallest eigenvalue, large enough against the
+diagonal, needs no factorization (Demmel's condition); large runlength
+banks carry such floors from their root.
 A long stack of 2x2 or 3x3 matrices is certified by its LDL^T pivots,
 computed for the whole stack at once, where numpy would make one LAPACK call
 per matrix.
@@ -164,14 +165,14 @@ def certify_psd_batch(s: np.ndarray, floors: np.ndarray | None = None) -> np.nda
     ``posterior.lg_update_arrays`` derives for a large runlength bank.  A
     matrix whose floor clears ``floor_margin(d)`` times its largest
     diagonal entry is positive definite, and LAPACK's Cholesky would factor
-    it (``_floors_certify``); the other matrices are certified as a
-    sub-stack, and the stack gets the result, the exception (naming the
-    matrix by its index in the stack) and the warnings it would get
-    without floors.  Precondition: a positive floor bounds a finite
-    matrix, and a matrix with a non-finite entry has floor 0.  Only the
-    diagonal is read for a positive floor, so a matrix whose non-finite
-    entries all lie off the diagonal would be returned as certified.  The
-    engine's d = 1 update never makes one (``_floors_certify``).
+    it (``_floors_certify``); when every floor does, the stack is ``s``.  A
+    stack in which any floor falls short is certified as if it had none, so
+    it gets the result, the exception and the warnings it gets without
+    floors.  Precondition: a positive floor bounds a finite matrix, and a
+    matrix with a non-finite entry has floor 0.  Only the diagonal is read
+    for a positive floor, so a matrix whose non-finite entries all lie off
+    the diagonal would be returned as certified.  The engine's d = 1 update
+    never makes one (``_floors_certify``).
 
     For d > 1 Cholesky factorizations of slices of at most ``SLICE_BYTES``
     certify the stack, so no factor of a large stack is built: when every
@@ -188,69 +189,53 @@ def certify_psd_batch(s: np.ndarray, floors: np.ndarray | None = None) -> np.nda
     non-finite entry raises NumericDomainError.  ``s`` is never written, and
     its symmetry is not checked (Cholesky and ``eigvalsh`` read one triangle).
     """
-    rows = None  # the matrices left to certify, None for all of them
-    if floors is not None:
-        rows = np.flatnonzero(~_floors_certify(s, floors))
-        if rows.size == 0:
-            return s
-    shift = _psd_shift(s, rows)
+    if floors is not None and _floors_certify(s, floors).all():
+        return s
+    shift = _psd_shift(s)
     if shift is None:
         return s
     return s + shift[:, None, None] * np.eye(s.shape[1])
 
 
-def _psd_shift(s: np.ndarray, rows: np.ndarray | None) -> np.ndarray | None:
-    """None when the matrices ``rows`` of the stack (all when None) are
-    certified positive definite; otherwise the diagonal shift of every
-    matrix (k,) that repairs the stack, 0 outside ``rows``.  An error names
-    the matrix by its index in ``s``.  The matrices ``rows`` are gathered
-    one Cholesky slice at a time, and as a whole only when a certificate
-    fails."""
-    k = s.shape[0] if rows is None else rows.size
-    d = s.shape[1]
+def _psd_shift(s: np.ndarray) -> np.ndarray | None:
+    """None when every matrix of the stack is certified positive definite;
+    otherwise the diagonal shift of each matrix (k,) that repairs it.  An
+    error names the matrix by its index in ``s``."""
+    k, d = s.shape[:2]
     if d == 1:
         # a 1x1 matrix with a positive finite entry is positive definite
-        v = s[:, 0, 0] if rows is None else s[rows, 0, 0]
+        v = s[:, 0, 0]
         if ((v > 0.0) & (v < np.inf)).all():
             return None
     else:
-        if d <= 3 and k >= _PIVOT_STACK and _pivots_certify(s if rows is None else s[rows]):
+        if d <= 3 and k >= _PIVOT_STACK and _pivots_certify(s):
             return None
         step = max(1, SLICE_BYTES // (s.itemsize * d * d))
         try:
             for i in range(0, k, step):
-                part = s[i : i + step] if rows is None else s[rows[i : i + step]]
                 # numpy returns a NaN factor, not an error, for a NaN matrix
-                traces = np.einsum("kii->k", np.linalg.cholesky(part))
+                traces = np.einsum("kii->k", np.linalg.cholesky(s[i : i + step]))
                 if not np.isfinite(traces).all():
                     break
             else:
                 return None
         except np.linalg.LinAlgError:
             pass
-    t = s if rows is None else s[rows]
-    finite = np.isfinite(t).all(axis=(1, 2))
+    finite = np.isfinite(s).all(axis=(1, 2))
     if not finite.all():
         i = int(np.flatnonzero(~finite)[0])
-        name = i if rows is None else int(rows[i])
-        raise NumericDomainError(f"matrix {name} of batch is not finite:\n{t[i]}")
+        raise NumericDomainError(f"matrix {i} of batch is not finite:\n{s[i]}")
     # the smallest eigenvalue of a 1x1 matrix is its entry
-    wmin = t[:, 0, 0] if d == 1 else np.linalg.eigvalsh(t).min(axis=1)
-    traces = np.einsum("kii->k", t)
+    wmin = s[:, 0, 0] if d == 1 else np.linalg.eigvalsh(s).min(axis=1)
+    traces = np.einsum("kii->k", s)
     bad = wmin < -np.maximum(1.0, np.abs(traces)) * PSD_TOL
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        name = i if rows is None else int(rows[i])
         raise NumericDomainError(
-            f"matrix {name} of batch is not PSD within tolerance "
-            f"(min eigenvalue {wmin[i]:.3e}):\n{t[i]}"
+            f"matrix {i} of batch is not PSD within tolerance "
+            f"(min eigenvalue {wmin[i]:.3e}):\n{s[i]}"
         )
-    shift = np.where(wmin < 0.0, -wmin, 0.0)
-    if rows is None:
-        return shift
-    full = np.zeros(s.shape[0])
-    full[rows] = shift
-    return full
+    return np.where(wmin < 0.0, -wmin, 0.0)
 
 
 def floor_margin(d: int) -> float:

@@ -469,8 +469,9 @@ def _trial_rng(seed: int, trial: int, role: int) -> np.random.Generator:
 def _make_stream(cfg: ExperimentConfig, trial: int) -> list[StreamRecord]:
     """The trial's stream, checked against the MLP input width, the length
     of the base prior and, for a stream with targets, the model's outputs:
-    a Gaussian family reads ``out_dim`` entries and a categorical one an
-    integer class in [0, out_dim)."""
+    a Gaussian family reads ``out_dim`` entries, a categorical one an
+    integer class in [0, out_dim) and a bernoulli one 0 or 1.  The targets
+    checked are the ones the model reads, after ``ewma_target_half_life``."""
     if cfg.experiment == "csv-stream":
         records = load_csv_stream(
             cfg.data_path, cfg.ewma_target_half_life, cfg.ewma_feature_half_life
@@ -502,13 +503,16 @@ def _check_targets(spec, records) -> None:
             raise ConfigError(
                 f"method.model.out_dim is {spec.out_dim}, but the stream's targets have {d} entries"
             )
-    elif spec.family == "categorical-softmax":
-        C = spec.out_dim
+    else:  # a class: 0 or 1 for bernoulli-logit, in [0, out_dim) for categorical-softmax
+        if spec.family == "bernoulli-logit":
+            C, model = 2, "method.model.family is 'bernoulli-logit'"
+        else:
+            C, model = spec.out_dim, f"method.model.out_dim is {spec.out_dim}"
         for rec in records:
             y = np.ravel(np.asarray(rec.y, dtype=float))
             if not (y.size == 1 and 0 <= y[0] < C and y[0].is_integer()):
                 raise ConfigError(
-                    f"method.model.out_dim is {C}, but the target {rec.y!r} at step {rec.t}"
+                    f"{model}, but the target {rec.y!r} at step {rec.t}"
                     f" is not a class in [0, {C})"
                 )
 

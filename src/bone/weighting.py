@@ -68,10 +68,11 @@ class HypothesisBank:
 
     ``floors`` is an engine-only column that the public constructor never
     takes (it sets None): certified lower bounds (k,) on the smallest
-    eigenvalue of each covariance, carried by ``rl_step`` when its policy
-    has a ``base_floor`` (rl-prior-reset over at least ``core.FLOOR_DIM``
-    parameters), so that ``core.certify_psd_batch`` proves each posterior
-    positive definite without LAPACK.  None means no floor is known.
+    eigenvalue of each covariance, so that ``core.certify_psd_batch`` proves
+    each posterior positive definite without LAPACK.  A bank carries them
+    from a ``root`` given the policy's ``base_floor`` (rl-prior-reset over
+    at least ``core.FLOOR_DIM`` parameters), and ``rl_step`` carries them
+    on.  None means no floor is known; such a bank is certified by LAPACK.
     """
 
     runlengths: np.ndarray
@@ -132,10 +133,15 @@ class HypothesisBank:
         return bank
 
     @classmethod
-    def root(cls, belief: GaussBelief, anchor_x: float | None = None) -> "HypothesisBank":
-        """Initial bank: a single runlength-0 hypothesis with unit mass."""
+    def root(
+        cls, belief: GaussBelief, anchor_x: float | None = None, floor: float | None = None
+    ) -> "HypothesisBank":
+        """Initial bank: a single runlength-0 hypothesis with unit mass, built
+        by the public constructor; it carries ``floor``, a certified lower
+        bound on the smallest eigenvalue of ``belief.cov``, when one is given
+        (``agents.init_agent`` gives the policy's ``base_floor``)."""
         anchors = None if anchor_x is None else np.array([float(anchor_x)])
-        return cls(
+        bank = cls(
             runlengths=np.array([0]),
             log_joints=np.array([0.0]),
             means=belief.mean[None, :],
@@ -143,6 +149,9 @@ class HypothesisBank:
             anchors=anchors,
             timestep=0,
         )
+        if floor is not None:
+            object.__setattr__(bank, "floors", np.array([floor]))
+        return bank
 
     @property
     def size(self) -> int:
@@ -237,12 +246,11 @@ def rl_step(
     observation of zero density under every candidate, or a NaN log-joint,
     is a NumericDomainError.
 
-    When the policy has a ``base_floor``, the bank carries eigenvalue
-    floors.  The reset prior's is the base floor; in a bank without floors
-    (the root, or any bank built by the public constructor) a row whose
-    covariance equals the base prior's has the base floor and every other
-    row 0.  ``lg_update_arrays`` derives the posterior floors, which
-    certify the posteriors and travel with the survivors.
+    When the bank carries floors and the policy has a ``base_floor`` (the
+    reset prior's floor), ``lg_update_arrays`` derives the posterior floors,
+    which certify the posteriors and travel with the survivors.  A bank
+    without floors (one from the public constructor) steps without them,
+    certified by LAPACK, to the same beliefs bit for bit.
     """
     if bank.size == 0:
         raise ValueError("rl_step on an empty hypothesis bank")
@@ -253,12 +261,8 @@ def rl_step(
     pi = hazard.pi
     reset = mmpr_prior(bank) if policy.kind == "rl-mmpr" else policy.base_prior
     floors = None  # the candidates' prior floors, when the bank carries them
-    if policy.base_floor is not None:
-        grow_floors = bank.floors
-        if grow_floors is None:
-            is_base = (bank.covs == reset.cov).all(axis=(1, 2))
-            grow_floors = np.where(is_base, policy.base_floor, 0.0)
-        floors = np.append(grow_floors, policy.base_floor)
+    if policy.base_floor is not None and bank.floors is not None:
+        floors = np.append(bank.floors, policy.base_floor)
 
     # candidates: the growth priors (tracked beliefs), then the reset prior
     means = np.concatenate([bank.means, reset.mean[None, :]])

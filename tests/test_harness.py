@@ -742,6 +742,52 @@ class TestExportAndCli:
         assert not out.exists()
         assert not out.with_suffix(".summary.json").exists()
 
+    @staticmethod
+    def bernoulli_stream(tmp_path, labels, **extra):
+        """A C-Static bernoulli-logit config on a csv-stream of ``labels``."""
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in enumerate(labels)))
+        return {
+            "experiment": "csv-stream",
+            "data_path": str(data),
+            "method": {
+                "name": "C-Static",
+                "model": {"family": "bernoulli-logit", "feature_map": "bias"},
+                "prior": {"kind": "static", "base_mean": [0, 0], "base_cov_scale": 1.0},
+            },
+            **extra,
+        }
+
+    @pytest.mark.parametrize("label", [5, 0.5, -1])
+    def test_bernoulli_target_must_be_0_or_1(self, tmp_path, capsys, label):
+        raw = self.bernoulli_stream(tmp_path, [0, 1, label, 1])
+        cfg = parse_config(raw)  # the config is valid; its stream is not
+        with pytest.raises(ConfigError, match=r"target .* at step 2 is not a class in \[0, 2\)"):
+            run_experiment(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "o.csv"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "bernoulli-logit" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".summary.json").exists()
+
+    def test_bernoulli_targets_are_checked_after_ewma(self, tmp_path):
+        # standardized 0/1 labels are no longer labels
+        labels = [0, 1, 1, 0, 1]
+        assert len(run_experiment(parse_config(self.bernoulli_stream(tmp_path, labels)))) == 1
+        raw = self.bernoulli_stream(tmp_path, labels, ewma_target_half_life=2.0)
+        with pytest.raises(ConfigError, match="bernoulli-logit"):
+            run_experiment(parse_config(raw))
+
+    def test_cli_runs_bernoulli_on_0_1_targets(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.bernoulli_stream(tmp_path, [0, 1, 1.0, 0.0, 1])))
+        out = tmp_path / "o.csv"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 1 + 5
+        assert strict_json(out.with_suffix(".summary.json"))["trials"]
+
     def test_cli_exits_2_on_bad_half_life(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("x,y\n1,2\n2,3\n")
@@ -840,6 +886,19 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"
 class TestShippedConfigs:
     def test_configs_found(self):
         assert len(CONFIGS) >= 3
+        # every config the README runs is shipped
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        named = set(re.findall(r"--config configs/([\w.]+\.json)", readme))
+        assert "heavy_tail_wolf.json" in named
+        assert named <= {p.name for p in CONFIGS}
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_config_runs_its_first_steps(self, path):
+        raw = json.loads(path.read_text())
+        raw["trials"] = 1
+        (trace,) = run_experiment(parse_config(raw), steps=5)
+        assert trace.losses.size == 5
+        assert np.isfinite(list(trace.finals.values())).all()
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
     def test_config_parses_and_sweeps_hyperparameters(self, path):

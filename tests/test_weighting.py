@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 import bone.priors
 import bone.weighting
 from bone.agents import MethodConfig, bone_step, init_agent
-from bone.core import GaussBelief, NumericDomainError, gaussian_log_pdf_batch, logsumexp
+from bone.core import (
+    GaussBelief,
+    NumericDomainError,
+    eigen_floor,
+    gaussian_log_pdf_batch,
+    logsumexp,
+)
 from bone.measurement import (
     MeasurementSpec,
     _free_obs,
@@ -377,9 +383,10 @@ class TestCarriedFloors:
         calls = []
         banks = _mlp_banks("rl-prior-reset", 30, monkeypatch, calls)
         assert calls == []
-        assert banks[0].floors is None  # the root row gets its floor in rl_step
+        root = banks[0]
+        assert root.floors.tolist() == [eigen_floor(root.covs[0])] and root.floors[0] > 0.0
         assert banks[-1].size == 10
-        assert all((bank.floors > 0.0).all() for bank in banks[1:])
+        assert all((bank.floors > 0.0).all() for bank in banks)
 
     def test_banks_equal_those_certified_without_floors(self, monkeypatch):
         banks = _mlp_banks("rl-prior-reset", 30)
@@ -396,20 +403,17 @@ class TestCarriedFloors:
         assert all(bank.floors is None for bank in banks)
         assert calls and set(calls) == {(1, 97, 97)}
 
-    def test_floorless_bank_rows_equal_to_the_base_prior_take_its_floor(self, monkeypatch):
-        # a bank from the public constructor carries no floors: rl_step gives
-        # the base floor to the rows whose covariance is the base prior's, bit
-        # for bit, and floor 0 to the rest, which LAPACK certifies one at a time
+    @pytest.mark.parametrize("capacity", [None, 5])
+    def test_public_constructor_copy_steps_without_floors(self, monkeypatch, capacity):
+        # a bank from the public constructor carries no floors: rl_step
+        # certifies its posteriors by LAPACK, one Cholesky call per 97 x 97
+        # matrix, and gives the floored bank's beliefs bit for bit
         grown = _mlp_banks("rl-prior-reset", 6)[-1]
-        policy = PriorPolicy("rl-prior-reset", GaussBelief(np.zeros(97), np.eye(97)))
-        covs = grown.covs.copy()
-        covs[0] = np.eye(97)
-        covs[1] = np.eye(97)
-        covs[1, 5, 5] = np.nextafter(1.0, 2.0)
-        bank = HypothesisBank(grown.runlengths, grown.log_joints, grown.means, covs,
+        copy = HypothesisBank(grown.runlengths, grown.log_joints, grown.means, grown.covs,
                               timestep=grown.timestep)
-        assert bank.floors is None
-        assert not (covs[1:] == np.eye(97)).all(axis=(1, 2)).any()
+        assert grown.floors is not None and copy.floors is None
+        policy = PriorPolicy("rl-prior-reset", GaussBelief(np.zeros(97), np.eye(97)))
+        hazard = HazardSpec(0.05)
         calls = []
         cholesky = np.linalg.cholesky
 
@@ -418,13 +422,15 @@ class TestCarriedFloors:
             return cholesky(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
-        out = rl_step(bank, HazardSpec(0.05), MLP, policy, [0.3], [0.1])
-        assert calls == [(1, 97, 97)] * (bank.size - 1)
-        by_runlength = dict(zip(out.runlengths.tolist(), out.floors.tolist()))
-        assert by_runlength[bank.runlengths[0] + 1] > 0.0  # grown from the base
-        assert by_runlength[0] > 0.0  # the reset row
-        zero = {r for r, f in by_runlength.items() if f == 0.0}
-        assert zero == set((bank.runlengths[1:] + 1).tolist())
+        floored = rl_step(grown, hazard, MLP, policy, [0.3], [0.1], capacity=capacity)
+        assert calls == [] and floored.floors is not None
+        out = rl_step(copy, hazard, MLP, policy, [0.3], [0.1], capacity=capacity)
+        assert out.floors is None
+        assert calls == [(1, 97, 97)] * (capacity or grown.size + 1)
+        for name in ("runlengths", "log_joints", "means", "covs"):
+            got, want = getattr(out, name), getattr(floored, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
     def test_prune_topk_keeps_each_rows_floor(self):
         bank = _mlp_banks("rl-prior-reset", 12)[-1]
@@ -434,7 +440,7 @@ class TestCarriedFloors:
         assert pruned.floors.tolist() != bank.floors[:4].tolist()  # not the first four
 
     def test_step_with_floor_0_rows_allocates_under_three_covariance_stacks(self):
-        # rows with floor 0 go to LAPACK gathered one Cholesky slice at a time
+        # a stack with floor-0 rows goes to LAPACK one Cholesky slice at a time
         bank = _mlp_banks("rl-prior-reset", 12)[-1]
         floors = bank.floors.copy()
         floors[::2] = 0.0
