@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, is_finite_number, is_integer
+from .core import ConfigError, NumericDomainError, is_finite_number, is_integer
 # predictive_log_density is not called here: the benchmark's tracer
 # (perfbench/spans.py) binds it at this module
 from .measurement import MeasurementSpec, link_mean, predictive_log_density  # noqa: F401
@@ -233,7 +233,8 @@ def thompson_action(
 
     One standard-normal draw of shape (arms, m) gives every arm's draw in arm
     order.  A draw is mu + sqrt(max(Sigma, 0)) z for m = 1, and mu + L z with
-    L the Cholesky factor of Sigma + 1e-12 I otherwise.
+    L the Cholesky factor of Sigma + 1e-12 I otherwise; an arm whose
+    Sigma + 1e-12 I does not factor is a NumericDomainError naming it.
     """
     banks = [st.bank for st in states]
     rows = [bank.map_index for bank in banks]
@@ -244,7 +245,18 @@ def thompson_action(
     if m == 1:
         thetas = means + np.sqrt(np.maximum(covs[:, 0], 0.0)) * z
     else:
-        chol = np.linalg.cholesky(covs + 1e-12 * np.eye(m))
+        jittered = covs + 1e-12 * np.eye(m)
+        try:
+            chol = np.linalg.cholesky(jittered)
+        except np.linalg.LinAlgError:
+            for arm, cov in enumerate(jittered):
+                try:
+                    np.linalg.cholesky(cov)
+                except np.linalg.LinAlgError:
+                    raise NumericDomainError(
+                        f"the covariance of arm {arm} has no Cholesky factor for a Thompson draw"
+                    ) from None
+            raise
         thetas = means + np.stack([c @ v for c, v in zip(chol, z)])
     anchors = None
     if banks[0].anchors is not None:

@@ -356,9 +356,12 @@ def cpp_empirical_bayes(
     conditional prior at rate upsilon is the blend
     (u mu + (1-u) mu0, u^2 Sigma + (1-u^2) Sigma0), and its predictive
     density is the linearized N(y | h(mean), J Sigma J^T + R), under the
-    segment ``anchor`` for segment models.  Each (hi, lo) pair is scored by
-    ``blend_scorer``.  An iteration depends on u alone, so the search stops
-    at the first iteration that leaves u unchanged (the fixed point), which
+    segment ``anchor`` for segment models.  Each (hi, lo) pair, hi - lo
+    apart with hi = min(u + h, 1) and lo = max(u - h, 0) at h = 1e-4, is
+    scored by one ``blend_scorer``, built once per search: on floats for a
+    one-parameter bernoulli-logit model, as a 2-row stack at the anchor
+    otherwise.  An iteration depends on u alone, so the search stops at the
+    first iteration that leaves u unchanged (the fixed point), which
     returns what the remaining iterations would.
     """
     if steps < 1:
@@ -391,65 +394,47 @@ def blend_scorer(prev: GaussBelief, base: GaussBelief, spec: MeasurementSpec, x,
     CPP-OU's rate search scores its differences at one anchor twice;
     RL-OUPR's step scores its grow and reset candidates at rates 1 and 0,
     which blend to ``prev`` and ``base`` themselves, under the tracked and
-    the fresh anchor.  A pair is scored on Python floats where
-    ``float_blend_scorer`` serves; a model it does not serve, and any pair
-    whose floats hand back (a logit whose exp would overflow, a variance
-    outside [PSD_TOL, inf), a density that is not finite), is scored as one
-    2-row stack with ``gaussian_log_pdf_batch``, so the clamp, the errors
-    and the warnings stay the arrays'.  Both give the same densities bit
-    for bit.  (For m >= 2 a row's link theta . phi is a row of a
-    matrix-vector product, which may round differently from the dot product
-    of ``predictive_log_density`` on one belief.)
+    the fresh anchor.  The pair is scored as one 2-row stack, one anchor per
+    row, with ``gaussian_log_pdf_batch``.  An unanchored model with a
+    ``scalar_point`` is scored on Python floats by ``scalar_log_density``
+    instead, and a pair where either float hands back (a logit whose exp
+    would overflow, a variance outside [PSD_TOL, inf), a density that is
+    not finite) by the stack, so the clamp, the errors and the warnings stay
+    the arrays'.  Both give the same densities bit for bit: for finite
+    beliefs, rates 1 and 0 blend to ``prev`` and ``base`` on floats too, up
+    to the sign of a zero, which no density reads.  (For m >= 2 a row's link
+    theta . phi is a row of a matrix-vector product, which may round
+    differently from the dot product of ``predictive_log_density`` on one
+    belief.)
     """
-    def stacked():  # built only for a pair the floats do not score
-        return _stacked_scorer(prev, base, spec, x, _free_obs(spec, y), anchors)
+    rows = None if anchors == (None, None) else np.array(anchors, dtype=float)
 
-    floats = float_blend_scorer(prev, base, spec, x, y) if anchors == (None, None) else None
-    if floats is None:
-        return stacked()
-    return lambda hi, lo: floats(hi, lo) or stacked()(hi, lo)
-
-
-def _stacked_scorer(prev: GaussBelief, base: GaussBelief, spec: MeasurementSpec, x, yv, anchors):
-    """Log densities of the blends at (hi, lo), scored as one 2-row stack
-    with one anchor per row."""
-    anchors = None if anchors == (None, None) else np.array(anchors, dtype=float)
-    pm, pc, bm, bc = prev.mean, prev.cov, base.mean, base.cov
-
-    def score(hi, lo):
+    def stacked(hi, lo):
+        yv = _free_obs(spec, y)
         pts = np.array([[hi], [lo]])
         sq = (pts * pts)[:, :, None]
-        means = pts * pm + (1.0 - pts) * bm
-        covs = sq * pc + (1.0 - sq) * bc
-        yhats, jacs, Rs = linearize_bank(spec, means, x, anchors)
+        means = pts * prev.mean + (1.0 - pts) * base.mean
+        covs = sq * prev.cov + (1.0 - sq) * base.cov
+        yhats, jacs, Rs = linearize_bank(spec, means, x, rows)
         S = (jacs @ covs) @ jacs.transpose(0, 2, 1) + Rs
         return gaussian_log_pdf_batch(yv, yhats, S)
 
-    return score
-
-
-def float_blend_scorer(prev: GaussBelief, base: GaussBelief, spec: MeasurementSpec, x, y):
-    """The stacked scorer's blend on Python floats, scored by
-    ``scalar_log_density``, for a model with a ``scalar_point`` (None for any
-    other); a score is None where that density hands back.  For finite
-    beliefs, rates 1 and 0 blend to ``prev`` and ``base`` bit for bit, up to
-    the sign of a zero, which no density reads."""
-    point = scalar_point(spec, x, y, prev, base)
+    point = None if rows is not None else scalar_point(spec, x, y, prev, base)
     if point is None:
-        return None
-    f, yv = point
+        return stacked
+    f, yf = point
     pm, pc = float(prev.mean[0]), float(prev.cov[0, 0])
     bm, bc = float(base.mean[0]), float(base.cov[0, 0])
 
     def density(p):
         q = p * p
-        return scalar_log_density(p * pm + (1.0 - p) * bm, q * pc + (1.0 - q) * bc, f, yv)
+        return scalar_log_density(p * pm + (1.0 - p) * bm, q * pc + (1.0 - q) * bc, f, yf)
 
-    def score(hi, lo):
+    def floats(hi, lo):
         pair = density(hi), density(lo)
-        return None if None in pair else pair
+        return stacked(hi, lo) if None in pair else pair
 
-    return score
+    return floats
 
 
 def runlength_posterior_rows(posterior) -> Iterator[tuple[int, int, float]]:

@@ -137,6 +137,17 @@ def ou_drift(m, v, m0, v0, gamma):
     return gamma * m + (1.0 - gamma) * m0, gamma**2 * v + (1.0 - gamma**2) * v0
 
 
+def greedy_oupr_rate(grow, reset, pi, eps):
+    """RL-OUPR's greedy ratio and its hard reset, from the grow and reset
+    predictive log densities at hazard pi: nu = P(no changepoint | y), and
+    the blend rate, nu above eps and 0 (the reset) at or below it.  Returns
+    (nu, rate)."""
+    # log odds of growth against reset
+    d = (grow + math.log(1.0 - pi)) - (reset + math.log(pi))
+    nu = 1.0 / (1.0 + math.exp(-d)) if d >= 0 else math.exp(d) / (1.0 + math.exp(d))
+    return nu, (nu if nu > eps else 0.0)
+
+
 def greedy_oupr_step(family, m, v, runlength, f, y, R, m0, v0, pi, eps):
     """One RL-OUPR step from the belief (m, v) with base prior (m0, v0).
 
@@ -147,9 +158,7 @@ def greedy_oupr_step(family, m, v, runlength, f, y, R, m0, v0, pi, eps):
     """
     grow, _, _ = scalar_filter_step(family, m, v, f, y, R)
     reset, _, _ = scalar_filter_step(family, m0, v0, f, y, R)
-    # log odds of growth against reset
-    d = (grow + math.log(1.0 - pi)) - (reset + math.log(pi))
-    nu = 1.0 / (1.0 + math.exp(-d)) if d >= 0 else math.exp(d) / (1.0 + math.exp(d))
+    nu, _ = greedy_oupr_rate(grow, reset, pi, eps)
     if nu > eps:
         prior = nu * m + (1.0 - nu) * m0, nu**2 * v + (1.0 - nu**2) * v0
         runlength += 1
@@ -240,3 +249,60 @@ def linear_gaussian_update(mean, cov, h, y, r):
     prec = np.linalg.inv(cov)
     cov_post = np.linalg.inv(prec + np.outer(h, h) / r)
     return cov_post @ (prec @ mean + h * y / r), cov_post
+
+
+def blend_log_predictive(family, mean, cov, mean0, cov0, rate, h, y, R=None):
+    """log N(y | yhat, h^T Sigma_r h + r) of the OU blend (mu_r, Sigma_r) at
+    ``rate``, for the model eta = h . theta: linear-Gaussian observes eta
+    with noise variance R, bernoulli-logit is moment-matched at the blended
+    mean (``scalar_moment_match``)."""
+    h = np.asarray(h, dtype=float)
+    mean, cov = ou_blend(mean, cov, mean0, cov0, rate)
+    yhat, r = scalar_moment_match(family, float(h @ mean), 1.0, R)
+    s = float(h @ cov @ h) + r
+    return -0.5 * (math.log(2.0 * math.pi * s) + (y - yhat) ** 2 / s)
+
+
+def blend_update(family, mean, cov, mean0, cov0, rate, h, y, R=None):
+    """Posterior of one linearized update from the OU blend at ``rate``, in
+    information form: Sigma' = (Sigma_r^-1 + h h^T / r)^-1 and
+    mu' = mu_r + Sigma' h (y - yhat) / r, with yhat and r moment-matched at
+    the blended mean as in ``blend_log_predictive``."""
+    h = np.asarray(h, dtype=float)
+    mean, cov = ou_blend(mean, cov, mean0, cov0, rate)
+    yhat, r = scalar_moment_match(family, float(h @ mean), 1.0, R)
+    cov_post = np.linalg.inv(np.linalg.inv(cov) + np.outer(h, h) / r)
+    return mean + cov_post @ h * (y - yhat) / r, cov_post
+
+
+def cpp_rate_search(log_density, steps=10, lr=0.1, h=1e-4):
+    """CPP-OU's changepoint rate: gradient ascent of ``log_density(u)`` over
+    u in [0, 1] from u = 1, with the finite difference
+    (f(hi) - f(lo)) / (hi - lo) at hi = min(u + h, 1), lo = max(u - h, 0)
+    (central inside, one-sided at a bound), each iterate clipped to [0, 1],
+    for at most ``steps`` iterations, stopping at the first that leaves u
+    unchanged."""
+    u = 1.0
+    for _ in range(steps):
+        hi, lo = min(u + h, 1.0), max(u - h, 0.0)
+        g = (log_density(hi) - log_density(lo)) / (hi - lo)
+        u_next = min(1.0, max(0.0, u + lr * g))
+        if u_next == u:
+            break
+        u = u_next
+    return u
+
+
+def reset_filter_log_scores(xs, ys, resets, m0, v0, R):
+    """One-step log predictive scores of a scalar-parameter linear-Gaussian
+    Kalman filter that restarts at the prior (m0, v0) before each
+    observation whose index is in ``resets`` (index 0 starts at the prior
+    anyway); with no resets it is the static filter."""
+    resets = set(resets)
+    m, v, scores = m0, v0, []
+    for t, (x, y) in enumerate(zip(xs, ys)):
+        if t in resets:
+            m, v = m0, v0
+        scores.append(scalar_conjugate_predictive(m, v, x, y, R))
+        m, v = scalar_conjugate_update(m, v, x, y, R)
+    return np.array(scores)

@@ -18,11 +18,11 @@ from bone.agents import (
     predict_weighted,
     thompson_action,
 )
-from bone.core import ConfigError, GaussBelief, symmetrize_psd
+from bone.core import ConfigError, GaussBelief, NumericDomainError, symmetrize_psd
 from bone.measurement import MeasurementSpec, link_mean, predictive_log_density, scalar_point
 from bone.posterior import lg_update
 from bone.priors import PriorPolicy, scalar_data_free_prior
-from bone.weighting import HazardSpec, HypothesisBank, float_blend_scorer, greedy_ratio
+from bone.weighting import HazardSpec, HypothesisBank, greedy_ratio
 import oracles
 from oracles import batch_linreg_posterior
 
@@ -310,6 +310,17 @@ class TestThompson:
         )
         assert abs((picks == 0).mean() - 0.5) < 0.02
 
+    def test_an_arm_without_a_cholesky_factor_is_a_numeric_failure(self):
+        cfg = method("C-Static", spec=MeasurementSpec("bernoulli-logit", feature_map="bias"))
+        indefinite = np.array([[[1.0, 2.0], [2.0, 1.0]]])  # eigenvalues 3 and -1
+        states = [
+            init_agent(cfg),
+            AgentState(bank=HypothesisBank(np.array([0]), np.zeros(1), np.zeros((1, 2)), indefinite)),
+        ]
+        rng = np.random.default_rng(0)
+        with pytest.raises(NumericDomainError, match="arm 1 has no Cholesky factor"):
+            thompson_action(states, cfg, [1.0], rng)
+
 
 class TestDriftUnobserved:
     def test_data_free_kinds_diffuse(self):
@@ -565,7 +576,8 @@ def assert_belief(state, m, v, runlength, t):
 class TestOneParameterStepsAgainstReference:
     """Every step of a 50-step stream, against the plain-Python steps of
     ``oracles``: the pulled arm's update and the unpulled arm's drift of the
-    data-free kinds, and RL-OUPR's greedy step at both of its branches."""
+    data-free kinds, RL-OUPR's greedy step at both of its branches, and
+    CPP-OU's rate search."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("family", sorted(ONE_PARAMETER))
@@ -621,6 +633,30 @@ class TestOneParameterStepsAgainstReference:
         else:
             assert 0 < resets < len(stream)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cpp_ou_step(self, monkeypatch, seed):
+        """CPP-OU's rate search, then the update of the blend at its rate, on
+        a bernoulli-logit arm, whose pairs the scorer scores on floats."""
+        spec, R, _ = ONE_PARAMETER["bernoulli-logit"]
+        m0, v0 = float(BASE1.mean[0]), float(BASE1.cov[0, 0])
+        cfg = method("CPP-OU", spec=spec, base=BASE1)
+        stacks = count_calls(monkeypatch, bone.weighting, "linearize_bank")
+        state, m, v, rates = init_agent(cfg), m0, v0, []
+        for t, (x, y, _) in enumerate(one_parameter_stream("bernoulli-logit", seed), start=1):
+            state, _, _ = bone_step(state, cfg, [x], [y])
+
+            def log_density(u):
+                return oracles.blend_log_predictive(
+                    "bernoulli-logit", np.array([m]), np.array([[v]]),
+                    np.array([m0]), np.array([[v0]]), u, [x], y, R,
+                )
+
+            u = oracles.cpp_rate_search(log_density, cfg.cpp_steps, cfg.cpp_lr)
+            rates.append(u)
+            _, m, v = oracles.scalar_filter_step("bernoulli-logit", *oracles.ou_drift(m, v, m0, v0, u), x, y, R)
+            assert_bank_belief(state.bank, [m], [[v]], t, t)
+        assert stacks == [] and min(rates) < 1.0  # the float branch, and searches that move
+
 
 BIAS = MeasurementSpec("linear-gaussian", obs_noise=[[0.5]], feature_map="bias")
 # a base prior with correlated parameters, so the off-diagonal entries count
@@ -645,7 +681,7 @@ class TestTwoParameterStepsAgainstReference:
     """Every step of a 50-step bias-basis (m = 2) linear-Gaussian stream,
     against the plain-numpy steps of ``oracles``: C-ACI's and C-OU's update
     of a pulled arm (the drift, then the information-form update) and their
-    drift of an unpulled one."""
+    drift of an unpulled one, and CPP-OU's and RL-OUPR's steps."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", ["C-ACI", "C-OU"])
@@ -675,6 +711,73 @@ class TestTwoParameterStepsAgainstReference:
             np.testing.assert_allclose(bank.means[0], m, rtol=1e-10, atol=0.0)
             np.testing.assert_allclose(bank.covs[0], v, rtol=1e-10, atol=0.0)
         assert 0 < sum(pulls) < len(pulls)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cpp_ou_step(self, monkeypatch, seed):
+        """CPP-OU's rate search and the update of the blend at its rate; a
+        two-parameter pair is scored as one 2-row stack."""
+        m0, v0 = BASE_BIAS.mean, BASE_BIAS.cov
+        cfg = method("CPP-OU", spec=BIAS, base=BASE_BIAS)
+        stacks = count_calls(monkeypatch, bone.weighting, "linearize_bank")
+        state, m, v, rates = init_agent(cfg), m0, v0, []
+        for t, (x, y, _) in enumerate(bias_stream(seed), start=1):
+            state, _, _ = bone_step(state, cfg, [x], [y])
+
+            def log_density(u):
+                return oracles.blend_log_predictive("linear-gaussian", m, v, m0, v0, u, [1.0, x], y, 0.5)
+
+            u = oracles.cpp_rate_search(log_density, cfg.cpp_steps, cfg.cpp_lr)
+            rates.append(u)
+            m, v = oracles.blend_update("linear-gaussian", m, v, m0, v0, u, [1.0, x], y, 0.5)
+            assert_bank_belief(state.bank, m, v, t, t)
+        assert len(stacks) > 0 and min(rates) < 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rl_oupr_step(self, seed):
+        """RL-OUPR's greedy ratio from the grow and reset densities, its hard
+        reset at nu <= epsilon, and the update of the blend at nu."""
+        m0, v0 = BASE_BIAS.mean, BASE_BIAS.cov
+        pi, eps = 0.1, 0.5
+        cfg = method("RL-OUPR", spec=BIAS, base=BASE_BIAS, hazard=HazardSpec(pi), epsilon=eps)
+        state, m, v, runlength = init_agent(cfg), m0, v0, 0
+        resets = 0
+        for t, (x, y, _) in enumerate(bias_stream(seed), start=1):
+            state, _, _ = bone_step(state, cfg, [x], [y])
+            grow, reset = (
+                oracles.blend_log_predictive("linear-gaussian", m, v, m0, v0, r, [1.0, x], y, 0.5)
+                for r in (1.0, 0.0)
+            )
+            nu, rate = oracles.greedy_oupr_rate(grow, reset, pi, eps)
+            assert abs(nu - eps) > 1e-9  # the branch is not decided by rounding
+            runlength = runlength + 1 if rate > 0.0 else 0
+            resets += runlength == 0
+            m, v = oracles.blend_update("linear-gaussian", m, v, m0, v0, rate, [1.0, x], y, 0.5)
+            assert_bank_belief(state.bank, m, v, runlength, t)
+        assert resets > 0, "no hard reset ran"
+
+
+def count_calls(monkeypatch, module, name):
+    """Patch ``module.name`` to record each call's arguments in the returned list."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def assert_bank_belief(bank, mean, cov, runlength, t, rtol=1e-10):
+    """The one hypothesis of ``bank`` against (mean, cov), each within rtol
+    of its largest entry.  A rate search's finite difference divides a
+    density's rounding by hi - lo, so two searches may differ in u by about
+    1e-11, which moves every entry of the blend by about that much: an
+    off-diagonal entry 100 times smaller than the diagonal would fail an
+    entrywise rtol that the whole matrix meets."""
+    assert bank.timestep == t and bank.runlengths.tolist() == [runlength]
+    for got, want in ((bank.means[0], mean), (bank.covs[0], cov)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=rtol * np.abs(want).max())
 
 
 class TestOneParameterFloatPaths:
@@ -706,7 +809,7 @@ class TestOneParameterFloatPaths:
             return banks
 
         floats = run()
-        monkeypatch.setattr(bone.weighting, "float_blend_scorer", lambda *args: None)
+        monkeypatch.setattr(bone.weighting, "scalar_point", lambda *args: None)  # stacks only
         monkeypatch.setattr(bone.agents, "scalar_data_free_prior", lambda *args: None)
         for got, want in zip(floats, run(), strict=True):
             assert_same_bank(got, want)
@@ -790,9 +893,9 @@ class TestOneParameterFallbacks:
         alike (one 2-row stack warns once where two calls each warn)."""
         spec, base, belief, x, y = DENSITY_FALLBACKS[case]
         cfg = method("RL-OUPR", spec=spec, base=base, hazard=HazardSpec(0.3), epsilon=0.5)
-        floats = float_blend_scorer(belief, base, spec, [x], [y])
-        assert (floats is None) == (spec is not BERN)  # linear models score as a stack
-        assert floats is None or floats(1.0, 0.0) is None
+        # linear models score as a stack, and the bernoulli floats hand back
+        assert (scalar_point(spec, [x], [y], belief, base) is None) == (spec is not BERN)
+        stacks = count_calls(monkeypatch, bone.weighting, "linearize_bank")
         bank = HypothesisBank(np.array([0]), np.zeros(1), belief.mean[None], belief.cov[None])
 
         class Densities(Exception):
@@ -814,6 +917,7 @@ class TestOneParameterFallbacks:
         (got, got_warnings), (want, want_warnings) = outcome(step), outcome(alone)
         assert repr(got) == repr(want)  # NaN-safe, and a float's repr is its value
         assert set(got_warnings) == set(want_warnings)
+        assert len(stacks) == 1
 
 
 # family -> (spec, base prior, tracked mean, anchor) of the reset-boundary test

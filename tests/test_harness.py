@@ -866,6 +866,24 @@ class TestExportAndCli:
         assert "numeric failure: trial 0 failed at step 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cli_exits_3_when_a_thompson_draw_does_not_factor(self, tmp_path, capsys):
+        # a prior this wide loses positive definiteness in the first update
+        raw = bandit_config()
+        raw["generator"]["arms"] = 2
+        raw["method"] = {
+            "name": "C-Static",
+            "model": {"family": "bernoulli-logit", "feature_map": "bias"},
+            "prior": {"kind": "static", "base_mean": [0, 0], "base_cov_scale": 1e16},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "o.csv"
+        with np.errstate(over="ignore"):
+            assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert "arm 0 has no Cholesky factor for a Thompson draw" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".summary.json").exists()
+
     def test_cli_gen(self, tmp_path):
         out = tmp_path / "stream.csv"
         assert cli_main(["gen", "--experiment", "heavy-tail", "--out", str(out), "--horizon", "7"]) == 0

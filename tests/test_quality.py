@@ -1,13 +1,17 @@
 """Ground-truth quality oracles: each filter on a stream drawn from its own
 model, checked against what theory says its output must look like."""
 
+import math
+
 import numpy as np
 import pytest
 
+import oracles
 from bone.agents import MethodConfig, bone_step, init_agent
-from bone.core import GaussBelief
+from bone.core import GaussBelief, logsumexp
 from bone.measurement import MeasurementSpec
 from bone.priors import PriorPolicy, conditional_prior
+from bone.weighting import HazardSpec
 
 R = 0.25
 SPEC = MeasurementSpec("linear-gaussian", obs_noise=[[R]], feature_map="bias")
@@ -72,3 +76,114 @@ class TestOneStepNis:
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_mean_nis_is_one(self, name, seed):
         assert abs(mean_nis(name, seed) - 1.0) <= 3.0 * np.sqrt(2.0 / T)
+
+
+# the runlength-bank oracle: y_t = theta_t + N(0, NOISE), theta piecewise
+# constant, redrawn from N(0, PRIOR_VAR) at hazard PI with a jump of at
+# least JUMP noise standard deviations
+NOISE, PRIOR_VAR, PI, JUMP = 1.0, 100.0, 0.02, 5.0
+T_BOCD, W = 400, 5
+
+
+def jump_stream(seed):
+    """T_BOCD targets of the piecewise-constant model, and the indices of
+    its changepoints (the first observation of each new segment)."""
+    rng = np.random.default_rng(seed)
+    theta = rng.normal(0.0, math.sqrt(PRIOR_VAR))
+    ys, changepoints = [], []
+    for t in range(T_BOCD):
+        if t > 0 and rng.random() < PI:
+            new = theta
+            while abs(new - theta) < JUMP * math.sqrt(NOISE):
+                new = rng.normal(0.0, math.sqrt(PRIOR_VAR))
+            theta = new
+            changepoints.append(t)
+        ys.append(theta + rng.normal(0.0, math.sqrt(NOISE)))
+    return np.array(ys), changepoints
+
+
+class TestRunlengthBankAgainstTruth:
+    """RL-PR[inf] at the true hazard on a stream drawn from its own model,
+    against the stream's truth (Adams & MacKay 2007, arXiv:0710.3742).
+
+    The model is y_t = theta_t + N(0, 1) with x_t = 1; theta_0 ~ N(0, 100),
+    and at each later step with probability pi = 0.02 theta is redrawn
+    from N(0, 100), conditioned on a jump of at least 5 noise standard
+    deviations.  T = 400 gives 8 changepoints per seed on average and a
+    first changepoint before step 360 but for 0.98^360 = 7e-4 of seeds;
+    five seeds (0-4) and w = 5.
+
+    Log score.  The bank keeps unnormalized joints and RL-PR[inf] prunes
+    none, so the increase of their log-sum-exp at step t is the method's
+    one-step predictive log density log p(y_t | y_1..y_{t-1}) =
+    log sum_r w_r ((1 - pi) p_r(y_t) + pi p_0(y_t)), with p_0 the base
+    prior's predictive N(0, 101).
+    - Upper bound: a Kalman filter told the changepoints (reset to the base
+      prior at each one; ``oracles.reset_filter_log_scores``).  On a step
+      inside a segment the bank's predictive is at best
+      (1 - pi) p_r + pi p_0, below p_r by -log(1 - pi) = 0.020 nats less
+      log(1 + pi p_0 / p_r) <= 0.002 (p_0 / p_r <= 0.1 at one standard
+      deviation); on a changepoint the growth densities are below e^-8
+      (a jump of 5, less a 1-sigma noise) and the bank scores about
+      pi p_0, -log pi = 3.9 nats below the oracle's p_0.  So the bank's
+      mean lies below the oracle's by about 0.018 + 3.9 * 8 / 400 = 0.1
+      nats per step; the gate asks for half the in-segment loss alone,
+      -log(1 - pi) / 2 = 0.010.
+    - Lower bound: the same filter never reset (C-Static).  After the
+      first changepoint its mean sits at least 5 from the new level, with
+      a predictive variance near 1, so it loses 12.5 nats or more per step
+      for the rest of the stream; with the first changepoint before step
+      360 that is at least 12.5 * 40 / 400 > 1.2 nats per step on average
+      against the bank's in-segment loss of under 0.1.  The gate asks for
+      1 nat per step.
+
+    Detection, with MAP_t the bank's MAP runlength after step t (0 on a
+    changepoint it has detected at once).
+    - A changepoint tau is detected when MAP_t <= w for some t in
+      [tau, tau + w].  At tau the reset's posterior odds against the old
+      segment are pi p_0(y) / ((1 - pi) p_old(y)) >= 0.0204 * 0.03 /
+      (0.4 e^-8) = 4.5 for a jump of 4 standard deviations after noise,
+      and each further observation multiplies them by about e^(jump^2/2).
+      So nearly every changepoint is detected at tau itself; the gate asks
+      for 80% over all seeds.
+    - A false alarm is MAP_t <= w at a step more than w from any
+      changepoint and from the start.  It needs an in-segment outlier
+      whose reset odds exceed 1: pi p_0 > (1 - pi) p_r needs |e| > 3.6
+      standard deviations, probability 3e-4 a step, and the old
+      hypothesis takes the MAP back within a step or two.  The gate asks
+      MAP_t > w on 90% of those steps over all seeds.
+    """
+
+    def run(self, seed):
+        ys, changepoints = jump_stream(seed)
+        spec = MeasurementSpec("linear-gaussian", obs_noise=[[NOISE]])
+        base = GaussBelief([0.0], [[PRIOR_VAR]])
+        cfg = MethodConfig("RL-PR[inf]", spec, PriorPolicy("rl-prior-reset", base), hazard=HazardSpec(PI))
+        state = init_agent(cfg)
+        scores, maps = [], []
+        for y in ys:
+            before = logsumexp(state.bank.log_joints)
+            state, _, _ = bone_step(state, cfg, [1.0], [float(y)])
+            scores.append(logsumexp(state.bank.log_joints) - before)
+            maps.append(state.bank.map_runlength)
+        ones = np.ones(T_BOCD)
+        oracle = oracles.reset_filter_log_scores(ones, ys, changepoints, 0.0, PRIOR_VAR, NOISE)
+        static = oracles.reset_filter_log_scores(ones, ys, (), 0.0, PRIOR_VAR, NOISE)
+        return np.array(scores), oracle, static, np.array(maps), changepoints
+
+    def test_log_score_and_detection(self):
+        detected, changes, quiet, far = 0, 0, 0, 0
+        for seed in range(5):
+            scores, oracle, static, maps, changepoints = self.run(seed)
+            assert scores.mean() > static.mean() + 1.0, seed
+            assert scores.mean() < oracle.mean() + 0.5 * math.log1p(-PI), seed
+            for tau in changepoints:
+                changes += 1
+                detected += bool((maps[tau : tau + W + 1] <= W).any())
+            starts = np.array([0, *changepoints])
+            for t in range(T_BOCD):
+                if np.abs(t - starts).min() > W:
+                    far += 1
+                    quiet += bool(maps[t] > W)
+        assert changes > 0 and detected >= 0.8 * changes
+        assert quiet >= 0.9 * far

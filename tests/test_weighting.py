@@ -1,3 +1,4 @@
+import contextlib
 import sys
 import tracemalloc
 import warnings
@@ -30,7 +31,6 @@ from bone.weighting import (
     HazardSpec,
     HypothesisBank,
     cpp_empirical_bayes,
-    float_blend_scorer,
     greedy_ratio,
     prune_topk,
     rl_step,
@@ -54,6 +54,24 @@ STACKED_SPECS = {
     "mlp": (MeasurementSpec("mlp-gaussian", obs_noise=[[0.5]], in_dim=2, hidden=(3,)), 2),
     "segment": (SEGMENT, 1),
 }
+
+
+@contextlib.contextmanager
+def counting(*names):
+    """Count the calls of the named ``bone.weighting`` globals while open."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            fn = getattr(bone.weighting, name)
+            stack.enter_context(mock.patch.object(bone.weighting, name, counted(name, fn)))
+        yield calls
 
 
 def _reference_cpp(prev, base, spec, x, y, steps, lr, anchor=None, u=1.0):
@@ -576,39 +594,19 @@ class TestCppEmpiricalBayes:
         assert out == 1.0
 
     @pytest.mark.parametrize(
-        "scorer,spec,belief",
+        "spec,belief,floats,stacks",
         [
-            ("float_blend_scorer", ONE_PARAMETER_SPECS["bernoulli"][0], BASE),
-            ("_stacked_scorer", STACKED_SPECS["poly2"][0], GaussBelief(np.zeros(3), np.eye(3))),
+            (ONE_PARAMETER_SPECS["bernoulli"][0], BASE, 2, 0),
+            (STACKED_SPECS["poly2"][0], GaussBelief(np.zeros(3), np.eye(3)), 0, 1),
         ],
         ids=["float", "stacked"],
     )
-    def test_fixed_point_scores_one_pair(self, monkeypatch, scorer, spec, belief):
-        # prev == base makes the density flat in u, so the first pair is the fixed point
-        calls = {"float_blend_scorer": 0, "_stacked_scorer": 0, "linearize_bank": 0}
-
-        def counting_scorer(name, make):
-            def made(*args):
-                score = make(*args)
-                if score is None:  # a model without a float scorer
-                    return None
-
-                def counted(hi, lo):
-                    calls[name] += 1
-                    return score(hi, lo)
-                return counted
-            return made
-
-        def counting_linearize(*args):
-            calls["linearize_bank"] += 1
-            return linearize_bank(*args)
-
-        for name in ("float_blend_scorer", "_stacked_scorer"):
-            monkeypatch.setattr(bone.weighting, name, counting_scorer(name, getattr(bone.weighting, name)))
-        monkeypatch.setattr(bone.weighting, "linearize_bank", counting_linearize)
-        assert cpp_empirical_bayes(belief, belief, spec, [1.0], [0.3]) == 1.0
-        linearized = 1 if scorer == "_stacked_scorer" else 0
-        assert calls == {"float_blend_scorer": 0, "_stacked_scorer": 0, scorer: 1, "linearize_bank": linearized}
+    def test_fixed_point_scores_one_pair(self, spec, belief, floats, stacks):
+        # prev == base makes the density flat in u, so the first pair is the
+        # fixed point: two float densities, or one 2-row stack
+        with counting("scalar_log_density", "linearize_bank") as calls:
+            assert cpp_empirical_bayes(belief, belief, spec, [1.0], [0.3]) == 1.0
+        assert calls == {"scalar_log_density": floats, "linearize_bank": stacks}
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -620,16 +618,17 @@ class TestCppEmpiricalBayes:
     def test_float_scorer_gives_the_stacked_scorers_u(self, seed, steps, lr, tiny):
         spec = ONE_PARAMETER_SPECS["bernoulli"][0]
         prev, base, x, y, _ = _search_case(seed, spec, 1)
-        if tiny:  # p (1 - p) < 1e-13 on every blend, which the stacked scorer clamps
+        if tiny:  # p (1 - p) < 1e-13 on every blend, which the stack clamps
             f = float(spec.phi(x)[0])
             prev = GaussBelief([30.0 / f], 1e-14 * prev.cov)
             base = GaussBelief([40.0 / f], 1e-14 * base.cov)
-        with mock.patch.object(bone.weighting, "float_blend_scorer", lambda *args: None):
+        with mock.patch.object(bone.weighting, "scalar_point", lambda *args: None):
             stacked = cpp_empirical_bayes(prev, base, spec, x, y, steps=steps, lr=lr)
-        got = cpp_empirical_bayes(prev, base, spec, x, y, steps=steps, lr=lr)
+        with counting("scalar_log_density", "linearize_bank") as calls:
+            got = cpp_empirical_bayes(prev, base, spec, x, y, steps=steps, lr=lr)
         assert float(got).hex() == float(stacked).hex()
-        if tiny:  # every pair is handed back to the stacked scorer
-            assert float_blend_scorer(prev, base, spec, x, y)(1.0, 0.0) is None
+        if tiny:  # every pair is handed back to the stack
+            assert calls["scalar_log_density"] == 2 * calls["linearize_bank"] > 0
 
     @given(
         st.sampled_from(sorted(ONE_PARAMETER_SPECS)),
