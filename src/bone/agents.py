@@ -8,8 +8,10 @@ prior per hypothesis, update it against (x, y), refresh the weights, and
 optionally emit the weighted one-step-ahead prediction.  The bank holds
 hypotheses only; ``bone_step`` passes the method's capacity K to
 ``rl_step``, and a single-hypothesis step replaces the bank's columns.
-Both, and ``drift_unobserved``, build the new bank with the trusted
-``HypothesisBank._trusted``: their columns hold its invariants by
+That step and ``drift_unobserved`` take the prior's columns from
+``conditional_prior`` over the bank's; the step wraps them in the one
+``GaussBelief`` its update takes.  All three build the new bank with the
+trusted ``HypothesisBank._trusted``: their columns hold its invariants by
 construction.
 
 Per-hypothesis results are arrays over the bank: a prediction is the
@@ -24,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, NumericDomainError, is_finite_number, is_integer
+from .core import ConfigError, GaussBelief, NumericDomainError, is_finite_number, is_integer
 # predictive_log_density is not called here: the benchmark's tracer
 # (perfbench/spans.py) binds it at this module
 from .measurement import MeasurementSpec, link_mean, predictive_log_density  # noqa: F401
 from .posterior import lg_update, wolf_update
-from .priors import PriorPolicy, conditional_prior, scalar_data_free_prior
+from .priors import PriorPolicy, conditional_prior
 from .weighting import (
     RL_KINDS,
     HazardSpec,
@@ -135,14 +137,15 @@ def predict_weighted(state: AgentState, cfg: MethodConfig, x):
 
 def _step_single(state: AgentState, cfg: MethodConfig, x, y) -> AgentState:
     bank = state.bank
-    belief = bank.belief(0)
+    kind = cfg.policy.kind
+    # the blend scorers read the bank's belief; other kinds build it only as a prior
+    belief = bank.belief(0) if kind in ("cpp-ou", "rl-oupr") else None
     anchor = bank.anchor(0)
     t = bank.timestep + 1
-    kind = cfg.policy.kind
     spec, base = cfg.spec, cfg.policy.base_prior
     runlength = int(bank.runlengths[0]) + 1
 
-    rate = None  # static / ou / aci
+    rate = cfg.policy.gamma  # ou's rate; None for static and aci
     if kind == "cpp-ou":
         rate = cpp_empirical_bayes(
             belief, base, spec, x, y, steps=cfg.cpp_steps, lr=cfg.cpp_lr, anchor=anchor,
@@ -155,7 +158,13 @@ def _step_single(state: AgentState, cfg: MethodConfig, x, y) -> AgentState:
         if rate == 0.0:  # the hard reset: nu > epsilon >= 0 otherwise
             runlength = 0
             anchor = reset_anchor
-    prior = conditional_prior(cfg.policy, belief, rate)
+    means, covs = conditional_prior(cfg.policy, bank.means, bank.covs, rate)
+    if rate == 0.0:
+        prior = base
+    elif covs is not bank.covs:
+        prior = GaussBelief(means[0], covs[0])
+    else:  # static, or a blend at rate 1
+        prior = bank.belief(0) if belief is None else belief
 
     if cfg.wolf_c is not None:
         post = wolf_update(prior, spec, x, y, cfg.wolf_c, anchor)
@@ -195,27 +204,16 @@ def bone_step(state: AgentState, cfg: MethodConfig, x, y, x_next=None):
 def drift_unobserved(state: AgentState, cfg: MethodConfig) -> AgentState:
     """Apply the conditional prior with no observation (for unpulled arms).
 
-    OU and ACI beliefs diffuse without an observation; data-dependent kinds
+    OU and ACI beliefs diffuse without an observation through
+    ``conditional_prior`` over the bank's columns; data-dependent kinds
     (cpp-ou, rl-*) are left unchanged because their auxiliary value needs
-    the current observation.  A one-parameter ACI belief drifts on Python
-    floats (``priors.scalar_data_free_prior``), bit for bit as the arrays
-    drift it; an OU belief, a wider one, or one whose mean is not finite or
-    whose inflated variance lies outside [PSD_TOL, inf), drifts through
-    ``conditional_prior``, where a belief holding NaN is a ValueError.
+    the current observation.
     """
     kind = cfg.policy.kind
     if kind not in DRIFT_KINDS or not cfg.drift_unpulled:
         return state
     bank = state.bank
-    drifted = None
-    if bank.means.shape == (1, 1):
-        mean, var = float(bank.means[0, 0]), float(bank.covs[0, 0, 0])
-        drifted = scalar_data_free_prior(cfg.policy, mean, var)
-    if drifted is not None:
-        means, covs = np.array([[drifted[0]]]), np.array([[[drifted[1]]]])
-    else:
-        prior = conditional_prior(cfg.policy, bank.belief(0))
-        means, covs = prior.mean[None], prior.cov[None]
+    means, covs = conditional_prior(cfg.policy, bank.means, bank.covs)
     return AgentState(bank=HypothesisBank._trusted(
         bank.runlengths, bank.log_joints, means, covs, bank.anchors, bank.timestep
     ))

@@ -260,7 +260,8 @@ def expfam_moments(spec: MeasurementSpec, eta):
     if spec.family == "bernoulli-logit":
         if eta.shape[-1] != 1:
             raise ValueError("bernoulli-logit has a single natural parameter")
-        p = 1.0 / (1.0 + np.exp(-eta))
+        with np.errstate(over="ignore"):  # exp(-eta) = inf for eta < -709: p = 0 exactly
+            p = 1.0 / (1.0 + np.exp(-eta))
         return p, (p * (1.0 - p))[..., None]
     free = spec.out_dim - 1
     if eta.shape[-1] != free:

@@ -1,7 +1,9 @@
 """Conditional prior constructors over model parameters.
 
-Each policy maps last step's belief (plus, for some kinds, an auxiliary
-value) to the prior used by the next update:
+Each single-hypothesis policy maps last step's belief, the means (1, m)
+and covs (1, m, m) columns of its bank, plus, for some kinds, an auxiliary
+value, to the same columns of the prior used by the next update
+(``conditional_prior``):
 
 static        keep the belief
 ou            blend toward the base prior at fixed rate gamma
@@ -18,7 +20,6 @@ rl-mmpr       moment-matched mixture over the hypothesis bank (mmpr_prior)
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -26,12 +27,12 @@ import numpy as np
 
 from .core import (
     FLOOR_DIM,
-    PSD_TOL,
     ConfigError,
     GaussBelief,
     eigen_floor,
     is_finite_number,
     symmetrize_psd,
+    symmetrize_psd_batch,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,6 +60,9 @@ class PriorPolicy:
     which the bank carries from its root and reset rows; None otherwise.
     (An rl-mmpr reset is a moment match with no known floor, and the rows
     grown from it would carry floor 0, so its bank keeps LAPACK.)
+
+    ``inflation`` is computed too: for aci, the (m, m) matrix alpha I that
+    ``conditional_prior`` adds to each covariance; None otherwise.
     """
 
     kind: str
@@ -67,6 +71,7 @@ class PriorPolicy:
     alpha: float | None = None
     epsilon: float | None = None
     base_floor: float | None = field(default=None, init=False, repr=False, compare=False)
+    inflation: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in PRIOR_KINDS:
@@ -83,43 +88,29 @@ class PriorPolicy:
                 raise ConfigError(f"prior kind {self.kind!r} does not take {name}")
         if self.kind == "rl-prior-reset" and self.base_prior.dim >= FLOOR_DIM:
             object.__setattr__(self, "base_floor", eigen_floor(self.base_prior.cov))
+        if self.kind == "aci":
+            object.__setattr__(self, "inflation", self.alpha * np.eye(self.base_prior.dim))
 
 
-def scalar_data_free_prior(policy: PriorPolicy, mean: float, var: float):
-    """The aci conditional prior on Python floats, for a one-parameter
-    belief (mean, var): the same inflation var + alpha, so both values equal
-    ``conditional_prior``'s bit for bit.
+def conditional_prior(policy: PriorPolicy, means, covs, rate=None) -> tuple[np.ndarray, np.ndarray]:
+    """The prior for the next update of a single-hypothesis bank, from its
+    columns ``means`` (1, m) and ``covs`` (1, m, m); returns the prior's
+    (means, covs) of the same shapes.
 
-    None for any other kind, and unless the mean is finite and the inflated
-    variance lies in [PSD_TOL, inf), where the array path's checks pass
-    trivially; the caller then hands the work back to conditional_prior, so
-    every error and RuntimeWarning stays the array path's.
-    """
-    if policy.kind != "aci":
-        return None
-    var = var + policy.alpha
-    if math.isfinite(mean) and PSD_TOL <= var < math.inf:
-        return mean, var
-    return None
-
-
-def conditional_prior(policy: PriorPolicy, prev: GaussBelief, rate=None) -> GaussBelief:
-    """Build the prior for the next update from last step's belief.
-
-    static keeps ``prev`` and aci adds alpha I to its covariance.  The other
-    kinds blend toward the base prior: (r mu + (1-r) mu0,
+    static keeps the columns and aci adds alpha I to the covariance.  The
+    other kinds blend toward the base prior: (r mu + (1-r) mu0,
     r^2 Sigma + (1-r^2) Sigma0), ou at gamma, cpp-ou and rl-oupr at
     ``rate``, which their step computes (the other kinds ignore it).  Rate 1
-    returns ``prev`` itself and rate 0 the base prior itself, neither
-    blended nor copied.  With no observation (``agents.drift_unobserved``)
-    this is the drift of an unpulled arm.  The rl-prior-reset and rl-mmpr
-    priors are built by ``weighting.rl_step``.
+    returns ``means`` and ``covs`` themselves and rate 0 the base prior's
+    arrays, neither blended nor copied.  With no observation
+    (``agents.drift_unobserved``) this is the drift of an unpulled arm.  The
+    rl-prior-reset and rl-mmpr priors are built by ``weighting.rl_step``.
     """
     kind = policy.kind
     if kind == "static":
-        return prev
+        return means, covs
     if kind == "aci":
-        return GaussBelief(prev.mean, prev.cov + policy.alpha * np.eye(prev.dim))
+        return means, covs + policy.inflation
     if kind == "ou":
         rate = policy.gamma
     elif kind in ("cpp-ou", "rl-oupr"):
@@ -129,12 +120,12 @@ def conditional_prior(policy: PriorPolicy, prev: GaussBelief, rate=None) -> Gaus
     else:
         raise ConfigError(f"prior kind {kind!r} is built by rl_step, not conditional_prior")
     if rate == 1.0:
-        return prev
+        return means, covs
     base = policy.base_prior
     if rate == 0.0:
-        return base
-    blend = rate * rate * prev.cov + (1.0 - rate * rate) * base.cov
-    return GaussBelief(rate * prev.mean + (1.0 - rate) * base.mean, symmetrize_psd(blend))
+        return base.mean[None], base.cov[None]
+    blend = rate * rate * covs + (1.0 - rate * rate) * base.cov
+    return rate * means + (1.0 - rate) * base.mean, symmetrize_psd_batch(blend)
 
 
 def mmpr_prior(bank: "HypothesisBank") -> GaussBelief:

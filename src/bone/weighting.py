@@ -60,8 +60,9 @@ class HypothesisBank:
     Stored columnar: runlengths (k,), log_joints (k,), means (k, m),
     covs (k, m, m), and per-hypothesis segment anchors (k,) when the
     measurement family needs them.  The public constructor validates the
-    columns (their lengths and shapes, distinct runlengths, no NaN mass) and
-    stores (C + C^T)/2 for each covariance C (C bit for bit when symmetric).
+    columns (their lengths and shapes, distinct runlengths, no NaN in the
+    masses, means or covariances) and stores (C + C^T)/2 for each
+    covariance C (C bit for bit when symmetric).
     The engine's steps (``rl_step``, and the single-hypothesis step and drift
     in ``agents``), whose columns hold by construction, build their banks
     with the trusted ``_trusted``, which does neither.
@@ -105,8 +106,9 @@ class HypothesisBank:
                 raise ValueError(f"runlengths must be distinct, got {r}")
         if (r > self.timestep).any():
             raise ValueError("runlength exceeds the current timestep")
-        if np.isnan(lj).any():
-            raise ValueError("log_joints contain NaN")
+        for name, column in (("log_joints", lj), ("means", means), ("covs", covs)):
+            if np.isnan(column).any():
+                raise ValueError(f"{name} contain NaN")
         anchors = self.anchors
         if anchors is not None:
             anchors = np.asarray(anchors, dtype=float)

@@ -21,7 +21,7 @@ from bone.agents import (
 from bone.core import ConfigError, GaussBelief, NumericDomainError, symmetrize_psd
 from bone.measurement import MeasurementSpec, link_mean, predictive_log_density, scalar_point
 from bone.posterior import lg_update
-from bone.priors import PriorPolicy, scalar_data_free_prior
+from bone.priors import PriorPolicy
 from bone.weighting import HazardSpec, HypothesisBank, greedy_ratio
 import oracles
 from oracles import batch_linreg_posterior
@@ -342,12 +342,29 @@ class TestDriftUnobserved:
         st = init_agent(cfg)
         assert drift_unobserved(st, cfg) is st
 
+    @pytest.mark.parametrize("column", ["means", "covs"])
     @pytest.mark.parametrize("name,kw", [("C-ACI", {"alpha": 0.2}), ("C-OU", {"gamma": 0.5})])
-    def test_nan_belief_raises(self, name, kw):
+    def test_nan_belief_raises(self, name, kw, column):
+        """A drift reads a bank that the engine built free of NaN or that the
+        public constructor built, which rejects a NaN belief."""
         cfg = method(name, base=GaussBelief(np.zeros(1), np.eye(1)), **kw)
-        bank = HypothesisBank(np.array([0]), np.zeros(1), np.array([[np.nan]]), np.ones((1, 1, 1)))
-        with pytest.raises(ValueError, match="belief contains NaN"):
-            drift_unobserved(AgentState(bank=bank), cfg)
+        bank = init_agent(cfg).bank
+        with pytest.raises(ValueError, match=f"{column} contain NaN"):
+            replace(bank, **{column: np.full_like(getattr(bank, column), np.nan)})
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize(
+        "name,kw",
+        [("C-ACI", {"alpha": 0.2})] + [("C-OU", {"gamma": g}) for g in (0.0, 0.5, 1.0)],
+    )
+    def test_drift_equals_the_reference(self, name, kw, m):
+        rng = np.random.default_rng(m)
+        a = rng.normal(size=(m, m))
+        cfg = method(name, base=GaussBelief(rng.normal(size=m), np.eye(m)), **kw)
+        cov = a @ a.T + 0.1 * np.eye(m)
+        bank = HypothesisBank(np.array([3]), np.zeros(1), rng.normal(size=(1, m)), cov[None], timestep=5)
+        state = AgentState(bank=bank)
+        assert_same_bank(drift_unobserved(state, cfg).bank, reference_drift_unobserved(state, cfg).bank)
 
 
 # family -> (spec, base prior, feature dimension) of the single-hypothesis bank test
@@ -781,17 +798,16 @@ def assert_bank_belief(bank, mean, cov, runlength, t, rtol=1e-10):
 
 
 class TestOneParameterFloatPaths:
-    """The float drift of C-ACI and RL-OUPR's float densities build the
-    banks that the array paths build, bit for bit."""
+    """The scorer's float densities, in CPP-OU's rate search and RL-OUPR's
+    greedy ratio, build the banks that the array paths build, bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize(
         "name,kw,family",
         [
-            ("C-ACI", {"alpha": 0.05}, "bernoulli-logit"),
-            ("C-ACI", {"alpha": 0.05}, "linear-gaussian"),  # the drift serves every family
             # bernoulli-logit is the one family with float densities
             ("RL-OUPR", {"hazard": HazardSpec(0.3), "epsilon": 0.5}, "bernoulli-logit"),
+            ("CPP-OU", {}, "bernoulli-logit"),
         ],
     )
     def test_banks_equal_the_array_paths(self, monkeypatch, name, kw, family, seed):
@@ -800,17 +816,13 @@ class TestOneParameterFloatPaths:
 
         def run():
             state, banks = init_agent(cfg), []
-            for x, y, pulled in stream:
-                if pulled or name == "RL-OUPR":
-                    state, _, _ = bone_step(state, cfg, [x], [y])
-                else:
-                    state = drift_unobserved(state, cfg)
+            for x, y, _ in stream:
+                state, _, _ = bone_step(state, cfg, [x], [y])
                 banks.append(state.bank)
             return banks
 
         floats = run()
         monkeypatch.setattr(bone.weighting, "scalar_point", lambda *args: None)  # stacks only
-        monkeypatch.setattr(bone.agents, "scalar_data_free_prior", lambda *args: None)
         for got, want in zip(floats, run(), strict=True):
             assert_same_bank(got, want)
 
@@ -836,10 +848,11 @@ def drifted_bytes(mean, var):
 
 
 # id -> (method, method and prior keywords, base prior, mean, variance, and
-# the drift's outcome: its bytes or what it raised, and its RuntimeWarnings)
+# the outcome of building the bank and drifting it: the drifted bytes or what
+# was raised, and the RuntimeWarnings)
 DRIFT_FALLBACKS = {
     "aci-nan-mean": (
-        "C-ACI", {"alpha": 0.2}, BASE1, NAN, 1.0, ((ValueError, "belief contains NaN"), []),
+        "C-ACI", {"alpha": 0.2}, BASE1, NAN, 1.0, ((ValueError, "means contain NaN"), []),
     ),
     "aci-tiny-variance": (
         "C-ACI", {"alpha": 0.0}, BASE1, 0.1, 1e-12, (drifted_bytes(0.1, 1e-12), []),
@@ -870,17 +883,18 @@ DENSITY_FALLBACKS = {
 
 class TestOneParameterFallbacks:
     """Inputs outside the range where the array checks pass trivially hand
-    the float paths back to the arrays: the same exception and message, the
-    same RuntimeWarnings, the same values."""
+    the float densities back to the arrays: the same exception and message,
+    the same RuntimeWarnings, the same values.  The drift has no float path;
+    its cases pin the array drift's outcome at those inputs, where a NaN
+    belief is rejected by the public bank constructor."""
 
     @pytest.mark.parametrize("case", sorted(DRIFT_FALLBACKS))
     def test_drift(self, case):
         name, kw, base, m, v, want = DRIFT_FALLBACKS[case]
         cfg = method(name, base=base, **kw)
-        assert scalar_data_free_prior(cfg.policy, m, v) is None
-        bank = HypothesisBank(np.array([0]), np.zeros(1), np.array([[m]]), np.array([[[v]]]))
 
         def drift():
+            bank = HypothesisBank(np.array([0]), np.zeros(1), np.array([[m]]), np.array([[[v]]]))
             got = drift_unobserved(AgentState(bank=bank), cfg).bank
             return got.means.tobytes(), got.covs.tobytes()
 

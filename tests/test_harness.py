@@ -866,21 +866,41 @@ class TestExportAndCli:
         assert "numeric failure: trial 0 failed at step 1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_cli_exits_3_when_a_thompson_draw_does_not_factor(self, tmp_path, capsys):
-        # a prior this wide loses positive definiteness in the first update
+    @staticmethod
+    def wide_logistic_config(tmp_path, scale, horizon):
+        """A C-Static bandit on a two-parameter logistic model whose base
+        prior has covariance ``scale`` I, written to a file."""
         raw = bandit_config()
+        raw["horizon"] = horizon
         raw["generator"]["arms"] = 2
         raw["method"] = {
             "name": "C-Static",
             "model": {"family": "bernoulli-logit", "feature_map": "bias"},
-            "prior": {"kind": "static", "base_mean": [0, 0], "base_cov_scale": 1e16},
+            "prior": {"kind": "static", "base_mean": [0, 0], "base_cov_scale": scale},
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
+        return cfg_path
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cli_runs_a_logistic_link_that_overflows(self, tmp_path, capsys):
+        # draws from this prior reach logits far below -709, where the link
+        # is 0 although exp(-eta) overflows
+        cfg_path = self.wide_logistic_config(tmp_path, 1e6, 20)
         out = tmp_path / "o.csv"
-        with np.errstate(over="ignore"):
-            assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
-        assert "arm 0 has no Cholesky factor for a Thompson draw" in capsys.readouterr().err
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        assert out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cli_exits_3_when_a_thompson_draw_does_not_factor(self, tmp_path, capsys):
+        # a prior this wide loses positive definiteness in the first update
+        cfg_path = self.wide_logistic_config(tmp_path, 1e16, 5)
+        out = tmp_path / "o.csv"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "arm 0 has no Cholesky factor for a Thompson draw" in err
+        assert "Traceback" not in err
         assert not out.exists()
         assert not out.with_suffix(".summary.json").exists()
 

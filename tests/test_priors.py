@@ -21,45 +21,58 @@ def make_bank(means, covs, log_joints):
     )
 
 
+def prior_of(policy, prev=PREV, rate=None):
+    """conditional_prior over the columns of a one-hypothesis bank holding
+    ``prev``, as a belief, after checking the columns' shapes."""
+    means, covs = conditional_prior(policy, prev.mean[None], prev.cov[None], rate)
+    assert means.shape == (1, prev.dim) and covs.shape == (1, prev.dim, prev.dim)
+    return GaussBelief(means[0], covs[0])
+
+
 class TestConditionalPrior:
     def test_static_keeps_belief(self):
-        out = conditional_prior(PriorPolicy("static", BASE), PREV)
-        np.testing.assert_array_equal(out.mean, PREV.mean)
+        means, covs = PREV.mean[None], PREV.cov[None]
+        out = conditional_prior(PriorPolicy("static", BASE), means, covs)
+        assert out[0] is means and out[1] is covs
 
     def test_ou_gamma_one_is_previous(self):
-        out = conditional_prior(PriorPolicy("ou", BASE, gamma=1.0), PREV)
+        out = prior_of(PriorPolicy("ou", BASE, gamma=1.0))
         np.testing.assert_allclose(out.mean, PREV.mean)
         np.testing.assert_allclose(out.cov, PREV.cov)
 
     def test_ou_gamma_zero_reverts(self):
-        out = conditional_prior(PriorPolicy("ou", BASE, gamma=0.0), PREV)
+        out = prior_of(PriorPolicy("ou", BASE, gamma=0.0))
         np.testing.assert_allclose(out.mean, BASE.mean)
         np.testing.assert_allclose(out.cov, BASE.cov)
 
     def test_ou_means_interpolate(self):
         for gamma in np.linspace(0.0, 1.0, 11):
-            out = conditional_prior(PriorPolicy("ou", BASE, gamma=gamma), PREV)
+            out = prior_of(PriorPolicy("ou", BASE, gamma=gamma))
             lo = np.minimum(PREV.mean, BASE.mean) - 1e-12
             hi = np.maximum(PREV.mean, BASE.mean) + 1e-12
             assert ((out.mean >= lo) & (out.mean <= hi)).all()
 
     def test_cpp_ou_uses_aux_rate(self):
-        out = conditional_prior(PriorPolicy("cpp-ou", BASE), PREV, 0.5)
+        out = prior_of(PriorPolicy("cpp-ou", BASE), PREV, 0.5)
         np.testing.assert_allclose(out.mean, 0.5 * PREV.mean + 0.5 * BASE.mean)
         np.testing.assert_allclose(out.cov, 0.25 * PREV.cov + 0.75 * BASE.cov)
 
     def test_aci_inflates_diagonal(self):
         alpha = 0.3
-        out = conditional_prior(PriorPolicy("aci", BASE, alpha=alpha), PREV)
-        np.testing.assert_allclose(np.diag(out.cov), np.diag(PREV.cov) + alpha)
-        np.testing.assert_array_equal(out.mean, PREV.mean)
+        pol = PriorPolicy("aci", BASE, alpha=alpha)
+        np.testing.assert_array_equal(pol.inflation, alpha * np.eye(BASE.dim))
+        assert PriorPolicy("static", BASE).inflation is None
+        means = PREV.mean[None]
+        out_means, out_covs = conditional_prior(pol, means, PREV.cov[None])
+        np.testing.assert_allclose(np.diag(out_covs[0]), np.diag(PREV.cov) + alpha)
+        assert out_means is means
 
     def test_prior_reset_branches_on_runlength(self):
         # rl_step builds the rl-prior-reset prior for the whole bank: the grown
         # hypothesis keeps its belief, the runlength-0 one starts at the base
         pol = PriorPolicy("rl-prior-reset", BASE)
         with pytest.raises(ConfigError, match="rl_step"):
-            conditional_prior(pol, PREV)
+            prior_of(pol)
         spec = MeasurementSpec("linear-gaussian", obs_noise=[[1.0]])
         bank = HypothesisBank([3], [0.0], PREV.mean[None], PREV.cov[None], timestep=3)
         x, y = [1.0, 2.0], [0.5]
@@ -73,13 +86,18 @@ class TestConditionalPrior:
     @pytest.mark.parametrize("kind", ["cpp-ou", "rl-oupr"])
     def test_blend_rates_one_and_zero_are_the_belief_and_the_base(self, kind):
         pol = PriorPolicy(kind, BASE, epsilon=0.5 if kind == "rl-oupr" else None)
-        assert conditional_prior(pol, PREV, 1.0) is PREV
-        assert conditional_prior(pol, PREV, 0.0) is BASE
+        means, covs = PREV.mean[None], PREV.cov[None]
+        out = conditional_prior(pol, means, covs, 1.0)
+        assert out[0] is means and out[1] is covs
+        out = conditional_prior(pol, means, covs, 0.0)
+        for got, want in zip(out, (BASE.mean, BASE.cov)):  # the base's arrays, not copies
+            assert got.shape == (1,) + want.shape and np.shares_memory(got, want)
+            np.testing.assert_array_equal(got[0], want)
 
     def test_oupr_blend_above_threshold(self):
         pol = PriorPolicy("rl-oupr", BASE, epsilon=0.5)
         nu = 0.8
-        out = conditional_prior(pol, PREV, nu)
+        out = prior_of(pol, PREV, nu)
         np.testing.assert_allclose(out.mean, nu * PREV.mean + (1 - nu) * BASE.mean)
         np.testing.assert_allclose(
             out.cov, nu * nu * PREV.cov + (1 - nu * nu) * BASE.cov
@@ -93,7 +111,7 @@ class TestConditionalPrior:
         for pol in (PriorPolicy("cpp-ou", BASE), PriorPolicy("rl-oupr", BASE, epsilon=0.5)):
             for rate in (None, -0.1, 1.5, float("nan")):
                 with pytest.raises(ConfigError, match="needs a blend rate in"):
-                    conditional_prior(pol, PREV, rate)
+                    prior_of(pol, PREV, rate)
 
     def test_returned_covariances_psd(self):
         rng = np.random.default_rng(0)
@@ -104,7 +122,7 @@ class TestConditionalPrior:
                 PriorPolicy("ou", BASE, gamma=rng.uniform()),
                 PriorPolicy("aci", BASE, alpha=rng.uniform()),
             ):
-                out = conditional_prior(pol, prev)
+                out = prior_of(pol, prev)
                 assert np.linalg.eigvalsh(out.cov).min() >= -1e-9
 
 

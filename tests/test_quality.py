@@ -46,9 +46,9 @@ def mean_nis(name: str, seed: int) -> float:
         x = rng.normal()
         phi = np.array([1.0, x])
         y = theta @ phi + rng.normal(0.0, np.sqrt(R))
-        prior = conditional_prior(cfg.policy, state.bank.belief(0))
-        e = y - prior.mean @ phi
-        nis.append(e * e / (phi @ prior.cov @ phi + R))
+        means, covs = conditional_prior(cfg.policy, state.bank.means, state.bank.covs)
+        e = y - means[0] @ phi
+        nis.append(e * e / (phi @ covs[0] @ phi + R))
         state, _, _ = bone_step(state, cfg, [x], [y])
     return float(np.mean(nis))
 
