@@ -9,9 +9,10 @@ optionally emit the weighted one-step-ahead prediction.  The bank holds
 hypotheses only; ``bone_step`` passes the method's capacity K to
 ``rl_step``, and a single-hypothesis step replaces the bank's columns.
 That step and ``drift_unobserved`` take the prior's columns from
-``conditional_prior`` over the bank's; the step wraps them in the one
-``GaussBelief`` its update takes.  All three build the new bank with the
-trusted ``HypothesisBank._trusted``: their columns hold its invariants by
+``conditional_prior`` over the bank's, and the step updates them to the
+posterior's with ``lg_update`` or ``wolf_update``, on the bank's arrays
+throughout.  All three build the new bank with the trusted
+``HypothesisBank._trusted``: their columns hold its invariants by
 construction.
 
 Per-hypothesis results are arrays over the bank: a prediction is the
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, GaussBelief, NumericDomainError, is_finite_number, is_integer
+from .core import ConfigError, NumericDomainError, is_finite_number, is_integer
 # predictive_log_density is not called here: the benchmark's tracer
 # (perfbench/spans.py) binds it at this module
 from .measurement import MeasurementSpec, link_mean, predictive_log_density  # noqa: F401
@@ -138,45 +139,36 @@ def predict_weighted(state: AgentState, cfg: MethodConfig, x):
 def _step_single(state: AgentState, cfg: MethodConfig, x, y) -> AgentState:
     bank = state.bank
     kind = cfg.policy.kind
-    # the blend scorers read the bank's belief; other kinds build it only as a prior
-    belief = bank.belief(0) if kind in ("cpp-ou", "rl-oupr") else None
     anchor = bank.anchor(0)
-    t = bank.timestep + 1
     spec, base = cfg.spec, cfg.policy.base_prior
     runlength = int(bank.runlengths[0]) + 1
 
     rate = cfg.policy.gamma  # ou's rate; None for static and aci
     if kind == "cpp-ou":
         rate = cpp_empirical_bayes(
-            belief, base, spec, x, y, steps=cfg.cpp_steps, lr=cfg.cpp_lr, anchor=anchor,
+            bank.means, bank.covs, base, spec, x, y,
+            steps=cfg.cpp_steps, lr=cfg.cpp_lr, anchor=anchor,
         )
     elif kind == "rl-oupr":
         reset_anchor = None if anchor is None else float(np.atleast_1d(x)[0])
-        score = blend_scorer(belief, base, spec, x, y, (anchor, reset_anchor))
+        score = blend_scorer(bank.means, bank.covs, base, spec, x, y, (anchor, reset_anchor))
         nu = greedy_ratio(*score(1.0, 0.0), cfg.hazard)
         rate = 0.0 if nu <= cfg.policy.epsilon else nu
         if rate == 0.0:  # the hard reset: nu > epsilon >= 0 otherwise
             runlength = 0
             anchor = reset_anchor
     means, covs = conditional_prior(cfg.policy, bank.means, bank.covs, rate)
-    if rate == 0.0:
-        prior = base
-    elif covs is not bank.covs:
-        prior = GaussBelief(means[0], covs[0])
-    else:  # static, or a blend at rate 1
-        prior = bank.belief(0) if belief is None else belief
-
     if cfg.wolf_c is not None:
-        post = wolf_update(prior, spec, x, y, cfg.wolf_c, anchor)
+        means, covs = wolf_update(means, covs, spec, x, y, cfg.wolf_c, anchor)
     else:
-        post = lg_update(prior, spec, x, y, anchor)
+        means, covs = lg_update(means, covs, spec, x, y, anchor)
     return AgentState(bank=HypothesisBank._trusted(
         np.array([runlength]),
         bank.log_joints,
-        post.mean[None, :],
-        post.cov[None, :, :],
+        means,
+        covs,
         None if anchor is None else np.array([anchor]),
-        t,
+        bank.timestep + 1,
     ))
 
 

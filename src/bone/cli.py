@@ -120,10 +120,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_gen(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, json.JSONDecodeError) as err:
+    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except NumericDomainError as err:

@@ -333,16 +333,16 @@ def predictive_log_density(
     return gaussian_log_pdf(_free_obs(spec, y), yhat, S)
 
 
-def scalar_point(spec: MeasurementSpec, x, y, *beliefs: GaussBelief):
+def scalar_point(spec: MeasurementSpec, x, y, m: int):
     """The feature and observation (f, y) as Python floats when
     ``scalar_log_density`` serves the model: a bernoulli-logit model with
-    one feature, one observation and one-parameter ``beliefs``.  None for
-    every other model."""
+    one feature, one observation and ``m`` = 1 parameter.  None for every
+    other model."""
     if spec.family not in _FLOAT_FAMILIES:
         return None
     yv = _free_obs(spec, y)
     phi = spec.phi(x)
-    if phi.size == yv.size == 1 and all(b.dim == 1 for b in beliefs):
+    if phi.size == yv.size == m == 1:
         return float(phi[0]), float(yv[0])
     return None
 

@@ -7,8 +7,8 @@ of the standardized residual.  The step from one update to the next prior
 is the conditional prior's (``priors.py``); this module has no predict step.
 
 Everything is written over a stack of k hypotheses (``lg_update_arrays``,
-``robust_noise``); ``lg_update`` and ``wolf_update`` update one belief as a
-stack of one and return only the posterior.
+``robust_noise``); ``lg_update`` and ``wolf_update`` update a bank's prior
+columns as a stack of one and return only the posterior's columns.
 
 The covariance update is Sigma - K S K^T, PSD-certified as it stands for
 d = 1 and after symmetrization for d > 1; the Joseph form is deliberately
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import UNIT_ROUNDOFF, ConfigError, GaussBelief, NumericDomainError
+from .core import UNIT_ROUNDOFF, ConfigError, NumericDomainError
 from .core import certify_psd_batch, gamma_n, symmetrize_psd_batch
 from .measurement import MeasurementSpec, _free_obs, moments_for_update
 
@@ -185,54 +185,53 @@ def posterior_floors(covs, h, r, g, s, floors) -> np.ndarray:
 
 
 def _update(
-    prior: GaussBelief,
+    means: np.ndarray,
+    covs: np.ndarray,
     spec: MeasurementSpec,
     x,
     y,
     anchor: float | None,
     wolf_c: float | None,
-) -> GaussBelief:
-    yhat, jac, R = moments_for_update(spec, prior.mean, x, anchor)
+) -> tuple[np.ndarray, np.ndarray]:
+    # the single-theta call: theta . phi of a (1, m) stack may round otherwise
+    yhat, jac, R = moments_for_update(spec, means[0], x, anchor)
     yv = _free_obs(spec, y)
     Rs = R[None]
     if wolf_c is not None:
         Rs = robust_noise(spec, yv, yhat[None], Rs, wolf_c)
-    means, covs, _, _ = lg_update_arrays(
-        prior.mean[None], prior.cov[None], jac[None], yhat[None], yv, Rs
-    )
-    return GaussBelief(means[0], covs[0])
+    return lg_update_arrays(means, covs, jac[None], yhat[None], yv, Rs)[:2]
 
 
 def lg_update(
-    prior: GaussBelief,
+    means: np.ndarray,
+    covs: np.ndarray,
     spec: MeasurementSpec,
     x,
     y,
     anchor: float | None = None,
-) -> GaussBelief:
-    """One conditional-Bayes update of a Gaussian prior against (x, y).
-
-    Exponential-family specs route the observation noise through the
-    moment-matched covariance at the prior mean.  Returns the posterior
-    belief.
-    """
-    return _update(prior, spec, x, y, anchor, None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """One conditional-Bayes update of a single-hypothesis bank's prior
+    columns ``means`` (1, m) and ``covs`` (1, m, m) against (x, y), to the
+    posterior's.  Exponential-family specs route the observation noise
+    through the moment-matched covariance at the prior mean."""
+    return _update(means, covs, spec, x, y, anchor, None)
 
 
 def wolf_update(
-    prior: GaussBelief,
+    means: np.ndarray,
+    covs: np.ndarray,
     spec: MeasurementSpec,
     x,
     y,
     c: float,
     anchor: float | None = None,
-) -> GaussBelief:
+) -> tuple[np.ndarray, np.ndarray]:
     """Outlier-robust update: observation covariance inflated to R / W^2.
 
     W = (1 + ||y - h(mu, x)||^2_{R^-1} / c^2)^(-1/2), so a residual of c
     standard deviations halves the precision and W -> 0 bounds the influence
-    of gross outliers.  Returns the posterior belief.
+    of gross outliers.  Returns the posterior's columns, as lg_update does.
     """
     if c <= 0:
         raise ValueError("soft threshold c must be positive")
-    return _update(prior, spec, x, y, anchor, c)
+    return _update(means, covs, spec, x, y, anchor, c)

@@ -128,8 +128,8 @@ def conditional_prior(policy: PriorPolicy, means, covs, rate=None) -> tuple[np.n
     return rate * means + (1.0 - rate) * base.mean, symmetrize_psd_batch(blend)
 
 
-def mmpr_prior(bank: "HypothesisBank") -> GaussBelief:
-    """Gaussian matching the first two moments of the reset mixture.
+def mmpr_prior(bank: "HypothesisBank") -> tuple[np.ndarray, np.ndarray]:
+    """Mean (m,) and covariance (m, m) matching the reset mixture's first two moments.
 
     The mixture runs over last step's hypotheses with weights proportional
     to their normalized masses times the (constant) hazard, which cancels to
@@ -142,4 +142,4 @@ def mmpr_prior(bank: "HypothesisBank") -> GaussBelief:
     covs = bank.covs  # (k, m, m)
     mbar = w @ means
     second = np.einsum("k,kmn->mn", w, covs + np.einsum("km,kn->kmn", means, means))
-    return GaussBelief(mbar, symmetrize_psd(second - np.outer(mbar, mbar)))
+    return mbar, symmetrize_psd(second - np.outer(mbar, mbar))

@@ -179,9 +179,6 @@ class HypothesisBank:
     def map_runlength(self) -> int:
         return int(self.runlengths[self.map_index])
 
-    def belief(self, i: int) -> GaussBelief:
-        return GaussBelief(self.means[i], self.covs[i])
-
     def anchor(self, i: int) -> float | None:
         return None if self.anchors is None else float(self.anchors[i])
 
@@ -261,13 +258,14 @@ def rl_step(
     if policy.kind not in RL_KINDS:
         raise ConfigError(f"rl_step requires a runlength prior policy, got {policy.kind!r}")
     pi = hazard.pi
-    reset = mmpr_prior(bank) if policy.kind == "rl-mmpr" else policy.base_prior
+    base = policy.base_prior
+    reset_mean, reset_cov = mmpr_prior(bank) if policy.kind == "rl-mmpr" else (base.mean, base.cov)
     floors = None  # the candidates' prior floors, when the bank carries them
     if policy.base_floor is not None and bank.floors is not None:
         floors = np.append(bank.floors, policy.base_floor)
 
     # candidates: the growth priors (tracked beliefs), then the reset prior
-    means = np.concatenate([bank.means, reset.mean[None, :]])
+    means = np.concatenate([bank.means, reset_mean[None, :]])
     runlengths = np.concatenate([bank.runlengths + 1, [0]])
     anchors = None
     if spec.family == "segment-poly-gaussian":
@@ -283,10 +281,10 @@ def rl_step(
     prune = capacity is not None and bank.size >= capacity
     if prune:
         grow = innovation_arrays(bank.covs, jacs[:-1], Rs[:-1])
-        fresh = innovation_arrays(reset.cov[None], jacs[-1:], Rs[-1:])
+        fresh = innovation_arrays(reset_cov[None], jacs[-1:], Rs[-1:])
         PHt, S = (np.concatenate(pair) for pair in zip(grow, fresh))
     else:
-        covs = np.concatenate([bank.covs, reset.cov[None, :, :]])
+        covs = np.concatenate([bank.covs, reset_cov[None, :, :]])
         new_means, new_covs, S, floors = lg_update_arrays(
             means, covs, jacs, yhats, yv, Rs, floors=floors
         )
@@ -305,7 +303,7 @@ def rl_step(
         covs = np.empty((keep.size,) + bank.covs.shape[1:])
         np.take(bank.covs, grown, axis=0, out=covs[: grown.size], mode="clip")
         if grown.size < keep.size:
-            covs[-1] = reset.cov
+            covs[-1] = reset_cov
         new_means, new_covs, _, floors = lg_update_arrays(
             means[keep], covs, jacs[keep], yhats[keep], yv, Rs[keep],
             innovations=(PHt[keep], S[keep]),
@@ -342,7 +340,8 @@ def greedy_ratio(p_grow: float, p_reset: float, hazard: HazardSpec) -> float:
 
 
 def cpp_empirical_bayes(
-    prev: GaussBelief,
+    means: np.ndarray,
+    covs: np.ndarray,
     base: GaussBelief,
     spec: MeasurementSpec,
     x,
@@ -355,22 +354,23 @@ def cpp_empirical_bayes(
 
     Gradient ascent on upsilon in [0, 1] with central finite differences
     (one-sided at the boundaries), initialized at 1 (full continuity).  The
-    conditional prior at rate upsilon is the blend
-    (u mu + (1-u) mu0, u^2 Sigma + (1-u^2) Sigma0), and its predictive
-    density is the linearized N(y | h(mean), J Sigma J^T + R), under the
-    segment ``anchor`` for segment models.  Each (hi, lo) pair, hi - lo
-    apart with hi = min(u + h, 1) and lo = max(u - h, 0) at h = 1e-4, is
-    scored by one ``blend_scorer``, built once per search: on floats for a
-    one-parameter bernoulli-logit model, as a 2-row stack at the anchor
-    otherwise.  An iteration depends on u alone, so the search stops at the
-    first iteration that leaves u unchanged (the fixed point), which
-    returns what the remaining iterations would.
+    conditional prior at rate upsilon is the blend of the tracked belief, a
+    single-hypothesis bank's ``means`` (1, m) and ``covs`` (1, m, m), and
+    ``base``: (u mu + (1-u) mu0, u^2 Sigma + (1-u^2) Sigma0).  Its
+    predictive density is the linearized N(y | h(mean), J Sigma J^T + R),
+    under the segment ``anchor`` for segment models.  Each (hi, lo) pair,
+    hi - lo apart with hi = min(u + h, 1) and lo = max(u - h, 0) at
+    h = 1e-4, is scored by one ``blend_scorer``, built once per search: on
+    floats for a one-parameter bernoulli-logit model, as a 2-row stack at
+    the anchor otherwise.  An iteration depends on u alone, so the search
+    stops at the first iteration that leaves u unchanged (the fixed point),
+    which returns what the remaining iterations would.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    score = blend_scorer(prev, base, spec, x, y, (anchor, anchor))
+    score = blend_scorer(means, covs, base, spec, x, y, (anchor, anchor))
     u = 1.0
     h = 1e-4
     for _ in range(steps):
@@ -387,27 +387,28 @@ def cpp_empirical_bayes(
     return u
 
 
-def blend_scorer(prev: GaussBelief, base: GaussBelief, spec: MeasurementSpec, x, y, anchors):
+def blend_scorer(means, covs, base: GaussBelief, spec: MeasurementSpec, x, y, anchors):
     """``score(hi, lo)``: the predictive log densities of the blends
-    (r mu + (1-r) mu0, r^2 Sigma + (1-r^2) Sigma0) of ``prev`` and ``base``
-    at the rates r = hi and r = lo, the first under ``anchors[0]`` and the
-    second under ``anchors[1]`` (both None for a model without anchors).
+    (r mu + (1-r) mu0, r^2 Sigma + (1-r^2) Sigma0) of the tracked belief,
+    a single-hypothesis bank's ``means`` (1, m) and ``covs`` (1, m, m), and
+    ``base`` at the rates r = hi and r = lo, the first under ``anchors[0]``
+    and the second under ``anchors[1]`` (both None without anchors).
 
     CPP-OU's rate search scores its differences at one anchor twice;
     RL-OUPR's step scores its grow and reset candidates at rates 1 and 0,
-    which blend to ``prev`` and ``base`` themselves, under the tracked and
-    the fresh anchor.  The pair is scored as one 2-row stack, one anchor per
-    row, with ``gaussian_log_pdf_batch``.  An unanchored model with a
-    ``scalar_point`` is scored on Python floats by ``scalar_log_density``
-    instead, and a pair where either float hands back (a logit whose exp
-    would overflow, a variance outside [PSD_TOL, inf), a density that is
-    not finite) by the stack, so the clamp, the errors and the warnings stay
-    the arrays'.  Both give the same densities bit for bit: for finite
-    beliefs, rates 1 and 0 blend to ``prev`` and ``base`` on floats too, up
-    to the sign of a zero, which no density reads.  (For m >= 2 a row's link
-    theta . phi is a row of a matrix-vector product, which may round
-    differently from the dot product of ``predictive_log_density`` on one
-    belief.)
+    which blend to the tracked belief and ``base`` themselves, under the
+    tracked and the fresh anchor.  The pair is scored as one 2-row stack,
+    one anchor per row, with ``gaussian_log_pdf_batch``.  An unanchored
+    model with a ``scalar_point`` is scored on Python floats by
+    ``scalar_log_density`` instead, and a pair where either float hands
+    back (a logit whose exp would overflow, a variance outside
+    [PSD_TOL, inf), a density that is not finite) by the stack, so the
+    clamp, the errors and the warnings stay the arrays'.  Both give the same
+    densities bit for bit: for finite beliefs, rates 1 and 0 blend to the
+    tracked belief and ``base`` on floats too, up to the sign of a zero,
+    which no density reads.  (For m >= 2 a row's link theta . phi is a row
+    of a matrix-vector product, which may round differently from the dot
+    product of ``predictive_log_density`` on one belief.)
     """
     rows = None if anchors == (None, None) else np.array(anchors, dtype=float)
 
@@ -415,17 +416,17 @@ def blend_scorer(prev: GaussBelief, base: GaussBelief, spec: MeasurementSpec, x,
         yv = _free_obs(spec, y)
         pts = np.array([[hi], [lo]])
         sq = (pts * pts)[:, :, None]
-        means = pts * prev.mean + (1.0 - pts) * base.mean
-        covs = sq * prev.cov + (1.0 - sq) * base.cov
-        yhats, jacs, Rs = linearize_bank(spec, means, x, rows)
-        S = (jacs @ covs) @ jacs.transpose(0, 2, 1) + Rs
+        blend_means = pts * means + (1.0 - pts) * base.mean
+        blend_covs = sq * covs + (1.0 - sq) * base.cov
+        yhats, jacs, Rs = linearize_bank(spec, blend_means, x, rows)
+        S = (jacs @ blend_covs) @ jacs.transpose(0, 2, 1) + Rs
         return gaussian_log_pdf_batch(yv, yhats, S)
 
-    point = None if rows is not None else scalar_point(spec, x, y, prev, base)
+    point = None if rows is not None else scalar_point(spec, x, y, means.shape[1])
     if point is None:
         return stacked
     f, yf = point
-    pm, pc = float(prev.mean[0]), float(prev.cov[0, 0])
+    pm, pc = float(means[0, 0]), float(covs[0, 0, 0])
     bm, bc = float(base.mean[0]), float(base.cov[0, 0])
 
     def density(p):

@@ -251,6 +251,16 @@ def linear_gaussian_update(mean, cov, h, y, r):
     return cov_post @ (prec @ mean + h * y / r), cov_post
 
 
+def imq_weighted_update(mean, cov, h, y, r, c):
+    """WoLF's update of the model y = h . theta + noise of variance r: the
+    inverse-multiquadric weight W = (1 + e^2 / (r c^2))^(-1/2) of the
+    residual e = y - h . mu inflates the noise to r / W^2, and the posterior
+    is ``linear_gaussian_update`` at that noise."""
+    e = y - float(np.asarray(h, dtype=float) @ mean)
+    w = (1.0 + e * e / (r * c * c)) ** -0.5
+    return linear_gaussian_update(mean, cov, h, y, r / w**2)
+
+
 def blend_log_predictive(family, mean, cov, mean0, cov0, rate, h, y, R=None):
     """log N(y | yhat, h^T Sigma_r h + r) of the OU blend (mu_r, Sigma_r) at
     ``rate``, for the model eta = h . theta: linear-Gaussian observes eta

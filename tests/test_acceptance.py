@@ -188,18 +188,18 @@ def test_07_robust_weight_outlier_contrast():
         ys[t_out] += 20.0  # single 20-sigma outlier
         bank_lg = HypothesisBank.root(base)
         bank_w = HypothesisBank.root(base)
-        bel_lg = bel_w = base
+        bel_lg = bel_w = (base.mean[None], base.cov[None])
         for t in range(t_out + 1):
             x, y = [xs[t]], [ys[t]]
             bank_lg = rl_step(bank_lg, hazard, spec, policy, x, y)
             bank_w = rl_step(bank_w, hazard, spec, policy, x, y, wolf_c=c)
             if t < t_out:
-                bel_lg = lg_update(bel_lg, spec, x, y)
-                bel_w = wolf_update(bel_w, spec, x, y, c)
-        post_lg = lg_update(bel_lg, spec, [xs[t_out]], [ys[t_out]])
-        post_w = wolf_update(bel_w, spec, [xs[t_out]], [ys[t_out]], c)
-        d_lg = abs(post_lg.mean[0] - bel_lg.mean[0])
-        d_w = abs(post_w.mean[0] - bel_w.mean[0])
+                bel_lg = lg_update(*bel_lg, spec, x, y)
+                bel_w = wolf_update(*bel_w, spec, x, y, c)
+        post_lg = lg_update(*bel_lg, spec, [xs[t_out]], [ys[t_out]])
+        post_w = wolf_update(*bel_w, spec, [xs[t_out]], [ys[t_out]], c)
+        d_lg = abs(post_lg[0][0, 0] - bel_lg[0][0, 0])
+        d_w = abs(post_w[0][0, 0] - bel_w[0][0, 0])
         displacement_ok += d_w < 0.1 * d_lg
         contrast += (bank_lg.map_runlength == 0) and (bank_w.map_runlength > 0)
     _report(
@@ -255,7 +255,7 @@ def test_09_mmpr_moment_fidelity():
             runlengths=np.arange(k), log_joints=logw,
             means=means, covs=covs, timestep=k,
         )
-        out = mmpr_prior(bank)
+        out_mean, out_cov = mmpr_prior(bank)
         w = np.exp(logw - logw.max())
         w = w / w.sum()
         comps = rng.choice(k, p=w, size=n)
@@ -264,11 +264,11 @@ def test_09_mmpr_moment_fidelity():
             idx = comps == i
             draws[idx] = rng.multivariate_normal(means[i], covs[i], size=int(idx.sum()))
         se_mean = draws.std(axis=0, ddof=1) / np.sqrt(n)
-        assert (np.abs(draws.mean(axis=0) - out.mean) < 3 * se_mean).all(), case
+        assert (np.abs(draws.mean(axis=0) - out_mean) < 3 * se_mean).all(), case
         centered = draws - draws.mean(axis=0)
         prods = centered[:, :, None] * centered[:, None, :]
         se_cov = prods.std(axis=0, ddof=1) / np.sqrt(n)
-        assert (np.abs(prods.mean(axis=0) - out.cov) < 3 * se_cov).all(), case
+        assert (np.abs(prods.mean(axis=0) - out_cov) < 3 * se_cov).all(), case
     _report(9, "moment-matched reset matches Monte-Carlo mixture moments "
                "(20 banks, 1e6 draws, 3 SE)", True)
 
@@ -298,8 +298,8 @@ def test_10_limit_behaviors():
     got = preds(cfg)
     exact_a = got[0] == 0.0
     for t in range(1, T):
-        one_shot = lg_update(base, spec, X[t - 1], [y[t - 1]])
-        exact_a = exact_a and got[t] == float(X[t] @ one_shot.mean)
+        one_shot, _ = lg_update(base.mean[None], base.cov[None], spec, X[t - 1], [y[t - 1]])
+        exact_a = exact_a and got[t] == float(X[t] @ one_shot[0])
 
     # (b) C-OU with gamma = 1 equals C-Static, exactly
     p_static = preds(MethodConfig("C-Static", spec, PriorPolicy("static", base)))

@@ -119,8 +119,8 @@ class TestBoneStep:
         from bone.posterior import lg_update
 
         for t in range(1, 30):
-            one_shot = lg_update(BASE2, LINEAR, X[t - 1], [y[t - 1]])
-            assert preds[t] == pytest.approx(X[t] @ one_shot.mean, abs=1e-12)
+            one_shot, _ = lg_update(BASE2.mean[None], BASE2.cov[None], LINEAR, X[t - 1], [y[t - 1]])
+            assert preds[t] == pytest.approx(X[t] @ one_shot[0], abs=1e-12)
         assert state.bank.runlengths[0] == 0
 
     def test_weighted_prediction_in_convex_hull(self):
@@ -464,7 +464,7 @@ def reference_drift_unobserved(state, cfg):
     if policy.kind not in DRIFT_KINDS or not cfg.drift_unpulled:
         return state
     bank = state.bank
-    prev, base = bank.belief(0), policy.base_prior
+    prev, base = GaussBelief(bank.means[0], bank.covs[0]), policy.base_prior
     if policy.kind == "aci":
         belief = GaussBelief(prev.mean, prev.cov + policy.alpha * np.eye(prev.dim))
     elif policy.gamma == 1.0:
@@ -680,8 +680,12 @@ BIAS = MeasurementSpec("linear-gaussian", obs_noise=[[0.5]], feature_map="bias")
 BASE_BIAS = GaussBelief([0.3, -0.2], [[1.5, 0.4], [0.4, 0.8]])
 
 
-def bias_stream(seed, T=50):
-    """T (x, y) pairs of y = theta . [1, x] + noise of variance 0.5, whose
+BIAS_LOGIT = MeasurementSpec("bernoulli-logit", feature_map="bias")
+
+
+def bias_stream(seed, T=50, family="linear-gaussian"):
+    """T (x, y) pairs of y = theta . [1, x] + noise of variance 0.5 (or, for
+    bernoulli-logit, y = 1 with probability sigmoid(theta . [1, x])), whose
     theta jumps between (1, 2) and (-1, -2) every 10 steps, and a coin per
     step (the bandit's pull)."""
     rng = np.random.default_rng(seed)
@@ -689,7 +693,10 @@ def bias_stream(seed, T=50):
     for t in range(T):
         theta = np.array([1.0, 2.0]) if (t // 10) % 2 == 0 else np.array([-1.0, -2.0])
         x = float(rng.uniform(-2.0, 2.0))
-        y = float(theta @ [1.0, x] + np.sqrt(0.5) * rng.normal())
+        if family == "bernoulli-logit":
+            y = float(rng.random() < 1.0 / (1.0 + np.exp(-(theta @ [1.0, x]))))
+        else:
+            y = float(theta @ [1.0, x] + np.sqrt(0.5) * rng.normal())
         out.append((x, y, bool(rng.random() < 0.5)))
     return out
 
@@ -698,7 +705,9 @@ class TestTwoParameterStepsAgainstReference:
     """Every step of a 50-step bias-basis (m = 2) linear-Gaussian stream,
     against the plain-numpy steps of ``oracles``: C-ACI's and C-OU's update
     of a pulled arm (the drift, then the information-form update) and their
-    drift of an unpulled one, and CPP-OU's and RL-OUPR's steps."""
+    drift of an unpulled one, C-Static's IMQ-weighted update, and CPP-OU's
+    and RL-OUPR's steps; and C-Static's and C-ACI's steps on a
+    bernoulli-logit stream."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", ["C-ACI", "C-OU"])
@@ -728,6 +737,37 @@ class TestTwoParameterStepsAgainstReference:
             np.testing.assert_allclose(bank.means[0], m, rtol=1e-10, atol=0.0)
             np.testing.assert_allclose(bank.covs[0], v, rtol=1e-10, atol=0.0)
         assert 0 < sum(pulls) < len(pulls)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_robust_static_step(self, seed):
+        """C-Static with ``wolf_c``: the IMQ-weighted update of every step."""
+        c = 1.0
+        cfg = method("C-Static", spec=BIAS, base=BASE_BIAS, wolf_c=c)
+        state, m, v = init_agent(cfg), BASE_BIAS.mean, BASE_BIAS.cov
+        moved = 0.0  # how far the weight moves the mean from the plain update
+        for t, (x, y, _) in enumerate(bias_stream(seed), start=1):
+            state, _, _ = bone_step(state, cfg, [x], [y])
+            plain, _ = oracles.linear_gaussian_update(m, v, [1.0, x], y, 0.5)
+            m, v = oracles.imq_weighted_update(m, v, [1.0, x], y, 0.5, c)
+            moved = max(moved, float(np.abs(plain - m).max()))
+            assert_bank_belief(state.bank, m, v, t, t)
+        assert moved > 0.1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["C-Static", "C-ACI"])
+    def test_bernoulli_logit_step(self, name, seed):
+        """C-Static's and C-ACI's moment-matched logistic update: the update
+        of the (inflated) belief, the blend at rate 1."""
+        alpha = 0.05 if name == "C-ACI" else 0.0
+        kw = {"alpha": alpha} if name == "C-ACI" else {}
+        cfg = method(name, spec=BIAS_LOGIT, base=BASE_BIAS, **kw)
+        m0, v0 = BASE_BIAS.mean, BASE_BIAS.cov
+        state, m, v = init_agent(cfg), m0, v0
+        for t, (x, y, _) in enumerate(bias_stream(seed, family="bernoulli-logit"), start=1):
+            state, _, _ = bone_step(state, cfg, [x], [y])
+            m, v = oracles.aci_inflation(m, v, alpha)
+            m, v = oracles.blend_update("bernoulli-logit", m, v, m0, v0, 1.0, [1.0, x], y)
+            assert_bank_belief(state.bank, m, v, t, t)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_cpp_ou_step(self, monkeypatch, seed):
@@ -771,6 +811,40 @@ class TestTwoParameterStepsAgainstReference:
             m, v = oracles.blend_update("linear-gaussian", m, v, m0, v0, rate, [1.0, x], y, 0.5)
             assert_bank_belief(state.bank, m, v, runlength, t)
         assert resets > 0, "no hard reset ran"
+
+
+# every method on the bias basis, and C-Static with a robust update
+BIAS_METHODS = {
+    "C-Static": ("C-Static", {}),
+    "C-Static-wolf": ("C-Static", {"wolf_c": 2.0}),
+    "C-ACI": ("C-ACI", {"alpha": 0.05}),
+    "C-OU": ("C-OU", {"gamma": 0.9}),
+    "CPP-OU": ("CPP-OU", {}),
+    "RL-PR[K]": ("RL-PR[K]", {"hazard": HazardSpec(0.1), "capacity": 4}),
+    "RL-PR[inf]": ("RL-PR[inf]", {"hazard": HazardSpec(0.1)}),
+    "WoLF+RL-PR": ("WoLF+RL-PR", {"hazard": HazardSpec(0.1), "capacity": 4, "wolf_c": 2.0}),
+    "RL-MMPR": ("RL-MMPR", {"hazard": HazardSpec(0.1), "capacity": 4}),
+    "RL-OUPR": ("RL-OUPR", {"hazard": HazardSpec(0.1), "epsilon": 0.5}),
+}
+
+
+class TestStepsBuildNoGaussBelief:
+    """Steps run on the bank's columns: 20 bone_step calls with a
+    prediction and 20 drift_unobserved calls on a two-parameter stream build
+    no GaussBelief, for every method."""
+
+    @pytest.mark.parametrize("label", sorted(BIAS_METHODS))
+    def test_none_built(self, monkeypatch, label):
+        name, kw = BIAS_METHODS[label]
+        cfg = method(name, spec=BIAS, base=BASE_BIAS, **kw)
+        state = init_agent(cfg)
+        stream = bias_stream(0, T=21)
+        built = count_calls(monkeypatch, GaussBelief, "__post_init__")
+        for (x, y, _), (x_next, _, _) in zip(stream, stream[1:]):
+            state, _, _ = bone_step(state, cfg, [x], [y], x_next=[x_next])
+            state = drift_unobserved(state, cfg)
+        assert state.bank.timestep == 20
+        assert len(built) == 0
 
 
 def count_calls(monkeypatch, module, name):
@@ -908,7 +982,7 @@ class TestOneParameterFallbacks:
         spec, base, belief, x, y = DENSITY_FALLBACKS[case]
         cfg = method("RL-OUPR", spec=spec, base=base, hazard=HazardSpec(0.3), epsilon=0.5)
         # linear models score as a stack, and the bernoulli floats hand back
-        assert (scalar_point(spec, [x], [y], belief, base) is None) == (spec is not BERN)
+        assert (scalar_point(spec, [x], [y], belief.dim) is None) == (spec is not BERN)
         stacks = count_calls(monkeypatch, bone.weighting, "linearize_bank")
         bank = HypothesisBank(np.array([0]), np.zeros(1), belief.mean[None], belief.cov[None])
 
@@ -965,22 +1039,22 @@ class TestHardResetBoundary:
         bank = HypothesisBank(np.array([4]), np.zeros(1), mean[None], cov[None], anchors, timestep=6)
         x, y = [1.3], [1.0]
         # the float path serves exactly the models with a scalar point
-        assert (scalar_point(spec, x, y, bank.belief(0), base) is None) == (anchor is not None)
+        assert (scalar_point(spec, x, y, base.dim) is None) == (anchor is not None)
         nu = math.nextafter(eps, 2.0) if above else eps
         monkeypatch.setattr(bone.agents, "greedy_ratio", lambda *args: nu)
         got = bone_step(AgentState(bank=bank), cfg, x, y)[0].bank
 
         if above:
             q = nu * nu
-            prior = GaussBelief(nu * mean + (1.0 - nu) * base.mean, q * cov + (1.0 - q) * base.cov)
+            prior = nu * mean + (1.0 - nu) * base.mean, q * cov + (1.0 - q) * base.cov
             runlength = 5
         else:
-            prior, runlength = base, 0
+            prior, runlength = (base.mean, base.cov), 0
             anchor = None if anchor is None else x[0]
-        want = lg_update(prior, spec, x, y, anchor)
+        want_means, want_covs = lg_update(prior[0][None], prior[1][None], spec, x, y, anchor)
         assert got.timestep == 7 and got.runlengths.tolist() == [runlength]
-        assert got.means.tobytes() == want.mean[None].tobytes()
-        assert got.covs.tobytes() == want.cov[None].tobytes()
+        assert got.means.tobytes() == want_means.tobytes()
+        assert got.covs.tobytes() == want_covs.tobytes()
         if anchor is None:
             assert got.anchors is None
         else:

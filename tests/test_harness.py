@@ -522,7 +522,61 @@ class TestEwma:
             ewma_normalize([1.0], half_life=0.0)
 
 
+def csv_stream_config(data_path):
+    """A one-parameter C-Static run over the CSV stream at ``data_path``."""
+    return {
+        "experiment": "csv-stream",
+        "data_path": str(data_path),
+        "method": {
+            "name": "C-Static",
+            "model": {"family": "linear-gaussian", "obs_noise": 1.0},
+            "prior": {"kind": "static", "base_mean": [0], "base_cov_scale": 1.0},
+        },
+    }
+
+
+NOT_UTF_8 = b"\xff\xfe"
+RUN = ["run", "--config", "cfg.json", "--out", "o.csv"]
+# id -> (files written beside the directory "dir", the config written to
+# cfg.json if any, the command line): each names a path that cannot be read
+# or written as the command needs
+UNUSABLE_PATHS = {
+    "data-path-is-a-directory": ({}, csv_stream_config("dir"), RUN),
+    "csv-is-not-utf-8": (
+        {"d.csv": NOT_UTF_8 + b",y\n1,2\n"}, csv_stream_config("d.csv"), RUN
+    ),
+    "config-is-not-utf-8": ({"bad.json": NOT_UTF_8}, None, ["run", "--config", "bad.json"]),
+    "config-is-a-directory": ({}, None, ["run", "--config", "dir"]),
+    "run-out-is-a-directory": (
+        {}, static_config(horizon=5), ["run", "--config", "cfg.json", "--out", "dir"]
+    ),
+    "gen-out-is-a-directory": (
+        {}, None, ["gen", "--experiment", "bandit", "--horizon", "5", "--out", "dir"]
+    ),
+    "sweep-out-is-a-file": (
+        {"grid": b""},
+        static_config(horizon=5, sweep={"seed": [0, 1]}),
+        ["sweep", "--config", "cfg.json", "--out", "grid"],
+    ),
+}
+
+
 class TestExportAndCli:
+    @pytest.mark.parametrize("case", sorted(UNUSABLE_PATHS))
+    def test_cli_exits_2_on_an_unusable_path(self, tmp_path, monkeypatch, capsys, case):
+        files, raw, argv = UNUSABLE_PATHS[case]
+        monkeypatch.chdir(tmp_path)
+        Path("dir").mkdir()
+        for name, data in files.items():
+            Path(name).write_bytes(data)
+        if raw is not None:
+            Path("cfg.json").write_text(json.dumps(raw))
+        before = sorted(tmp_path.rglob("*"))
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before  # no output file
+
     def test_empty_traces_header_only(self, tmp_path):
         path = export_results([], tmp_path / "out.csv")
         lines = path.read_text().strip().splitlines()
@@ -1132,17 +1186,8 @@ class TestCsvIngestion:
     def test_cli_exits_2_on_bad_cell(self, tmp_path, cell):
         data = tmp_path / "d.csv"
         data.write_text("x,y\n" if cell is None else f"x,y\n1,2\n{cell},3\n")
-        raw = {
-            "experiment": "csv-stream",
-            "data_path": str(data),
-            "method": {
-                "name": "C-Static",
-                "model": {"family": "linear-gaussian", "obs_noise": 1.0},
-                "prior": {"kind": "static", "base_mean": [0], "base_cov_scale": 1.0},
-            },
-        }
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(raw))
+        cfg_path.write_text(json.dumps(csv_stream_config(data)))
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
 
     def test_ewma_flags_applied(self, tmp_path):

@@ -25,21 +25,30 @@ from oracles import batch_linreg_posterior, exactly_psd, posterior_floor_bound
 LINEAR = MeasurementSpec("linear-gaussian", obs_noise=[[1.0]])
 
 
+def update_one(update, mean, cov, *args, **kwargs):
+    """The posterior (mean (m,), cov (m, m)) of ``update`` on the prior
+    columns (1, m) and (1, m, m) of (mean, cov), whose shapes it keeps."""
+    means, covs = np.array([mean], dtype=float), np.array([cov], dtype=float)
+    new_means, new_covs = update(means, covs, *args, **kwargs)
+    assert new_means.shape == means.shape and new_covs.shape == covs.shape
+    return new_means[0], new_covs[0]
+
+
 class TestLgUpdate:
     def test_equal_precision_average(self):
-        post = lg_update(GaussBelief([0.0], [[1.0]]), LINEAR, [1.0], [1.0])
-        assert post.mean == pytest.approx([0.5])
-        np.testing.assert_allclose(post.cov, [[0.5]])
-        one = np.ones((1, 1, 1))
-        means, covs, S, _ = lg_update_arrays(np.zeros((1, 1)), one, one, np.zeros((1, 1)), np.ones(1), one)
-        np.testing.assert_array_equal(means, [post.mean])
-        np.testing.assert_array_equal(covs, [post.cov])
+        mean, cov = update_one(lg_update, [0.0], [[1.0]], LINEAR, [1.0], [1.0])
+        assert mean == pytest.approx([0.5])
+        np.testing.assert_allclose(cov, [[0.5]])
+        unit = np.ones((1, 1, 1))
+        means, covs, S, _ = lg_update_arrays(np.zeros((1, 1)), unit, unit, np.zeros((1, 1)), np.ones(1), unit)
+        np.testing.assert_array_equal(means, [mean])
+        np.testing.assert_array_equal(covs, [cov])
         np.testing.assert_allclose(S, [[[2.0]]])
 
     def test_zero_jacobian_keeps_prior(self):
-        post = lg_update(GaussBelief([0.7], [[2.0]]), LINEAR, [0.0], [5.0])
-        assert post.mean == pytest.approx([0.7])
-        np.testing.assert_allclose(post.cov, [[2.0]])
+        mean, cov = update_one(lg_update, [0.7], [[2.0]], LINEAR, [0.0], [5.0])
+        assert mean == pytest.approx([0.7])
+        np.testing.assert_allclose(cov, [[2.0]])
 
     def test_sequential_equals_batch_oracle(self):
         rng = np.random.default_rng(1)
@@ -47,13 +56,13 @@ class TestLgUpdate:
         Sigma0 = np.eye(2)
         X = rng.normal(size=(20, 2))
         y = rng.normal(size=20)
-        belief = GaussBelief(mu0, Sigma0)
+        mean, cov = mu0, Sigma0
         spec = MeasurementSpec("linear-gaussian", obs_noise=[[1.0]])
         for t in range(20):
-            belief = lg_update(belief, spec, X[t], [y[t]])
+            mean, cov = update_one(lg_update, mean, cov, spec, X[t], [y[t]])
         mu_b, Sigma_b = batch_linreg_posterior(X, y, mu0, Sigma0, 1.0)
-        np.testing.assert_allclose(belief.mean, mu_b, atol=1e-8)
-        np.testing.assert_allclose(belief.cov, Sigma_b, atol=1e-8)
+        np.testing.assert_allclose(mean, mu_b, atol=1e-8)
+        np.testing.assert_allclose(cov, Sigma_b, atol=1e-8)
 
     def test_order_invariance_against_batch(self):
         rng = np.random.default_rng(2)
@@ -64,31 +73,30 @@ class TestLgUpdate:
         mu_b, Sigma_b = batch_linreg_posterior(X, y, mu0, Sigma0, 0.5)
         for seed in range(3):
             perm = np.random.default_rng(seed).permutation(15)
-            belief = GaussBelief(mu0, Sigma0)
+            mean, cov = mu0, Sigma0
             for t in perm:
-                belief = lg_update(belief, spec, X[t], [y[t]])
-            np.testing.assert_allclose(belief.mean, mu_b, atol=1e-8)
-            np.testing.assert_allclose(belief.cov, Sigma_b, atol=1e-8)
+                mean, cov = update_one(lg_update, mean, cov, spec, X[t], [y[t]])
+            np.testing.assert_allclose(mean, mu_b, atol=1e-8)
+            np.testing.assert_allclose(cov, Sigma_b, atol=1e-8)
 
     def test_trace_never_increases(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
             m = rng.integers(1, 4)
             a = rng.normal(size=(m, m))
-            prior = GaussBelief(rng.normal(size=m), a @ a.T + 0.1 * np.eye(m))
+            mean, cov = rng.normal(size=m), a @ a.T + 0.1 * np.eye(m)
             spec = MeasurementSpec("linear-gaussian", obs_noise=[[rng.uniform(0.1, 2.0)]])
             x = rng.normal(size=m)
-            post = lg_update(prior, spec, x, [rng.normal()])
-            assert np.trace(post.cov) <= np.trace(prior.cov) + 1e-10
+            _, post_cov = update_one(lg_update, mean, cov, spec, x, [rng.normal()])
+            assert np.trace(post_cov) <= np.trace(cov) + 1e-10
 
     def test_expfam_route(self):
         spec = MeasurementSpec("bernoulli-logit")
-        prior = GaussBelief([0.0, 0.0], np.eye(2))
-        post = lg_update(prior, spec, [1.0, -1.0], 1.0)
+        mean, _ = update_one(lg_update, [0.0, 0.0], np.eye(2), spec, [1.0, -1.0], 1.0)
         # observing class 1 at logit 0 pulls the mean toward positive logits
-        assert post.mean @ np.array([1.0, -1.0]) > 0.0
+        assert mean @ np.array([1.0, -1.0]) > 0.0
         # innovation 1 - sigmoid(0) = 0.5, S = J Sigma J^T + 1/4 = 2.25
-        assert post.mean == pytest.approx([0.5 / 2.25, -0.5 / 2.25])
+        assert mean == pytest.approx([0.5 / 2.25, -0.5 / 2.25])
 
 
 class TestLgUpdateArrays:
@@ -330,69 +338,61 @@ class TestWolfUpdate:
         x, y = [3.0], [1e200]
         with pytest.raises(NumericDomainError, match=r"robust weight 0\.000e\+00 of hypothesis 0"):
             if entry == "wolf_update":
-                wolf_update(base, spec, x, y, c=2.0)
+                wolf_update(base.mean[None], base.cov[None], spec, x, y, c=2.0)
             else:
                 policy = PriorPolicy("rl-prior-reset", base)
                 bank = HypothesisBank.root(base)
                 rl_step(bank, HazardSpec(0.1), spec, policy, x, y, wolf_c=2.0, capacity=4)
 
     def test_zero_residual_matches_lg(self):
-        prior = GaussBelief([1.0], [[2.0]])
-        post_w = wolf_update(prior, LINEAR, [1.0], [1.0], c=4.0)
-        post_l = lg_update(prior, LINEAR, [1.0], [1.0])
+        prior = [1.0], [[2.0]]
+        mean_w, cov_w = update_one(wolf_update, *prior, LINEAR, [1.0], [1.0], c=4.0)
+        mean_l, cov_l = update_one(lg_update, *prior, LINEAR, [1.0], [1.0])
         assert imq(0.0, 4.0) == 1.0
-        np.testing.assert_allclose(post_w.mean, post_l.mean)
-        np.testing.assert_allclose(post_w.cov, post_l.cov)
+        np.testing.assert_allclose(mean_w, mean_l)
+        np.testing.assert_allclose(cov_w, cov_l)
 
     def test_residual_at_threshold(self):
         # e = c with R = 1 gives weight 2^(-1/2) and effective noise 2
         c = 3.0
-        prior = GaussBelief([0.0], [[1.0]])
         assert imq(c, c) == pytest.approx(2.0**-0.5)
-        y, yhats, one = np.array([c]), np.zeros((1, 1)), np.ones((1, 1, 1))
-        Rs = robust_noise(LINEAR, y, yhats, one, c)
+        y, yhats, unit = np.array([c]), np.zeros((1, 1)), np.ones((1, 1, 1))
+        Rs = robust_noise(LINEAR, y, yhats, unit, c)
         np.testing.assert_allclose(Rs, [[[2.0]]])
         # S = H Sigma H^T + R/W^2 = 1 + 2
-        means, covs, S, _ = lg_update_arrays(np.zeros((1, 1)), one, one, yhats, y, Rs)
+        means, covs, S, _ = lg_update_arrays(np.zeros((1, 1)), unit, unit, yhats, y, Rs)
         np.testing.assert_allclose(S, [[[3.0]]])
-        post = wolf_update(prior, LINEAR, [1.0], [c], c=c)
-        np.testing.assert_array_equal(means, [post.mean])
-        np.testing.assert_array_equal(covs, [post.cov])
-        assert post.mean == pytest.approx([c / 3.0])
+        mean, cov = update_one(wolf_update, [0.0], [[1.0]], LINEAR, [1.0], [c], c=c)
+        np.testing.assert_array_equal(means, [mean])
+        np.testing.assert_array_equal(covs, [cov])
+        assert mean == pytest.approx([c / 3.0])
 
     def test_outlier_influence_bounded(self):
         # settled-in prior: variance 0.25 after a stretch of clean data
-        prior = GaussBelief([0.0], [[0.25]])
-        post_w = wolf_update(prior, LINEAR, [1.0], [40.0], c=4.0)
-        post_l = lg_update(prior, LINEAR, [1.0], [40.0])
+        prior = [0.0], [[0.25]]
+        mean_w, _ = update_one(wolf_update, *prior, LINEAR, [1.0], [40.0], c=4.0)
+        mean_l, _ = update_one(lg_update, *prior, LINEAR, [1.0], [40.0])
         w = imq(40.0, 4.0)
         assert w == pytest.approx((1.0 + 1600.0 / 16.0) ** -0.5, rel=1e-9)
         # the update runs at noise R / W^2 = 101
-        assert post_w.mean == pytest.approx([0.25 * 40.0 / (0.25 + 1.0 / w**2)], rel=1e-12)
-        move_w = abs(post_w.mean[0] - prior.mean[0])
-        move_l = abs(post_l.mean[0] - prior.mean[0])
+        assert mean_w == pytest.approx([0.25 * 40.0 / (0.25 + 1.0 / w**2)], rel=1e-12)
+        move_w = abs(mean_w[0] - prior[0][0])
+        move_l = abs(mean_l[0] - prior[0][0])
         assert move_w < 0.015 * move_l
 
     def test_weight_monotone_and_vanishing(self):
-        prior = GaussBelief([0.0], [[1.0]])
         residuals = [0.0, 1.0, 2.0, 5.0, 10.0, 100.0, 1e4]
         weights = [imq(e, 2.0) for e in residuals]
         assert all(w1 >= w2 for w1, w2 in zip(weights, weights[1:]))
         assert weights[-1] < 1e-3
         for e, w in zip(residuals, weights):
-            post = wolf_update(prior, LINEAR, [1.0], [e], c=2.0)
-            assert post.mean == pytest.approx([e / (1.0 + 1.0 / w**2)], rel=1e-12)
+            mean, _ = update_one(wolf_update, [0.0], [[1.0]], LINEAR, [1.0], [e], c=2.0)
+            assert mean == pytest.approx([e / (1.0 + 1.0 / w**2)], rel=1e-12)
 
     def test_requires_gaussian_family(self):
         with pytest.raises(ValueError):
-            wolf_update(
-                GaussBelief([0.0], [[1.0]]),
-                MeasurementSpec("bernoulli-logit"),
-                [1.0],
-                1.0,
-                c=2.0,
-            )
+            update_one(wolf_update, [0.0], [[1.0]], MeasurementSpec("bernoulli-logit"), [1.0], 1.0, c=2.0)
 
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):
-            wolf_update(GaussBelief([0.0], [[1.0]]), LINEAR, [1.0], [1.0], c=0.0)
+            update_one(wolf_update, [0.0], [[1.0]], LINEAR, [1.0], [1.0], c=0.0)

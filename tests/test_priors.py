@@ -79,9 +79,9 @@ class TestConditionalPrior:
         out = rl_step(bank, HazardSpec(0.1), spec, pol, x, y)
         np.testing.assert_array_equal(out.runlengths, [4, 0])
         for i, prior in enumerate((PREV, BASE)):
-            post = lg_update(prior, spec, x, y)
-            np.testing.assert_allclose(out.means[i], post.mean, rtol=1e-12)
-            np.testing.assert_allclose(out.covs[i], post.cov, rtol=1e-12)
+            post_means, post_covs = lg_update(prior.mean[None], prior.cov[None], spec, x, y)
+            np.testing.assert_allclose(out.means[i], post_means[0], rtol=1e-12)
+            np.testing.assert_allclose(out.covs[i], post_covs[0], rtol=1e-12)
 
     @pytest.mark.parametrize("kind", ["cpp-ou", "rl-oupr"])
     def test_blend_rates_one_and_zero_are_the_belief_and_the_base(self, kind):
@@ -129,23 +129,24 @@ class TestConditionalPrior:
 class TestMmprPrior:
     def test_single_hypothesis_is_identity(self):
         bank = make_bank([PREV.mean], [PREV.cov], [0.0])
-        out = mmpr_prior(bank)
-        np.testing.assert_allclose(out.mean, PREV.mean)
-        np.testing.assert_allclose(out.cov, PREV.cov)
+        mean, cov = mmpr_prior(bank)
+        assert mean.shape == PREV.mean.shape and cov.shape == PREV.cov.shape
+        np.testing.assert_allclose(mean, PREV.mean)
+        np.testing.assert_allclose(cov, PREV.cov)
 
     def test_two_identical_hypotheses(self):
         bank = make_bank([PREV.mean, PREV.mean], [PREV.cov, PREV.cov],
                          [np.log(0.5), np.log(0.5)])
-        out = mmpr_prior(bank)
-        np.testing.assert_allclose(out.mean, PREV.mean)
-        np.testing.assert_allclose(out.cov, PREV.cov)
+        mean, cov = mmpr_prior(bank)
+        np.testing.assert_allclose(mean, PREV.mean)
+        np.testing.assert_allclose(cov, PREV.cov)
 
     def test_symmetric_univariate_mixture(self):
         bank = make_bank([[-1.0], [1.0]], [[[1.0]], [[1.0]]],
                          [np.log(0.5), np.log(0.5)])
-        out = mmpr_prior(bank)
-        assert out.mean == pytest.approx([0.0])
-        np.testing.assert_allclose(out.cov, [[2.0]])
+        mean, cov = mmpr_prior(bank)
+        assert mean == pytest.approx([0.0])
+        np.testing.assert_allclose(cov, [[2.0]])
 
     def test_trace_at_least_min_component(self):
         rng = np.random.default_rng(1)
@@ -157,8 +158,8 @@ class TestMmprPrior:
                 a = rng.normal(size=(2, 2))
                 covs[i] = a @ a.T + 0.1 * np.eye(2)
             bank = make_bank(means, covs, rng.normal(size=k))
-            out = mmpr_prior(bank)
-            assert np.trace(out.cov) >= min(np.trace(c) for c in covs) - 1e-9
+            mean, cov = mmpr_prior(bank)
+            assert np.trace(cov) >= min(np.trace(c) for c in covs) - 1e-9
 
     def test_moments_match_monte_carlo(self):
         rng = np.random.default_rng(2)
@@ -166,7 +167,7 @@ class TestMmprPrior:
         covs = np.stack([np.diag([0.5, 1.0]), np.diag([2.0, 0.2]), np.eye(2)])
         log_joints = np.log([0.5, 0.3, 0.2])
         bank = make_bank(means, covs, log_joints)
-        out = mmpr_prior(bank)
+        mean, cov = mmpr_prior(bank)
         n = 10**6
         comps = rng.choice(3, p=np.exp(log_joints) / np.exp(log_joints).sum(), size=n)
         draws = np.empty((n, 2))
@@ -174,11 +175,11 @@ class TestMmprPrior:
             idx = comps == i
             draws[idx] = rng.multivariate_normal(means[i], covs[i], size=idx.sum())
         se_mean = draws.std(axis=0, ddof=1) / np.sqrt(n)
-        assert (np.abs(draws.mean(axis=0) - out.mean) < 3 * se_mean).all()
+        assert (np.abs(draws.mean(axis=0) - mean) < 3 * se_mean).all()
         centered = draws - draws.mean(axis=0)
         prods = centered[:, :, None] * centered[:, None, :]
         se_cov = prods.std(axis=0, ddof=1) / np.sqrt(n)
-        assert (np.abs(prods.mean(axis=0) - out.cov) < 3 * se_cov).all()
+        assert (np.abs(prods.mean(axis=0) - cov) < 3 * se_cov).all()
 
     def test_empty_bank_rejected(self):
         bank = make_bank(np.zeros((0, 1)), np.zeros((0, 1, 1)), [])

@@ -97,6 +97,11 @@ def _reference_cpp(prev, base, spec, x, y, steps, lr, anchor=None, u=1.0):
     return u, max(1.0, abs(f_hi), abs(f_lo)), hi - lo
 
 
+def columns(belief):
+    """A belief as a single-hypothesis bank's columns (1, m) and (1, m, m)."""
+    return belief.mean[None], belief.cov[None]
+
+
 def _search_case(seed, spec, x_dim):
     """Random prev and base beliefs, feature, observation and anchor."""
     rng = np.random.default_rng(seed)
@@ -121,9 +126,10 @@ def _reference_rl_step(bank, hazard, spec, policy, x, y, wolf_c=None, capacity=N
     """Reference step: update all k + 1 candidates as one stack, then prune_topk
     to ``capacity`` (None keeps all)."""
     pi = hazard.pi
-    reset = mmpr_prior(bank) if policy.kind == "rl-mmpr" else policy.base_prior
-    means = np.concatenate([bank.means, reset.mean[None, :]])
-    covs = np.concatenate([bank.covs, reset.cov[None, :, :]])
+    base = policy.base_prior
+    reset_mean, reset_cov = mmpr_prior(bank) if policy.kind == "rl-mmpr" else (base.mean, base.cov)
+    means = np.concatenate([bank.means, reset_mean[None, :]])
+    covs = np.concatenate([bank.covs, reset_cov[None, :, :]])
     anchors = None
     if spec.family == "segment-poly-gaussian":
         x_now = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
@@ -314,7 +320,7 @@ class TestRlStep:
         # outweighs both and one tied candidate must go
         rng = np.random.default_rng(4)
         bank = _random_bank(rng, 1, 2, tied=True, segmental=False)
-        policy = PriorPolicy("rl-prior-reset", bank.belief(0))
+        policy = PriorPolicy("rl-prior-reset", GaussBelief(bank.means[0], bank.covs[0]))
         hazard = HazardSpec(0.9)
         got = rl_step(bank, hazard, LINEAR, policy, [1.0], [0.2], capacity=2)
         want = _reference_rl_step(bank, hazard, LINEAR, policy, [1.0], [0.2], capacity=2)
@@ -590,7 +596,7 @@ class TestGreedyRatio:
 
 class TestCppEmpiricalBayes:
     def test_identical_beliefs_keep_initialization(self):
-        out = cpp_empirical_bayes(BASE, BASE, LINEAR, [1.0], [0.3])
+        out = cpp_empirical_bayes(*columns(BASE), BASE, LINEAR, [1.0], [0.3])
         assert out == 1.0
 
     @pytest.mark.parametrize(
@@ -605,7 +611,7 @@ class TestCppEmpiricalBayes:
         # prev == base makes the density flat in u, so the first pair is the
         # fixed point: two float densities, or one 2-row stack
         with counting("scalar_log_density", "linearize_bank") as calls:
-            assert cpp_empirical_bayes(belief, belief, spec, [1.0], [0.3]) == 1.0
+            assert cpp_empirical_bayes(*columns(belief), belief, spec, [1.0], [0.3]) == 1.0
         assert calls == {"scalar_log_density": floats, "linearize_bank": stacks}
 
     @given(
@@ -623,9 +629,9 @@ class TestCppEmpiricalBayes:
             prev = GaussBelief([30.0 / f], 1e-14 * prev.cov)
             base = GaussBelief([40.0 / f], 1e-14 * base.cov)
         with mock.patch.object(bone.weighting, "scalar_point", lambda *args: None):
-            stacked = cpp_empirical_bayes(prev, base, spec, x, y, steps=steps, lr=lr)
+            stacked = cpp_empirical_bayes(*columns(prev), base, spec, x, y, steps=steps, lr=lr)
         with counting("scalar_log_density", "linearize_bank") as calls:
-            got = cpp_empirical_bayes(prev, base, spec, x, y, steps=steps, lr=lr)
+            got = cpp_empirical_bayes(*columns(prev), base, spec, x, y, steps=steps, lr=lr)
         assert float(got).hex() == float(stacked).hex()
         if tiny:  # every pair is handed back to the stack
             assert calls["scalar_log_density"] == 2 * calls["linearize_bank"] > 0
@@ -641,7 +647,7 @@ class TestCppEmpiricalBayes:
         spec, x_dim = ONE_PARAMETER_SPECS[family]
         prev, base, x, y, _ = _search_case(seed, spec, x_dim)
         want, _, _ = _reference_cpp(prev, base, spec, x, y, steps, lr)
-        assert cpp_empirical_bayes(prev, base, spec, x, y, steps=steps, lr=lr) == want
+        assert cpp_empirical_bayes(*columns(prev), base, spec, x, y, steps=steps, lr=lr) == want
 
     @given(
         st.sampled_from(sorted(STACKED_SPECS)),
@@ -661,7 +667,9 @@ class TestCppEmpiricalBayes:
         spec, x_dim = STACKED_SPECS[family]
         prev, base, x, y, anchor = _search_case(seed, spec, x_dim)
         def search(n):
-            return cpp_empirical_bayes(prev, base, spec, x, y, steps=n, lr=lr, anchor=anchor)
+            return cpp_empirical_bayes(
+                *columns(prev), base, spec, x, y, steps=n, lr=lr, anchor=anchor
+            )
 
         start = 1.0 if steps == 1 else search(steps - 1)
         got = search(steps)
@@ -674,7 +682,9 @@ class TestCppEmpiricalBayes:
         base = GaussBelief([10.0, 0.0, 0.0], 4.0 * np.eye(3))
         anchor, x, y = 1.0, [1.5], [10.0]
         star = self.grid_argmax(prev, base, x, y, SEGMENT, anchor)
-        got = cpp_empirical_bayes(prev, base, SEGMENT, x, y, steps=200, lr=0.02, anchor=anchor)
+        got = cpp_empirical_bayes(
+            *columns(prev), base, SEGMENT, x, y, steps=200, lr=0.02, anchor=anchor
+        )
         assert got < 0.5
         assert abs(got - star) < 0.05
 
@@ -692,7 +702,7 @@ class TestCppEmpiricalBayes:
         base = GaussBelief([0.0], [[25.0]])
         x, y = [1.0], [2.0]  # y at prev's predictive mode
         star = self.grid_argmax(prev, base, x, y)
-        got = cpp_empirical_bayes(prev, base, LINEAR, x, y, steps=50, lr=0.05)
+        got = cpp_empirical_bayes(*columns(prev), base, LINEAR, x, y, steps=50, lr=0.05)
         assert abs(got - star) < 0.05
 
     def test_surprising_observation_pulls_toward_reset(self):
@@ -700,7 +710,7 @@ class TestCppEmpiricalBayes:
         base = GaussBelief([10.0], [[4.0]])
         x, y = [1.0], [10.0]  # ~10 sigma under prev, likely under base
         star = self.grid_argmax(prev, base, x, y)
-        got = cpp_empirical_bayes(prev, base, LINEAR, x, y, steps=200, lr=0.02)
+        got = cpp_empirical_bayes(*columns(prev), base, LINEAR, x, y, steps=200, lr=0.02)
         assert got < 0.5
         assert abs(got - star) < 0.05
 
@@ -713,7 +723,7 @@ class TestCppEmpiricalBayes:
     @settings(max_examples=40, deadline=None)
     def test_output_always_in_unit_interval(self, mu, y, steps, lr):
         prev = GaussBelief([mu], [[0.5]])
-        out = cpp_empirical_bayes(prev, BASE, LINEAR, [1.0], [y], steps=steps, lr=lr)
+        out = cpp_empirical_bayes(*columns(prev), BASE, LINEAR, [1.0], [y], steps=steps, lr=lr)
         assert 0.0 <= out <= 1.0
 
 
