@@ -13,7 +13,8 @@ That step and ``drift_unobserved`` take the prior's columns from
 posterior's with ``lg_update`` or ``wolf_update``, on the bank's arrays
 throughout.  All three build the new bank with the trusted
 ``HypothesisBank._trusted``: their columns hold its invariants by
-construction.
+construction.  ``init_agent`` builds the root bank a method starts from,
+anchored at the first input's first entry for a segment model.
 
 Per-hypothesis results are arrays over the bank: a prediction is the
 weighted mean with the (k, d) stack of per-hypothesis predictions (read
@@ -115,12 +116,14 @@ class AgentState:
     bank: HypothesisBank
 
 
-def init_agent(cfg: MethodConfig, anchor_x: float | None = None) -> AgentState:
-    """Fresh state at the base prior, runlength 0, unit mass; the root
-    carries the policy's ``base_floor`` when it has one."""
-    if cfg.spec.family == "segment-poly-gaussian" and anchor_x is None:
-        anchor_x = 0.0
-    bank = HypothesisBank.root(cfg.policy.base_prior, anchor_x, cfg.policy.base_floor)
+def init_agent(cfg: MethodConfig, x0=None) -> AgentState:
+    """Fresh state at the base prior, runlength 0, unit mass; the root carries
+    the policy's ``base_floor`` when it has one, and a segment model's root
+    the anchor ``x0[0]`` of the first input (0.0 without one)."""
+    anchor = None
+    if cfg.spec.family == "segment-poly-gaussian":
+        anchor = 0.0 if x0 is None else float(np.atleast_1d(x0)[0])
+    bank = HypothesisBank.root(cfg.policy.base_prior, anchor, cfg.policy.base_floor)
     return AgentState(bank=bank)
 
 

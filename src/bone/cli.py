@@ -26,6 +26,7 @@ from .harness import (
     export_results,
     load_config,
     parse_config,
+    read_config,
     run_experiment,
     run_sweep,
 )
@@ -70,17 +71,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    with open(args.config) as fh:
-        raw = json.load(fh)
+    raw = read_config(args.config)
     overrides = {"seed": args.seed, "trials": args.trials, "output_path": args.out}
     if isinstance(raw, dict):  # parse_config rejects any other document
         raw.update((key, value) for key, value in overrides.items() if value is not None)
     cfg = parse_config(raw)
     out = Path(cfg.output_path or "results.csv")
-    if cfg.runlength_output_path and Path(cfg.runlength_output_path).resolve() in {
-        out.resolve(), out.with_suffix(".summary.json").resolve()
-    }:
+    outputs = [out, out.with_suffix(".summary.json")]
+    dump = cfg.runlength_output_path
+    if dump and Path(dump).resolve() in {path.resolve() for path in outputs}:
         raise ConfigError(f"runlength_output_path would overwrite the results file {out}")
+    for output in outputs + ([Path(dump)] if dump else []):  # checked before any trial runs
+        if output.is_dir():
+            raise ConfigError(f"output {output} is a directory")
     traces = run_experiment(cfg, parallel=args.parallel)
     path = export_results(traces, out, config_echo=raw)
     print(path)
@@ -120,7 +123,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_gen(args)
-    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except NumericDomainError as err:

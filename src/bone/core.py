@@ -279,7 +279,9 @@ def eigen_floor(cov: np.ndarray) -> float:
     backward-error allowance m^2 u ||cov||_F (LAPACK's bound is p(m) u
     ||cov||_2 with p modest), or 0.0 when that is not positive."""
     m = cov.shape[0]
-    floor = np.linalg.eigvalsh(cov)[0] - m * m * UNIT_ROUNDOFF * np.linalg.norm(cov)
+    with np.errstate(over="ignore"):  # an infinite norm gives floor 0.0
+        norm = np.linalg.norm(cov)
+    floor = np.linalg.eigvalsh(cov)[0] - m * m * UNIT_ROUNDOFF * norm
     return float(floor) if floor > 0.0 else 0.0
 
 

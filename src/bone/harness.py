@@ -7,6 +7,8 @@ run the wrong hyperparameter.  All randomness flows from the single master
 seed through the declared split scheme: SeedSequence([seed, trial, role])
 with role 0 = data stream, role 1 = agent (Thompson draws), role 2 =
 reward realization.
+The trial runners hold only their step loops and share one trace builder
+(``_trace``); worker processes receive the parsed ``ExperimentConfig``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .core import ConfigError, GaussBelief, NumericDomainError, is_finite_number
 from .datagen import GENERATORS, StreamRecord
 from .measurement import MeasurementSpec
 from .priors import PriorPolicy
-from .weighting import HazardSpec, runlength_posterior_rows
+from .weighting import HazardSpec
 
 log = logging.getLogger("bone")
 
@@ -319,9 +321,16 @@ def _set_by_path(raw: dict, key: str, value):
     node[parts[-1]] = value
 
 
-def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(json.load(fh))
+def read_config(path) -> dict:
+    """The JSON document at ``path`` (UTF-8); a ConfigError names a bad file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ConfigError(f"{path}: {err}") from err
+
+
+def load_config(path) -> ExperimentConfig:
+    return parse_config(read_config(path))
 
 
 @dataclass
@@ -440,13 +449,16 @@ def load_csv_stream(
     ewma_target_half_life: float | None = None,
     ewma_feature_half_life: float | None = None,
 ) -> list[StreamRecord]:
-    """CSV ingestion: header row required, feature columns first, target last."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ConfigError(f"{path}: empty CSV, header row required")
-        rows = [_csv_row(path, reader.line_num, header, row) for row in reader if row]
+    """CSV ingestion (UTF-8): header row required, feature columns first, target last."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ConfigError(f"{path}: empty CSV, header row required")
+            rows = [_csv_row(path, reader.line_num, header, row) for row in reader if row]
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"data_path {path}: {err}") from err
     if not rows:
         raise ConfigError(f"{path}: no data rows after the header")
     data = np.asarray(rows, dtype=float)
@@ -519,10 +531,25 @@ def _check_targets(spec, records) -> None:
 
 def _classify_loss(yhat, y) -> float:
     p = np.atleast_1d(np.asarray(yhat, dtype=float))
-    if p.size == 1:  # bernoulli: probability of class 1
-        label = int(p[0] > 0.5)
-        return float(label != int(y))
-    return float(int(np.argmax(p)) != int(np.atleast_1d(y).argmax() if np.size(y) > 1 else y))
+    label = int(p[0] > 0.5) if p.size == 1 else int(np.argmax(p))  # y is a class index
+    return float(label != int(y))
+
+
+def _trace(cfg, trial, losses, roll_base, errors=None, modes=None) -> MetricTrace:
+    """The trace of ``losses``, with the rolling mean of ``roll_base`` and the finals."""
+    trace = MetricTrace(
+        kind=EXPERIMENT_KIND[cfg.experiment],
+        losses=losses,
+        rolling=rolling_mean(roll_base, cfg.rolling_window),
+        trial=trial,
+        seed=cfg.seed,
+        method=cfg.method.name,
+        experiment=cfg.experiment,
+        errors=errors,
+        mode_runlengths=modes,
+    )
+    trace.finals = compute_metrics(trace)
+    return trace
 
 
 def _run_prequential_trial(cfg: ExperimentConfig, trial: int, records) -> MetricTrace:
@@ -532,10 +559,7 @@ def _run_prequential_trial(cfg: ExperimentConfig, trial: int, records) -> Metric
     step."""
     kind = EXPERIMENT_KIND[cfg.experiment]
     method = cfg.method
-    anchor0 = None
-    if method.spec.family == "segment-poly-gaussian" and records:
-        anchor0 = float(np.atleast_1d(records[0].x)[0])
-    state = init_agent(method, anchor_x=anchor0)
+    state = init_agent(method, records[0].x if records else None)
     n = len(records)
     losses = np.zeros(n)
     errors = np.zeros(n) if kind == "regression" else None
@@ -563,20 +587,8 @@ def _run_prequential_trial(cfg: ExperimentConfig, trial: int, records) -> Metric
         modes[t] = bank.map_runlength
         if posterior is not None:
             posterior.append((bank.timestep, bank.runlengths, bank.log_weights))
-    window = cfg.rolling_window
     roll_base = np.abs(errors) if kind == "regression" else losses
-    trace = MetricTrace(
-        kind=kind,
-        losses=losses,
-        rolling=rolling_mean(roll_base, window) if n else np.zeros(0),
-        trial=trial,
-        seed=cfg.seed,
-        method=method.name,
-        experiment=cfg.experiment,
-        errors=errors,
-        mode_runlengths=modes,
-    )
-    trace.finals = compute_metrics(trace)
+    trace = _trace(cfg, trial, losses, roll_base, errors, modes)
     if posterior is not None:
         _write_runlength_csv(posterior, cfg.runlength_output_path)
     return trace
@@ -588,8 +600,7 @@ def _run_bandit_trial(cfg: ExperimentConfig, trial: int, records) -> MetricTrace
     reward_rng = _trial_rng(cfg.seed, trial, 2)
     arms = records[0].arm_probs.size if records else 0
     states = [init_agent(method) for _ in range(arms)]
-    n = len(records)
-    regret = np.zeros(n)
+    regret = np.zeros(len(records))
     for t, rec in enumerate(records):
         try:
             a = thompson_action(states, method, rec.x, agent_rng)
@@ -602,26 +613,12 @@ def _run_bandit_trial(cfg: ExperimentConfig, trial: int, records) -> MetricTrace
                     states[j] = drift_unobserved(states[j], method)
         except Exception as err:  # noqa: BLE001
             raise TrialError(trial, t, err) from err
-    trace = MetricTrace(
-        kind="bandit",
-        losses=regret,
-        rolling=rolling_mean(regret, cfg.rolling_window) if n else np.zeros(0),
-        trial=trial,
-        seed=cfg.seed,
-        method=method.name,
-        experiment=cfg.experiment,
-    )
-    trace.finals = compute_metrics(trace)
-    return trace
+    return _trace(cfg, trial, regret, regret)
 
 
 def _run_trial(cfg: ExperimentConfig, trial: int, steps: int | None = None) -> MetricTrace:
     run = _run_bandit_trial if cfg.experiment == "bandit" else _run_prequential_trial
     return run(cfg, trial, _make_stream(cfg, trial)[:steps])
-
-
-def _worker(raw_json: str, trial: int, steps: int | None) -> MetricTrace:
-    return _run_trial(parse_config(json.loads(raw_json)), trial, steps)
 
 
 def _check_parallel(parallel) -> None:
@@ -642,10 +639,10 @@ def run_experiment(
         # imported here: it loads multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        raw_json = json.dumps(cfg.raw)
+        # the config pickles whole, computed fields (PriorPolicy.base_floor) included
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(
-                _worker, itertools.repeat(raw_json), range(cfg.trials), itertools.repeat(steps)
+                _run_trial, itertools.repeat(cfg), range(cfg.trials), itertools.repeat(steps)
             ))
     traces = []
     for trial in range(cfg.trials):
@@ -659,11 +656,12 @@ def _fmt(v) -> str:
 
 
 def _write_runlength_csv(posterior, path: str):
+    """A (t, r, log_posterior) row per hypothesis of each step's bank in ``posterior``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "r", "log_posterior"])
-        for t, r, lp in runlength_posterior_rows(posterior):
-            writer.writerow([t, r, _fmt(lp)])
+        for t, runlengths, log_weights in posterior:
+            writer.writerows([int(t), int(r), _fmt(lw)] for r, lw in zip(runlengths, log_weights))
 
 
 def export_results(traces: list[MetricTrace], path: str, config_echo: dict | None = None) -> Path:

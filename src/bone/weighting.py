@@ -15,7 +15,6 @@ prune_topk take as an argument, and both keep survivors by one rule
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -438,11 +437,3 @@ def blend_scorer(means, covs, base: GaussBelief, spec: MeasurementSpec, x, y, an
         return stacked(hi, lo) if None in pair else pair
 
     return floats
-
-
-def runlength_posterior_rows(posterior) -> Iterator[tuple[int, int, float]]:
-    """(t, r, log_posterior) rows, for CSV export, over a sequence of
-    (timestep, runlengths, log_weights) triples, one per bank."""
-    for t, runlengths, log_weights in posterior:
-        for r, lw in zip(runlengths, log_weights):
-            yield int(t), int(r), float(lw)

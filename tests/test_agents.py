@@ -87,6 +87,18 @@ class TestMethodConfig:
         method("RL-OUPR", hazard=HazardSpec(0.1), epsilon=0.5)
 
 
+class TestInitAgent:
+    def test_only_a_segment_root_is_anchored(self):
+        segment = MeasurementSpec("segment-poly-gaussian", obs_noise=[[1.0]])
+        cfg = method("C-Static", spec=segment, base=GaussBelief(np.zeros(3), np.eye(3)))
+        assert init_agent(cfg, np.array([2.5, 7.0])).bank.anchors.tolist() == [2.5]
+        assert init_agent(cfg, 2.5).bank.anchors.tolist() == [2.5]
+        assert init_agent(cfg).bank.anchors.tolist() == [0.0]
+        for cfg in (method("C-Static"), method("RL-PR[inf]", hazard=HazardSpec(0.1))):
+            assert init_agent(cfg, [2.5]).bank.anchors is None
+            assert init_agent(cfg).bank.anchors is None
+
+
 class TestBoneStep:
     def test_static_equals_conjugate_batch_predictor(self):
         rng = np.random.default_rng(0)

@@ -3,6 +3,7 @@ import copy
 import csv
 import hashlib
 import json
+import pickle
 import re
 import tracemalloc
 from pathlib import Path
@@ -10,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bone.cli
 import bone.harness
+from bone.agents import bone_step, init_agent
 from bone.cli import main as cli_main
 from bone.core import ConfigError
 from bone.harness import (
@@ -436,11 +439,17 @@ class TestRunPrequential:
         assert not np.allclose(e2[31:] - e1[31:], 100.0)  # the predictions moved
 
     def test_parallel_matches_serial(self):
-        cfg = parse_config(static_config(trials=3, horizon=40))
-        serial = run_experiment(cfg, parallel=1)
-        par = run_experiment(cfg, parallel=2)
-        for a, b in zip(serial, par):
-            np.testing.assert_array_equal(a.losses, b.losses)
+        # the 97-parameter RL-PR[K] config carries a computed base_floor,
+        # which a worker receives pickled with the parsed config
+        mlp = dict(shipped_config("mlp_segments.json"), trials=2, horizon=20)
+        assert pickle.loads(pickle.dumps(parse_config(mlp))).method.policy.base_floor > 0.0
+        for raw in (static_config(trials=3, horizon=40), mlp):
+            cfg = parse_config(raw)
+            serial = run_experiment(cfg, parallel=1)
+            par = run_experiment(cfg, parallel=2)
+            for a, b in zip(serial, par):
+                np.testing.assert_array_equal(a.losses, b.losses)
+                assert a.finals == b.finals
 
     @pytest.mark.parametrize("parallel,trials,workers", [(8, 2, 2), (2, 3, 2), (8, 1, None), (1, 3, None)])
     def test_workers_bounded_by_trials(self, monkeypatch, parallel, trials, workers):
@@ -546,6 +555,7 @@ UNUSABLE_PATHS = {
         {"d.csv": NOT_UTF_8 + b",y\n1,2\n"}, csv_stream_config("d.csv"), RUN
     ),
     "config-is-not-utf-8": ({"bad.json": NOT_UTF_8}, None, ["run", "--config", "bad.json"]),
+    "config-is-not-json": ({"bad.json": b"{"}, None, ["run", "--config", "bad.json"]),
     "config-is-a-directory": ({}, None, ["run", "--config", "dir"]),
     "run-out-is-a-directory": (
         {}, static_config(horizon=5), ["run", "--config", "cfg.json", "--out", "dir"]
@@ -559,6 +569,24 @@ UNUSABLE_PATHS = {
         ["sweep", "--config", "cfg.json", "--out", "grid"],
     ),
 }
+# id -> what the error must name, beyond "config error: "
+NAMED_IN_ERROR = {
+    "csv-is-not-utf-8": ["data_path", "d.csv"],
+    "config-is-not-utf-8": ["bad.json"],
+    "config-is-not-json": ["bad.json"],
+}
+# id -> (the command line's options after the config, the runlength_output_path,
+# the output that is an existing directory, beside the directory r.summary.json)
+OUTPUT_DIRECTORIES = {
+    "results-csv": (["--out", "dir"], None, "dir"),
+    "summary": (["--out", "r.csv"], None, "r.summary.json"),
+    "runlength": (["--out", "o.csv"], "dir", "dir"),
+}
+
+
+def shipped_config(name):
+    """The JSON document of the shipped config ``configs/<name>``."""
+    return json.loads((Path(__file__).resolve().parents[1] / "configs" / name).read_text())
 
 
 class TestExportAndCli:
@@ -575,7 +603,26 @@ class TestExportAndCli:
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
+        assert all(name in err for name in NAMED_IN_ERROR.get(case, []))
         assert sorted(tmp_path.rglob("*")) == before  # no output file
+
+    @pytest.mark.parametrize("case", sorted(OUTPUT_DIRECTORIES))
+    def test_cli_rejects_an_output_directory_before_running(self, tmp_path, monkeypatch, capsys, case):
+        out_args, dump, directory = OUTPUT_DIRECTORIES[case]
+        monkeypatch.chdir(tmp_path)
+        Path("dir").mkdir()
+        Path("r.summary.json").mkdir()
+        raw = method_config("RL-PR[inf]", "rl-prior-reset", hazard=0.05)
+        raw.update(horizon=5, runlength_output_path=dump)
+        Path("cfg.json").write_text(json.dumps(raw))
+        runs = []
+        monkeypatch.setattr(bone.cli, "run_experiment", lambda *a, **kw: runs.append(a))
+        before = sorted(tmp_path.rglob("*"))
+        assert cli_main(["run", "--config", "cfg.json", *out_args]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: output {directory} is a directory\n"
+        assert runs == []
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_empty_traces_header_only(self, tmp_path):
         path = export_results([], tmp_path / "out.csv")
@@ -679,6 +726,37 @@ class TestExportAndCli:
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
         assert "numeric failure: rmse of trial 0 is inf" in capsys.readouterr().err
         assert not out.exists()
+
+    # numpy warns before the finiteness check raises, so under
+    # error::RuntimeWarning this run exits 1 (ROADMAP item 8)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("feature_map", [None, "bias"])
+    def test_cli_exits_3_when_a_bandit_posterior_is_not_finite(self, tmp_path, capsys, feature_map):
+        # alpha 1e308 inflates the covariance past the largest float
+        raw = bandit_config()
+        raw["horizon"] = 30
+        raw["method"]["prior"]["alpha"] = 1e308
+        if feature_map:
+            raw["method"]["model"]["feature_map"] = feature_map
+            raw["method"]["prior"]["base_mean"] = [0, 0]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "o.csv"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert "numeric failure: trial 0 failed at step 0: matrix 0 of batch is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cli_runs_the_mlp_config_on_a_wide_prior(self, tmp_path):
+        # the norm of the base covariance overflows, so its eigenvalue floor is 0.0
+        raw = dict(shipped_config("mlp_segments.json"), trials=1, horizon=30)
+        raw["method"]["prior"]["base_cov_scale"] = 1e300
+        assert parse_config(raw).method.policy.base_floor == 0.0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "o.csv"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 30
 
     def test_cli_sweep_at_horizon_zero_writes_json(self, tmp_path, capsys):
         # no grid point has a primary metric, so none is best
@@ -1094,6 +1172,33 @@ class TestRunlengthExport:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,r,log_posterior"
         assert len(lines) == 1 + sum(t + 2 for t in range(15))
+
+    def test_posterior_rows_export(self, tmp_path):
+        # one row per hypothesis of each step's bank, replayed here step by step
+        data = tmp_path / "d.csv"
+        rng = np.random.default_rng(0)
+        data.write_text("x,y\n" + "".join(f"{rng.normal()!r},{rng.normal()!r}\n" for _ in range(12)))
+        out = tmp_path / "rl.csv"
+        raw = csv_stream_config(data)
+        raw.update(runlength_output_path=str(out))
+        raw["method"].update(name="RL-PR[K]", K=3, hazard=0.2)
+        raw["method"]["prior"]["kind"] = "rl-prior-reset"
+        cfg = parse_config(raw)
+        run_experiment(cfg)
+        state, sizes = init_agent(cfg.method), []
+        for rec in load_csv_stream(str(data)):
+            state, _, _ = bone_step(state, cfg.method, rec.x, rec.y)
+            sizes.append(state.bank.size)
+        with open(out, newline="") as fh:
+            rows = [(int(r["t"]), int(r["r"]), float(r["log_posterior"])) for r in csv.DictReader(fh)]
+        by_t = {}
+        for t, r, lp in rows:
+            by_t.setdefault(t, []).append(lp)
+            assert r <= t
+        assert [len(by_t[t]) for t in sorted(by_t)] == sizes and sorted(by_t) == list(range(1, 13))
+        assert max(sizes) == 3
+        for lps in by_t.values():
+            assert np.exp(lps).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_parallel_writes_the_same_bytes(self, tmp_path):
         # trial 0 writes the matrix in whichever process runs it

@@ -793,25 +793,6 @@ class TestBankSurface:
         with pytest.raises(NumericDomainError, match="log_joints contain NaN"):
             rl_step(HypothesisBank.root(BASE), HazardSpec(0.2), LINEAR, RLPR, [1.0], [0.5])
 
-    def test_posterior_rows_export(self):
-        from bone.weighting import runlength_posterior_rows
-
-        posterior = []
-        bank = HypothesisBank.root(BASE)
-        hazard = HazardSpec(0.2)
-        rng = np.random.default_rng(0)
-        for _ in range(4):
-            bank = rl_step(bank, hazard, LINEAR, RLPR, [rng.normal()], [rng.normal()])
-            posterior.append((bank.timestep, bank.runlengths, bank.log_weights))
-        rows = list(runlength_posterior_rows(posterior))
-        assert len(rows) == 2 + 3 + 4 + 5
-        by_t = {}
-        for t, r, lp in rows:
-            by_t.setdefault(t, []).append(lp)
-            assert r <= t
-        for t, lps in by_t.items():
-            assert np.exp(lps).sum() == pytest.approx(1.0, abs=1e-12)
-
 
 class TestStationaryStream:
     def test_modal_runlength_tracks_time(self):
